@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all test-deprecations bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
+.PHONY: install test test-slow test-all test-deprecations bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-digests bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -58,6 +58,16 @@ bench-profile:
 # monitors-absent run (CI runs this).
 bench-invariants:
 	$(PYTHON) benchmarks/parallel_bench.py fig2 --invariant-overhead-only --fail-invariant-overhead-above 5
+
+# Benchmark result pins: every harness workload runs once at seed 1 and
+# fails when its result digest differs from benchmarks/harness/digests.json;
+# then the harness's own tests (CI runs this).
+bench-digests:
+	@for workload in flood-64b bulk-tcp http-vpg fleet-64; do \
+		echo "== $$workload =="; \
+		$(PYTHON) benchmarks/harness/run.py --workload $$workload --seconds 1 || exit 1; \
+	done
+	$(PYTHON) -m pytest benchmarks/harness
 
 # Chaos smoke: the trimmed scenario grid under fail-fast invariants —
 # every fault injects and clears on schedule and no invariant is

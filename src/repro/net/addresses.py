@@ -15,15 +15,14 @@ from typing import Union
 class MacAddress:
     """A 48-bit IEEE 802 MAC address."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_hash")
 
     MAX = (1 << 48) - 1
 
     def __init__(self, value: Union[int, str, "MacAddress"]):
         if isinstance(value, MacAddress):
-            self._value = value._value
-            return
-        if isinstance(value, str):
+            value = value._value
+        elif isinstance(value, str):
             parts = value.replace("-", ":").split(":")
             if len(parts) != 6:
                 raise ValueError(f"malformed MAC address: {value!r}")
@@ -33,12 +32,14 @@ class MacAddress:
                 raise ValueError(f"malformed MAC address: {value!r}") from exc
             if any(octet < 0 or octet > 255 for octet in octets):
                 raise ValueError(f"malformed MAC address: {value!r}")
-            self._value = int.from_bytes(bytes(octets), "big")
-            return
-        value = int(value)
-        if value < 0 or value > self.MAX:
-            raise ValueError(f"MAC address out of range: {value}")
+            value = int.from_bytes(bytes(octets), "big")
+        else:
+            value = int(value)
+            if value < 0 or value > self.MAX:
+                raise ValueError(f"MAC address out of range: {value}")
         self._value = value
+        # Hashed once: every switch learns and looks up two MACs per frame.
+        self._hash = hash(("mac", value))
 
     @classmethod
     def from_index(cls, index: int) -> "MacAddress":
@@ -75,7 +76,7 @@ class MacAddress:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("mac", self._value))
+        return self._hash
 
     def __str__(self) -> str:
         raw = self.to_bytes()
@@ -93,15 +94,14 @@ BROADCAST_MAC = MacAddress((1 << 48) - 1)
 class Ipv4Address:
     """A 32-bit IPv4 address."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_hash")
 
     MAX = (1 << 32) - 1
 
     def __init__(self, value: Union[int, str, "Ipv4Address"]):
         if isinstance(value, Ipv4Address):
-            self._value = value._value
-            return
-        if isinstance(value, str):
+            value = value._value
+        elif isinstance(value, str):
             parts = value.split(".")
             if len(parts) != 4:
                 raise ValueError(f"malformed IPv4 address: {value!r}")
@@ -111,12 +111,14 @@ class Ipv4Address:
                 raise ValueError(f"malformed IPv4 address: {value!r}") from exc
             if any(octet < 0 or octet > 255 for octet in octets):
                 raise ValueError(f"malformed IPv4 address: {value!r}")
-            self._value = int.from_bytes(bytes(octets), "big")
-            return
-        value = int(value)
-        if value < 0 or value > self.MAX:
-            raise ValueError(f"IPv4 address out of range: {value}")
+            value = int.from_bytes(bytes(octets), "big")
+        else:
+            value = int(value)
+            if value < 0 or value > self.MAX:
+                raise ValueError(f"IPv4 address out of range: {value}")
         self._value = value
+        # Hashed once: flow-cache keys and the host stack probe it per packet.
+        self._hash = hash(("ipv4", value))
 
     def __int__(self) -> int:
         return self._value
@@ -148,7 +150,7 @@ class Ipv4Address:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("ipv4", self._value))
+        return self._hash
 
     def __str__(self) -> str:
         raw = self.to_bytes()

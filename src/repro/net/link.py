@@ -9,12 +9,20 @@ unbounded event backlog.
 
 Devices (NICs, switches) attach to a port and must implement
 ``receive_frame(frame, port)``.
+
+Per-hop cost: a frame's wire size is read once, when it reaches the head
+of the queue, and rides along as an argument of the transmit-complete
+and delivery events; the byte counters and trace spans use that value.
+The serialization delay depends only on the wire size, so each
+:class:`Link` memoises it per size (:meth:`Link.serialization_delay`).
+The memo computes exactly what :func:`repro.sim.units.transmission_delay`
+does, so event times are bit-identical to computing it per frame.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Protocol
+from typing import Deque, Dict, List, Optional, Protocol
 
 from repro.net.packet import EthernetFrame
 from repro.sim import units
@@ -145,7 +153,10 @@ class LinkPort:
         self.tx_bytes = 0
         self.rx_frames = 0
         self.rx_bytes = 0
+        #: Total drops at this port: impairment drops plus queue overflow.
         self.dropped_frames = 0
+        #: Drops by an injected :class:`LinkImpairment` (link down, loss).
+        self.impairment_dropped_frames = 0
         # Callback-backed instruments: the counters above stay plain ints
         # on the hot path; a real registry reads them only at sample time
         # (the default null registry discards these registrations).
@@ -155,7 +166,14 @@ class LinkPort:
         metrics.counter_fn("link_rx_frames", lambda: self.rx_frames, port=name)
         metrics.counter_fn("link_rx_bytes", lambda: self.rx_bytes, port=name)
         metrics.counter_fn(
-            "link_dropped_frames", lambda: self.dropped_frames, port=name, reason="queue_full"
+            "link_dropped_frames",
+            lambda: self.dropped_frames - self.impairment_dropped_frames,
+            port=name, reason="queue_full",
+        )
+        metrics.counter_fn(
+            "link_dropped_frames",
+            lambda: self.impairment_dropped_frames,
+            port=name, reason="impairment",
         )
         metrics.gauge_fn("link_queue_depth", lambda: len(self._queue), port=name)
 
@@ -175,6 +193,7 @@ class LinkPort:
         impairment = self.link.impairment
         if impairment is not None and not impairment.admit(self, frame):
             self.dropped_frames += 1
+            self.impairment_dropped_frames += 1
             return False
         tracer = self.link.sim.tracer
         if len(self._queue) >= self.queue_capacity:
@@ -211,32 +230,38 @@ class LinkPort:
     # ------------------------------------------------------------------
 
     def _start_next(self) -> None:
-        if not self._queue:
-            self._transmitting = False
-            return
+        """Put the head frame on the wire (the queue must be non-empty)."""
         self._transmitting = True
         frame = self._queue.popleft()
-        wire_bytes = frame.wire_size + units.ETHERNET_WIRE_OVERHEAD
-        tx_delay = units.transmission_delay(wire_bytes, self.link.bandwidth_bps)
-        self.link.sim.schedule(tx_delay, self._transmit_complete, frame)
+        size = frame.wire_size
+        link = self.link
+        tx_delay = link._tx_delays.get(size)
+        if tx_delay is None:
+            tx_delay = link.serialization_delay(size)
+        link.sim.schedule(tx_delay, self._transmit_complete, frame, size)
 
-    def _transmit_complete(self, frame: EthernetFrame) -> None:
+    def _transmit_complete(self, frame: EthernetFrame, size: int) -> None:
         self.tx_frames += 1
-        self.tx_bytes += frame.wire_size
-        delay = self.link.propagation_delay
-        impairment = self.link.impairment
+        self.tx_bytes += size
+        link = self.link
+        delay = link.propagation_delay
+        impairment = link.impairment
         if impairment is not None:
             delay += impairment.extra_delay
-        self.link.sim.schedule(delay, self._deliver, frame)
-        self._start_next()
+        link.sim.schedule(delay, self._deliver, frame, size)
+        if self._queue:
+            self._start_next()
+        else:
+            self._transmitting = False
 
-    def _deliver(self, frame: EthernetFrame) -> None:
+    def _deliver(self, frame: EthernetFrame, size: int) -> None:
         peer = self.peer
         if peer is None:
             return
         peer.rx_frames += 1
-        peer.rx_bytes += frame.wire_size
-        sim = self.link.sim
+        peer.rx_bytes += size
+        link = self.link
+        sim = link.sim
         tracer = sim.tracer
         if tracer.active:
             packet = frame.ip
@@ -246,13 +271,14 @@ class LinkPort:
                     ctx, "link.tx", self.name,
                     getattr(frame, "trace_t0", sim.now), sim.now,
                     parent=getattr(frame, "trace_parent", None),
-                    bytes=frame.wire_size,
+                    bytes=size,
                 )
                 # Re-stamp before the synchronous hand-off below so the
                 # receiving device captures this hop as its parent.
                 packet.trace_parent = record.span_id
-        for tap in self.link.taps:
-            tap.observe(self.link.sim.now, frame, self, peer)
+        if link.taps:
+            for tap in link.taps:
+                tap.observe(sim.now, frame, self, peer)
         if peer.device is not None:
             peer.device.receive_frame(frame, peer)
 
@@ -296,10 +322,22 @@ class Link:
         #: for a healthy link — the only per-frame cost when no fault is
         #: active is this attribute's ``is None`` check.
         self.impairment: Optional[LinkImpairment] = None
+        #: Wire size -> serialization delay; filled by :meth:`serialization_delay`.
+        self._tx_delays: Dict[int, float] = {}
         self.port_a = LinkPort(self, f"{name}.a", queue_capacity)
         self.port_b = LinkPort(self, f"{name}.b", queue_capacity)
         self.port_a.peer = self.port_b
         self.port_b.peer = self.port_a
+
+    def serialization_delay(self, wire_size: int) -> float:
+        """Seconds to clock a ``wire_size``-byte frame (plus preamble and
+        inter-frame gap) onto this link, memoised per size."""
+        delay = self._tx_delays.get(wire_size)
+        if delay is None:
+            delay = self._tx_delays[wire_size] = units.transmission_delay(
+                wire_size + units.ETHERNET_WIRE_OVERHEAD, self.bandwidth_bps
+            )
+        return delay
 
     def add_tap(self, tap) -> None:
         """Attach a capture tap observing both directions of the link."""

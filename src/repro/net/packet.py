@@ -14,7 +14,9 @@ Design notes
   encapsulation path rewrites anything).
 * ``wire_size`` on :class:`EthernetFrame` includes the 14-byte header, the
   4-byte FCS, and minimum-frame padding -- it is the number that the link
-  serialization delay and the NIC per-byte cost are computed from.
+  serialization delay and the NIC per-byte cost are computed from.  It is
+  computed once when the frame is built, which is sound because packets
+  are never mutated after transmission (above).
 """
 
 from __future__ import annotations
@@ -477,12 +479,15 @@ class EthernetFrame:
     #: discards the frame when verification fails.  None on the healthy
     #: path.
     corrupt_header: Optional[bytes] = field(default=None, compare=False)
+    #: Frame size on the wire in bytes, including FCS and min-frame
+    #: padding.  Computed once at construction: every link hop reads it,
+    #: and nothing mutates a payload after framing (rewrites build new
+    #: packets with :func:`dataclasses.replace`).
+    wire_size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def wire_size(self) -> int:
-        """Frame size on the wire in bytes, including FCS and min-frame padding."""
+    def __post_init__(self) -> None:
         raw = units.ETHERNET_HEADER + self.payload.size + units.ETHERNET_FCS
-        return max(raw, units.ETHERNET_MIN_FRAME)
+        self.wire_size = max(raw, units.ETHERNET_MIN_FRAME)
 
     @property
     def ip(self) -> Optional[Ipv4Packet]:

@@ -205,7 +205,8 @@ class EthernetSwitch:
                 )
                 packet.trace_parent = record.span_id
         dst = frame.dst_mac
-        if dst.is_broadcast or dst.is_multicast:
+        # The I/G (group) bit: set for multicast, and for broadcast.
+        if dst._value & (1 << 40):
             self._flood(frame, ingress)
             return
         egress = self._mac_to_port.get(dst)

@@ -19,13 +19,18 @@ Instead of one binary heap of :class:`Event` objects, the kernel keeps
 
 Scheduling at an already-pending time is a dict hit plus a list append —
 no heap operation at all — and every heap comparison is a C-speed float
-comparison instead of a Python ``Event.__lt__`` call.  Dispatch pops one
-time and runs its whole bucket back-to-back ("batched same-timestamp
+comparison instead of a Python-level ``Event`` comparison.  Dispatch pops
+one time and runs its whole bucket back-to-back ("batched same-timestamp
 dispatch"): synchronized periodic work — hundreds of flood generators
 ticking in lockstep across a fleet — collapses from N heap pushes and N
 heap pops per tick into one of each.  Execution order is still exactly
 (time, insertion order), so results are bit-identical to the event-heap
-kernel; only host wall-clock changes.
+kernel; only host wall-clock changes.  Because each bucket is FIFO, an
+:class:`Event` carries no sequence number and is never compared: order
+within an instant is the bucket's append order, kept across
+``max_events`` truncation (the unrun tail is re-queued ahead of newer
+same-instant events) and tombstone compaction (which filters buckets
+in place).
 
 Cancellation is lazy: a cancelled event stays in its bucket as a
 tombstone until it surfaces, but the kernel keeps live counters of
@@ -37,7 +42,6 @@ that cancel many timers do not grow the queue without bound.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.profiling.core import NULL_PROFILER
@@ -56,18 +60,16 @@ class Event:
     ever calls :meth:`cancel` or inspects :attr:`time`.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_kernel")
+    __slots__ = ("time", "callback", "args", "cancelled", "_kernel")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[..., Any],
         args: tuple,
         kernel: Optional["Simulator"] = None,
     ):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -100,12 +102,9 @@ class Event:
         """True while the event is still scheduled to run."""
         return not self.cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.9f} seq={self.seq} {state}>"
+        return f"<Event t={self.time:.9f} {state}>"
 
 
 def _noop(*_args: Any) -> None:
@@ -140,7 +139,6 @@ class Simulator:
         "_now",
         "_heap",
         "_buckets",
-        "_seq",
         "_running",
         "_pending",
         "_tombstones",
@@ -158,7 +156,6 @@ class Simulator:
         self._heap: List[float] = []
         #: time -> FIFO list of events scheduled for that instant.
         self._buckets: Dict[float, List[Event]] = {}
-        self._seq = itertools.count()
         self._running = False
         #: Live count of scheduled, not-yet-cancelled, not-yet-run events.
         self._pending = 0
@@ -205,7 +202,7 @@ class Simulator:
         # Inlined schedule_at: this is the hottest kernel entry point, and
         # self._now + delay is already a valid float time.
         time = self._now + delay
-        event = Event(time, next(self._seq), callback, args, kernel=self)
+        event = Event(time, callback, args, self)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [event]
@@ -223,7 +220,7 @@ class Simulator:
             )
         if type(time) is not float:
             time = float(time)
-        event = Event(time, next(self._seq), callback, args, kernel=self)
+        event = Event(time, callback, args, self)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [event]
@@ -356,7 +353,7 @@ class Simulator:
                     if index < size:
                         # Re-queue the unexecuted tail ahead of any events
                         # scheduled at this instant during the batch (the
-                        # tail's sequence numbers are older).
+                        # tail was inserted before them).
                         rest = bucket[index:]
                         existing = buckets.get(time)
                         if existing is None:

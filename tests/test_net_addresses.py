@@ -38,6 +38,12 @@ class TestMacAddress:
         assert a < b
         assert len({a, b, MacAddress(1)}) == 2
 
+    def test_cached_hash_keeps_the_tuple_hash(self):
+        # Set and dict iteration order depend on these values.
+        for mac in (MacAddress(0), MacAddress("02:00:00:00:00:2a"), BROADCAST_MAC):
+            assert hash(mac) == hash(("mac", int(mac)))
+            assert hash(MacAddress(mac)) == hash(mac)
+
     @pytest.mark.parametrize(
         "bad", ["", "02:00:00", "02:00:00:00:00:zz", "1:2:3:4:5:6:7"]
     )
@@ -111,6 +117,11 @@ class TestIpv4Address:
         a, b = Ipv4Address("10.0.0.1"), Ipv4Address("10.0.0.2")
         assert a < b
         assert len({a, b, Ipv4Address("10.0.0.1")}) == 2
+
+    def test_cached_hash_keeps_the_tuple_hash(self):
+        for ip in (Ipv4Address(0), Ipv4Address("10.0.0.7"), Ipv4Address("10.0.0.1") + 5):
+            assert hash(ip) == hash(("ipv4", int(ip)))
+            assert hash(Ipv4Address(ip)) == hash(ip)
 
     @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
     def test_string_roundtrip_property(self, value):

@@ -1,13 +1,30 @@
 """Tests for links, the learning switch, topology and capture taps."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
+from repro.chaos import LinkFlap
 from repro.net.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
 from repro.net.capture import CaptureTap
 from repro.net.link import Link
-from repro.net.packet import EthernetFrame, Ipv4Packet, RawPayload, UdpDatagram
+from repro.net.packet import (
+    ArpMessage,
+    ArpOp,
+    EthernetFrame,
+    IcmpMessage,
+    IcmpType,
+    IpProtocol,
+    Ipv4Packet,
+    RawPayload,
+    TcpFlags,
+    TcpSegment,
+    UdpDatagram,
+)
 from repro.net.switch import EthernetSwitch
 from repro.net.topology import StarTopology
+from repro.obs.registry import MetricsRegistry
 from repro.sim import units
 
 
@@ -101,6 +118,125 @@ class TestLink:
             Link(sim, bandwidth_bps=0)
         with pytest.raises(ValueError):
             Link(sim, propagation_delay=-1)
+
+
+class TestSerializerExactness:
+    """The per-size delay memo and the wire size carried through the
+    transmit/deliver events reproduce the per-frame computation exactly."""
+
+    # UDP payload sizes giving wire sizes 64 (padded), 1518, 64.
+    PAYLOADS = (0, 1472, 0)
+
+    def test_back_to_back_mixed_sizes_arrive_at_exact_sums(self, sim):
+        link = Link(sim, bandwidth_bps=units.mbps(100), propagation_delay=1e-6)
+        sink = Sink(sim)
+        link.port_b.attach(sink)
+        frames = [make_frame(payload_size=size) for size in self.PAYLOADS]
+        assert [frame.wire_size for frame in frames] == [64, 1518, 64]
+        for frame in frames:
+            link.port_a.send(frame)
+        sim.run()
+        expected = []
+        clock = 0.0
+        for frame in frames:
+            clock += units.transmission_delay(
+                frame.wire_size + units.ETHERNET_WIRE_OVERHEAD, link.bandwidth_bps
+            )
+            expected.append(clock + link.propagation_delay)
+        assert [when for when, _ in sink.frames] == expected
+        assert [frame for _, frame in sink.frames] == frames
+        total = sum(frame.wire_size for frame in frames)
+        assert link.port_a.tx_bytes == total
+        assert link.port_b.rx_bytes == total
+
+    def test_memoised_delay_matches_units_for_both_ports(self, sim):
+        link = Link(sim, bandwidth_bps=units.mbps(10))
+        link.port_a.attach(Sink(sim))
+        link.port_b.attach(Sink(sim))
+        for size in self.PAYLOADS:
+            link.port_a.send(make_frame(payload_size=size))
+            link.port_b.send(make_frame(payload_size=size))
+        sim.run()
+        # Filled by the traffic itself, one entry per distinct wire size.
+        assert sorted(link._tx_delays) == [64, 1518]
+        for port in (link.port_a, link.port_b):
+            assert port.tx_bytes == 64 + 1518 + 64
+            for size in (64, 1518):
+                assert port.link.serialization_delay(size) == units.transmission_delay(
+                    size + units.ETHERNET_WIRE_OVERHEAD, link.bandwidth_bps
+                )
+
+    @staticmethod
+    def _payloads():
+        src, dst = Ipv4Address("10.0.0.1"), Ipv4Address("10.0.0.2")
+        mac = MacAddress.from_index(1)
+        return [
+            Ipv4Packet(src, dst, TcpSegment(1, 2, flags=TcpFlags.SYN)),
+            Ipv4Packet(src, dst, TcpSegment(1, 2, payload_size=1460)),
+            Ipv4Packet(src, dst, UdpDatagram(1, 2, payload_size=18)),
+            Ipv4Packet(src, dst, UdpDatagram(1, 2, payload_size=19)),
+            Ipv4Packet(src, dst, IcmpMessage(IcmpType.ECHO_REQUEST, payload_size=56)),
+            Ipv4Packet(src, dst, RawPayload(size=300), protocol=IpProtocol.VPG),
+            ArpMessage(ArpOp.REQUEST, mac, src, MacAddress(0), dst),
+            RawPayload(size=10),
+        ]
+
+    def test_cached_wire_size_matches_a_fresh_computation(self):
+        sizes = []
+        for payload in self._payloads():
+            frame = EthernetFrame(MacAddress.from_index(1), BROADCAST_MAC, payload)
+            fresh = max(
+                units.ETHERNET_HEADER + payload.size + units.ETHERNET_FCS,
+                units.ETHERNET_MIN_FRAME,
+            )
+            assert frame.wire_size == fresh
+            assert dataclasses.replace(frame).wire_size == fresh
+            sizes.append(frame.wire_size)
+        # SYN, full TCP, UDP at and just past the 64-byte padding edge,
+        # ICMP, raw IP, ARP (padded), raw Ethernet payload (padded).
+        assert sizes == [64, 1518, 64, 65, 102, 338, 64, 64]
+
+    def test_replace_recomputes_the_cached_size(self):
+        small = make_frame(payload_size=10)
+        packet = dataclasses.replace(
+            small.payload, payload=UdpDatagram(src_port=1, dst_port=2, payload_size=1000)
+        )
+        assert dataclasses.replace(small, payload=packet).wire_size == 1046
+        assert small.wire_size == 64
+
+    def test_cache_field_leaves_equality_and_repr_alone(self):
+        frame, twin = make_frame(), make_frame()
+        assert frame == twin
+        twin.wire_size = 9999  # not part of equality
+        assert frame == twin
+        assert "wire_size" not in repr(frame)
+        assert repr(frame) == repr(twin)
+        assert frame != make_frame(payload_size=101)
+
+
+class TestImpairmentDropAccounting:
+    def test_link_flap_drops_are_exported_apart_from_queue_overflow(self, sim):
+        sim.metrics = MetricsRegistry()
+        topology = StarTopology(sim, queue_capacity=2)
+        port = topology.add_station("client")
+        port.attach(Sink(sim))
+        bed = SimpleNamespace(hosts={"client": None}, topology=topology)
+        fault = LinkFlap(station="client", mode="down")
+        fault.inject(bed)
+        assert not any(port.send(make_frame()) for _ in range(4))
+        fault.clear(bed)
+        # One frame on the wire plus two queued; the other five overflow.
+        accepted = sum(port.send(make_frame()) for _ in range(8))
+        sim.run()
+        assert accepted == 3
+        assert port.impairment_dropped_frames == 4
+        assert port.dropped_frames == 4 + 5
+
+        def series(reason):
+            return sim.metrics.get("link_dropped_frames", port=port.name, reason=reason).read()
+
+        assert series("impairment") == 4
+        assert series("queue_full") == 5
 
 
 class TestSwitch:

@@ -294,3 +294,73 @@ class TestBatchedSameTimestampDispatch:
             sim.schedule(when, fired.append, tag)
         sim.run()
         assert fired == ["a1", "a2", "b1", "b2"]
+
+
+class TestFifoWithoutSequenceNumbers:
+    """Order within one instant is the bucket's append order; no event
+    carries a sequence number, whichever entry point scheduled it."""
+
+    @staticmethod
+    def _interleave(sim, fired, tag):
+        sim.schedule(0.0, fired.append, f"{tag}-schedule")
+        sim.schedule_at(sim.now, fired.append, f"{tag}-schedule_at")
+        sim.call_soon(fired.append, f"{tag}-call_soon")
+
+    def test_entry_points_interleaved_at_one_time_run_in_insertion_order(self):
+        sim = Simulator(start_time=2.0)
+        fired = []
+        for tag in ("a", "b"):
+            self._interleave(sim, fired, tag)
+        sim.run()
+        assert fired == [
+            "a-schedule", "a-schedule_at", "a-call_soon",
+            "b-schedule", "b-schedule_at", "b-call_soon",
+        ]
+        assert sim.now == 2.0
+
+    def test_order_survives_a_truncation_that_requeues_the_tail(self, sim):
+        fired = []
+
+        def head():
+            fired.append("head")
+            # Scheduled during the batch: must run after the whole tail.
+            self._interleave(sim, fired, "inner")
+
+        sim.schedule(1.0, head)
+        sim.schedule_at(1.0, fired.append, "t1")
+        sim.schedule(1.0, fired.append, "t2")
+        sim.schedule_at(1.0, fired.append, "t3")
+        sim.run(max_events=2)
+        assert fired == ["head", "t1"]
+        sim.schedule_at(1.0, fired.append, "after-truncation")
+        sim.run()
+        assert fired == [
+            "head", "t1", "t2", "t3",
+            "inner-schedule", "inner-schedule_at", "inner-call_soon",
+            "after-truncation",
+        ]
+
+    def test_order_survives_tombstone_compaction(self, sim):
+        fired = []
+        events = []
+        for index in range(600):
+            if index % 2:
+                events.append(sim.schedule(1.0, fired.append, index))
+            else:
+                events.append(sim.schedule_at(1.0, fired.append, index))
+        survivors = [index for index in range(600) if index % 7 == 0]
+        for index, event in enumerate(events):
+            if index % 7:
+                event.cancel()
+        # 514 cancellations: the 512th compacts the bucket in place.
+        assert sim.queue_depth() < 100
+        assert sim.pending_count() == len(survivors)
+        sim.schedule_at(1.0, fired.append, "after-compaction")
+        sim.run()
+        assert fired == survivors + ["after-compaction"]
+
+    def test_event_repr(self, sim):
+        event = sim.schedule(1.5, lambda: None)
+        assert repr(event) == "<Event t=1.500000000 pending>"
+        event.cancel()
+        assert repr(event) == "<Event t=1.500000000 cancelled>"
