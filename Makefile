@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all test-deprecations bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-digests bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
+.PHONY: install test test-slow test-all test-deprecations bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-digests bench-fleet bench-fleet-smoke bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -17,10 +17,10 @@ test-slow:
 test-all:
 	$(PYTHON) -m pytest tests/ -m "slow or not slow"
 
-# Tier-1 with DeprecationWarnings from repro.* promoted to errors: no
-# in-repo caller may lean on the legacy run() keywords or the PushReport
-# mapping view (tests exercising the shims use pytest.warns, which
-# overrides the filter inside its block).
+# Tier-1 with DeprecationWarnings from repro.* promoted to errors: the
+# repo carries no deprecation shims today, and this keeps any future one
+# from being leaned on by in-repo callers (a test exercising a shim must
+# wrap it in pytest.warns, which overrides the filter inside its block).
 test-deprecations:
 	$(PYTHON) -m pytest tests/ -x -q -W "error::DeprecationWarning:repro"
 

@@ -62,6 +62,7 @@ from repro.core.fleet import FleetSpec, FleetTestbed
 from repro.net.addresses import MacAddress
 from repro.net.link import LinkPort
 from repro.net.packet import EthernetFrame
+from repro.obs.profiling import NULL_PROFILER
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.tracing.tracer import PacketTracer
 from repro.sim import units
@@ -149,6 +150,7 @@ class LegacySimulator:
         self.events_cancelled = 0
         self.tracer = PacketTracer()
         self.metrics = NULL_REGISTRY
+        self.profiler = NULL_PROFILER
 
     @property
     def now(self) -> float:

@@ -84,6 +84,7 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
+from repro.chaos import ChaosCollector
 from repro.core.parallel import resolve_jobs
 from repro.experiments import RunConfig, runner
 from repro.firewall.compiled import compiled_enabled, set_compiled_enabled
@@ -111,27 +112,15 @@ PRE_TRACE_BASELINE_S = {"fig2": 7.585}
 PRE_PROFILE_BASELINE_S = {"fig2": 6.868}
 
 
-def _timed_run(
-    experiment_id: str,
-    jobs: int,
-    metrics=None,
-    trace=None,
-    profile=None,
-    invariants=None,
-) -> Tuple[float, str]:
-    """Run one quick preset; return (wall-clock seconds, rendered output)."""
+def _timed_run(experiment_id: str, jobs: int, *probes) -> Tuple[float, str]:
+    """Run one quick preset; return (wall-clock seconds, rendered output).
+
+    ``probes`` are armed on every point; None entries are skipped, so an
+    "off" leg passes None in the probe's place.
+    """
+    config = RunConfig(jobs=jobs, probes=tuple(p for p in probes if p is not None))
     start = time.perf_counter()
-    result = runner.run_experiment_result(
-        experiment_id,
-        quick=True,
-        config=RunConfig(
-            jobs=jobs,
-            metrics=metrics,
-            trace=trace,
-            profile=profile,
-            invariants=invariants,
-        ),
-    )
+    result = runner.run_experiment_result(experiment_id, quick=True, config=config)
     elapsed = time.perf_counter() - start
     return elapsed, runner.render_result(result)
 
@@ -147,7 +136,7 @@ def _metrics_overhead(experiment_id: str) -> dict:
     """
     off_s, off_out = _timed_run(experiment_id, 1)
     collector = MetricsCollector()
-    on_s, on_out = _timed_run(experiment_id, 1, metrics=collector)
+    on_s, on_out = _timed_run(experiment_id, 1, collector)
     if on_out != off_out:
         raise AssertionError(f"{experiment_id}: metrics collection changed the table")
     samples = sum(
@@ -202,7 +191,7 @@ def _trace_overhead(
         best = None
         for _ in range(runs):
             collector = TraceCollector(config) if config is not None else None
-            elapsed, out = _timed_run(experiment_id, 1, trace=collector)
+            elapsed, out = _timed_run(experiment_id, 1, collector)
             best = elapsed if best is None else min(best, elapsed)
         timings[label] = best
         outputs[label] = out
@@ -292,7 +281,7 @@ def _profile_overhead(
             ("on", lambda: ProfileCollector(ProfileConfig(stacks=True))),
         ):
             collector = make_collector()
-            elapsed, out = _timed_run(experiment_id, 1, profile=collector)
+            elapsed, out = _timed_run(experiment_id, 1, collector)
             best = timings.get(label)
             timings[label] = elapsed if best is None else min(best, elapsed)
             outputs[label] = out
@@ -333,7 +322,7 @@ def _invariant_overhead(experiment_id: str, runs: int = 3) -> dict:
 
     Two modes, *interleaved* (off, warn, off, warn, ...) for ``runs``
     rounds with the best run of each kept, like the profiling leg: the
-    monitors absent entirely vs ``invariants="warn"`` (an
+    monitors absent entirely vs a ``ChaosCollector(invariants="warn")`` (an
     :class:`~repro.chaos.invariants.InvariantMonitor` attached to every
     testbed, running the full check suite on its periodic tick).  The
     rendered tables must be byte-identical — the monitors observe
@@ -350,8 +339,11 @@ def _invariant_overhead(experiment_id: str, runs: int = 3) -> dict:
         file=sys.stderr,
     )
     for _ in range(runs):
-        for label, invariants in (("off", None), ("warn", "warn")):
-            elapsed, out = _timed_run(experiment_id, 1, invariants=invariants)
+        for label, make_collector in (
+            ("off", lambda: None),
+            ("warn", lambda: ChaosCollector(invariants="warn")),
+        ):
+            elapsed, out = _timed_run(experiment_id, 1, make_collector())
             best = timings.get(label)
             timings[label] = elapsed if best is None else min(best, elapsed)
             outputs[label] = out

@@ -30,7 +30,7 @@ def main() -> None:
         flood_rates=rates,
         repetitions=1,
     )
-    result = fig3a_flood.run(RunConfig(preset=preset, metrics=collector))
+    result = fig3a_flood.run(RunConfig(preset=preset, probes=(collector,)))
 
     print("== Available bandwidth (EFW) ==")
     for rate, mbps in result.series["EFW"]:

@@ -14,10 +14,11 @@ The subsystem has three parts:
   liveness, policy convergence) that runs alongside any experiment in
   ``warn`` or ``fail-fast`` mode.
 
-:mod:`repro.chaos.runtime` wires both into the sweep machinery:
-``RunConfig(chaos="compound", invariants="fail-fast")`` — or the CLI's
-``--chaos`` / ``--invariants`` flags — activates them for every point
-of any experiment.
+:mod:`repro.chaos.runtime` wires both into the sweep machinery as a
+probe: ``RunConfig(probes=(ChaosCollector("compound", "fail-fast"),))``
+— or the CLI's ``--chaos`` / ``--invariants`` flags — arms them on
+every point of any experiment and keeps each point's
+:class:`ChaosSnapshot`.
 """
 
 from repro.chaos.faults import (
@@ -33,7 +34,7 @@ from repro.chaos.invariants import (
     InvariantViolationError,
     note_flood,
 )
-from repro.chaos.runtime import ChaosSnapshot, activate, attach_testbed, chaos_active, deactivate
+from repro.chaos.runtime import ChaosCollector, ChaosConfig, ChaosSnapshot, PointChaos
 from repro.chaos.schedule import (
     SCENARIOS,
     ChaosInjector,
@@ -43,6 +44,8 @@ from repro.chaos.schedule import (
 
 __all__ = [
     "AgentCrash",
+    "ChaosCollector",
+    "ChaosConfig",
     "ChaosInjector",
     "ChaosSchedule",
     "ChaosSnapshot",
@@ -51,13 +54,10 @@ __all__ = [
     "InvariantViolationError",
     "LinkFlap",
     "PacketCorruption",
+    "PointChaos",
     "PolicyServerOutage",
     "SCENARIOS",
     "SwitchPortFail",
-    "activate",
-    "attach_testbed",
     "build_scenario",
-    "chaos_active",
-    "deactivate",
     "note_flood",
 ]

@@ -1,28 +1,30 @@
-"""Process-wide chaos activation, mirroring :mod:`repro.obs.collect`.
+"""The chaos probe: fault scenarios and invariant monitors on every point.
 
 Sweep workers can't reach into an experiment function to hand it a
-chaos schedule, so activation follows the metrics-collection pattern:
-the worker calls :func:`activate` before invoking the experiment
-function, every testbed constructor calls :func:`attach_testbed` (a
-no-op single check when chaos is inactive), and the worker calls
-:func:`deactivate` afterwards to harvest what happened.
-
-Activation state is per-process; with process-pool sweeps each worker
-activates independently, which is exactly the isolation wanted.
+chaos schedule, so :class:`ChaosCollector` is a probe (see
+:mod:`repro.core.probe`): while a point runs, every testbed it builds
+gets the configured scenario armed and an :class:`InvariantMonitor`
+attached, and when the point ends one :class:`ChaosSnapshot` (faults
+injected and cleared, violations found) travels back with its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro.chaos.invariants import MODES, InvariantMonitor, InvariantViolation
+from repro.chaos.invariants import (
+    MODES,
+    InvariantMonitor,
+    InvariantViolation,
+    InvariantViolationError,
+)
 from repro.chaos.schedule import SCENARIOS, ChaosInjector, build_scenario
 
 
 @dataclass
 class ChaosSnapshot:
-    """What one activation window saw: faults fired, violations found."""
+    """What one sweep point saw: faults fired, violations found."""
 
     scenario: Optional[str] = None
     invariants: Optional[str] = None
@@ -36,79 +38,120 @@ class ChaosSnapshot:
 
 
 @dataclass
-class _ChaosState:
-    scenario: Optional[str]
-    invariants: Optional[str]
-    injectors: List[ChaosInjector] = field(default_factory=list)
-    monitors: List[InvariantMonitor] = field(default_factory=list)
+class PointChaos:
+    """Chaos outcome of one sweep point (empty when the point failed)."""
+
+    label: str
+    snapshots: List[ChaosSnapshot] = field(default_factory=list)
 
 
-_ACTIVE: Optional[_ChaosState] = None
+@dataclass(frozen=True)
+class ChaosConfig:
+    """Picklable recipe: a scenario name and/or an invariants mode.
 
-
-def chaos_active() -> bool:
-    """True while an activation window is open in this process."""
-    return _ACTIVE is not None
-
-
-def activate(chaos: Optional[str] = None, invariants: Optional[str] = None) -> None:
-    """Open an activation window.
-
-    ``chaos`` names a scenario from
-    :data:`~repro.chaos.schedule.SCENARIOS` to arm on every testbed
-    built inside the window; ``invariants`` (``"warn"`` or
-    ``"fail-fast"``) attaches an :class:`InvariantMonitor` to each.
-    Either may be None; activating with both None is a no-op window.
+    ``scenario`` names a scenario from
+    :data:`~repro.chaos.schedule.SCENARIOS` to arm on every testbed;
+    ``invariants`` (``"warn"`` or ``"fail-fast"``) attaches an
+    :class:`InvariantMonitor` to each.  Either may be None.
     """
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("chaos runtime already active")
-    if chaos is not None and chaos not in SCENARIOS:
-        raise ValueError(
-            f"unknown chaos scenario {chaos!r}; choose from {', '.join(SCENARIOS)}"
+
+    scenario: Optional[str] = None
+    invariants: Optional[str] = None
+
+    def __post_init__(self):
+        if self.scenario is not None and self.scenario not in SCENARIOS:
+            raise ValueError(
+                f"unknown chaos scenario {self.scenario!r}; "
+                f"choose from {', '.join(SCENARIOS)}"
+            )
+        if self.invariants is not None and self.invariants not in MODES:
+            raise ValueError(
+                f"invariants mode must be one of {MODES}, got {self.invariants!r}"
+            )
+
+    def start(self) -> "_ChaosSession":
+        return _ChaosSession(self)
+
+
+class _ChaosSession:
+    """Injectors and monitors armed while one point runs in this process."""
+
+    def __init__(self, config: ChaosConfig):
+        self.config = config
+        self.injectors: List[ChaosInjector] = []
+        self.monitors: List[InvariantMonitor] = []
+
+    def attach_simulator(self, sim) -> None:
+        pass
+
+    def attach_testbed(self, bed) -> None:
+        injector: Optional[ChaosInjector] = None
+        if self.config.scenario is not None:
+            injector = ChaosInjector(bed, build_scenario(self.config.scenario))
+            injector.arm()
+            self.injectors.append(injector)
+            bed.chaos = injector
+        if self.config.invariants is not None:
+            monitor = InvariantMonitor(bed, mode=self.config.invariants, injector=injector)
+            self.monitors.append(monitor)
+            bed.invariant_monitor = monitor
+
+    def finish(self, ok: bool) -> List[ChaosSnapshot]:
+        """Finalize every monitor; the first fail-fast violation re-raises.
+
+        With ``ok`` False the monitors' final check is skipped: the run
+        already failed, and end-state invariants would mask its error.
+        """
+        snapshot = ChaosSnapshot(
+            scenario=self.config.scenario, invariants=self.config.invariants
         )
-    if invariants is not None and invariants not in MODES:
-        raise ValueError(f"invariants mode must be one of {MODES}, got {invariants!r}")
-    _ACTIVE = _ChaosState(scenario=chaos, invariants=invariants)
+        for injector in self.injectors:
+            snapshot.faults_injected += injector.injected
+            snapshot.faults_cleared += injector.cleared
+        error = None
+        for monitor in self.monitors:
+            try:
+                snapshot.violations.extend(monitor.finalize(strict=ok))
+            except InvariantViolationError as exc:
+                error = error or exc
+        if error is not None:
+            raise error
+        return [snapshot]
 
 
-def attach_testbed(bed) -> None:
-    """Arm the active scenario/monitors on a freshly built testbed.
+class ChaosCollector:
+    """The chaos probe, passed as ``RunConfig(probes=(collector,))``."""
 
-    Called at the end of every testbed constructor; a single ``is
-    None`` check when chaos is inactive.
-    """
-    if _ACTIVE is None:
-        return
-    injector: Optional[ChaosInjector] = None
-    if _ACTIVE.scenario is not None:
-        schedule = build_scenario(_ACTIVE.scenario)
-        injector = ChaosInjector(bed, schedule)
-        injector.arm()
-        _ACTIVE.injectors.append(injector)
-        bed.chaos = injector
-    if _ACTIVE.invariants is not None:
-        monitor = InvariantMonitor(bed, mode=_ACTIVE.invariants, injector=injector)
-        _ACTIVE.monitors.append(monitor)
-        bed.invariant_monitor = monitor
+    name = "chaos"
 
+    def __init__(self, scenario: Optional[str] = None, invariants: Optional[str] = None):
+        self.config = ChaosConfig(scenario=scenario, invariants=invariants)
+        self.points: List[PointChaos] = []
 
-def deactivate(strict: bool = True) -> Optional[ChaosSnapshot]:
-    """Close the window, finalize monitors, return the snapshot.
+    def add_point(self, label: str, snapshots: List[ChaosSnapshot]) -> None:
+        """Deposit one sweep point's snapshot (called by the executor)."""
+        self.points.append(PointChaos(label=label, snapshots=snapshots))
 
-    ``strict`` False skips the monitors' final sweep (the run already
-    failed; end-state invariants would mask the original error).
-    Returns None when no window was open.
-    """
-    global _ACTIVE
-    state = _ACTIVE
-    _ACTIVE = None
-    if state is None:
-        return None
-    snapshot = ChaosSnapshot(scenario=state.scenario, invariants=state.invariants)
-    for injector in state.injectors:
-        snapshot.faults_injected += injector.injected
-        snapshot.faults_cleared += injector.cleared
-    for monitor in state.monitors:
-        snapshot.violations.extend(monitor.finalize(strict=strict))
-    return snapshot
+    def add_failure(self, label: str, failure) -> None:
+        """A failed point deposits no snapshot."""
+        self.add_point(label, [])
+
+    def snapshots(self) -> List[ChaosSnapshot]:
+        """Every point's snapshot, in spec order."""
+        return [snap for point in self.points for snap in point.snapshots]
+
+    def violations(self) -> List[InvariantViolation]:
+        """Every violation collected so far, in collection order."""
+        return [v for snap in self.snapshots() for v in snap.violations]
+
+    def summary(self) -> str:
+        """One line: the configuration, faults injected/cleared, violations."""
+        snapshots = self.snapshots()
+        parts = [
+            f"scenario={self.config.scenario or '-'}",
+            f"invariants={self.config.invariants or '-'}",
+            f"faults injected={sum(s.faults_injected for s in snapshots)}",
+            f"cleared={sum(s.faults_cleared for s in snapshots)}",
+            f"violations={len(self.violations())}",
+        ]
+        return "chaos: " + " ".join(parts)

@@ -8,14 +8,13 @@ the same specs restores those points instead of re-running them.
 
 Each record holds::
 
-    {"schema_version": 1, "key": "<sha256>", "index": N, "label": "...",
-     "result": <serialized>, "metrics": <serialized>|null,
-     "trace": <serialized>|null, "profile": <serialized>|null}
+    {"schema_version": 2, "key": "<sha256>", "index": N, "label": "...",
+     "result": <serialized>, "probes": {"<probe name>": <serialized>, ...}}
 
 ``key`` identifies the point by everything that determines its outcome:
 the spec's label, its function's qualified name, its kwargs (which carry
-the deterministic seed), and the active metrics/trace/profile collection
-configuration.  Payloads go through the versioned
+the deterministic seed), and the config of every probe armed on it (see
+:mod:`repro.core.probe`).  Payloads go through the versioned
 :mod:`repro.experiments.results` envelope, whose round-trip contract
 (``serialize(deserialize(s)) == s``) is what makes a resumed run's
 archived output byte-identical to an uninterrupted run's.
@@ -23,8 +22,8 @@ archived output byte-identical to an uninterrupted run's.
 The file is append-only and flushed per record, so a crashed or killed
 run loses at most the point being written; a torn final line is skipped
 on load.  Records whose key no longer matches (changed grid, changed
-collection config, changed code path name) are simply ignored and the
-point re-runs.
+probe config, changed code path name) or whose schema version differs
+are simply ignored and the point re-runs.
 """
 
 from __future__ import annotations
@@ -32,11 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: Version of the per-line checkpoint record; bump on incompatible
 #: layout changes so older files are re-run rather than misread.
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 def _results():
@@ -95,15 +94,8 @@ class SweepCheckpoint:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def spec_key(
-        spec,
-        metrics_interval: Optional[float],
-        trace_config,
-        profile_config=None,
-        chaos=None,
-        invariants=None,
-    ) -> str:
-        """Stable identity of one sweep point under one collection config."""
+    def spec_key(spec, probe_configs: Mapping[str, Any]) -> str:
+        """Stable identity of one sweep point under one set of probes."""
         serialize = _results().serialize
         fn = spec.fn
         identity = {
@@ -111,19 +103,8 @@ class SweepCheckpoint:
             "fn": f"{getattr(fn, '__module__', '?')}."
             f"{getattr(fn, '__qualname__', getattr(fn, '__name__', repr(fn)))}",
             "kwargs": serialize(spec.kwargs),
-            "metrics_interval": metrics_interval,
-            "trace": serialize(trace_config),
+            "probes": serialize(dict(probe_configs)),
         }
-        # Only part of the identity when profiling is on, so checkpoints
-        # written before the profiler existed keep matching their specs.
-        if profile_config is not None:
-            identity["profile"] = serialize(profile_config)
-        # Likewise chaos/invariants: absent from the identity when off,
-        # so pre-chaos checkpoints keep matching their specs.
-        if chaos is not None:
-            identity["chaos"] = chaos
-        if invariants is not None:
-            identity["invariants"] = invariants
         blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -131,34 +112,19 @@ class SweepCheckpoint:
     # Read / write
     # ------------------------------------------------------------------
 
-    def lookup(
-        self, key: str
-    ) -> Optional[Tuple[Any, Optional[list], Optional[list], Optional[list]]]:
-        """The restored ``(value, metric_snaps, trace_snaps, profile_snaps)``, or None."""
+    def lookup(self, key: str) -> Optional[Tuple[Any, Dict[str, list]]]:
+        """The restored ``(value, {probe name: snapshots})``, or None."""
         record = self._records.get(key)
         if record is None:
             return None
         deserialize = _results().deserialize
-        value = deserialize(record["result"])
-        metrics = record.get("metrics")
-        trace = record.get("trace")
-        profile = record.get("profile")
-        return (
-            value,
-            deserialize(metrics) if metrics is not None else None,
-            deserialize(trace) if trace is not None else None,
-            deserialize(profile) if profile is not None else None,
-        )
+        snapshots = {
+            name: deserialize(payload) for name, payload in record["probes"].items()
+        }
+        return deserialize(record["result"]), snapshots
 
     def record(
-        self,
-        key: str,
-        index: int,
-        label: str,
-        value: Any,
-        metric_snaps: Optional[list],
-        trace_snaps: Optional[list],
-        profile_snaps: Optional[list] = None,
+        self, key: str, index: int, label: str, value: Any, snapshots: Dict[str, list]
     ) -> None:
         """Append one completed point and flush it to disk."""
         serialize = _results().serialize
@@ -168,12 +134,13 @@ class SweepCheckpoint:
             "index": index,
             "label": label,
             "result": serialize(value),
-            "metrics": serialize(metric_snaps) if metric_snaps is not None else None,
-            "trace": serialize(trace_snaps) if trace_snaps is not None else None,
-            "profile": serialize(profile_snaps) if profile_snaps is not None else None,
+            "probes": serialize(snapshots),
         }
         self._records[key] = record
-        self._stream.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        # Key order is kept as written (no sort_keys), so restored dicts
+        # (span attrs, metric labels) iterate exactly like the originals
+        # and a resumed run's exports stay byte-identical.
+        self._stream.write(json.dumps(record, separators=(",", ":")))
         self._stream.write("\n")
         self._stream.flush()
 

@@ -29,9 +29,8 @@ from typing import Dict, List, Optional
 
 from repro import calibration
 from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
-from repro.chaos import runtime as chaos_runtime
 from repro.apps.iperf import IperfClient, IperfServer, UdpIperfSession
-from repro.core import metrics
+from repro.core import metrics, probe
 from repro.core.testbed import DeviceKind
 from repro.firewall.builders import padded_ruleset, service_rule
 from repro.firewall.rules import Action, IpProtocol
@@ -44,9 +43,6 @@ from repro.nic.hardened import HardenedNic
 from repro.nic.standard import StandardNic
 from repro.defense.controller import DefenseConfig, MitigationController
 from repro.defense.detector import FloodDetector
-from repro.obs import collect as obs_collect
-from repro.obs.profiling import collect as profile_collect
-from repro.obs.tracing import collect as trace_collect
 from repro.policy.push import PushBackoff, PushReport
 from repro.policy.server import NicAgent, PolicyServer
 from repro.sim import units
@@ -156,11 +152,9 @@ class FleetTestbed:
             raise ValueError(f"attackers must be >= 0, got {spec.attackers}")
         self.spec = spec
         self.sim = Simulator()
-        obs_collect.attach_simulator(self.sim)
-        trace_collect.attach_simulator(self.sim)
-        profiler = profile_collect.attach_simulator(self.sim)
-        if profiler is not None:
-            profiler.enter("testbed.build")
+        probe.attach_simulator(self.sim)
+        profiler = self.sim.profiler
+        profiler.enter("testbed.build")
         self.rng = RngRegistry(seed)
         leaf_count = max(1, -(-spec.station_count // spec.stations_per_leaf))
         spine_count = max(1, -(-leaf_count // spec.leaves_per_spine))
@@ -229,9 +223,8 @@ class FleetTestbed:
         self.push_report: Optional[PushReport] = None
         #: The MitigationController once :meth:`enable_defense` runs.
         self.defense: Optional[MitigationController] = None
-        if profiler is not None:
-            profiler.exit()
-        chaos_runtime.attach_testbed(self)
+        profiler.exit()
+        probe.attach_testbed(self)
 
     def _build_nic(self, station: str):
         kind = self.spec.device if station.startswith("t") else DeviceKind.STANDARD

@@ -27,6 +27,9 @@ worker pool while preserving the repository's determinism contract:
   "raise"``, the default) or degrades gracefully and returns a
   :class:`PointFailure` record in the failed point's result slot
   (``on_failure="record"``).
+* **Probes** — metrics, tracing, profiling and chaos collectors (see
+  :mod:`repro.core.probe`) run around every point on both paths, and
+  each point's snapshots are deposited into them in spec order.
 * **Checkpoint / resume** — with a
   :class:`~repro.core.checkpoint.SweepCheckpoint` attached, every
   completed ``(spec-key, result, snapshots)`` record is appended to a
@@ -60,13 +63,8 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.chaos import runtime as chaos_runtime
+from repro.core import probe
 from repro.core.checkpoint import SweepCheckpoint
-from repro.obs import collect as obs_collect
-from repro.obs.profiling import collect as profile_collect
-from repro.obs.tracing import collect as trace_collect
-from repro.obs.tracing.collect import TraceSnapshot
-from repro.obs.tracing.watchdog import Incident
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -179,9 +177,8 @@ class CompletedPoint:
     index: int
     label: str
     value: Any
-    metrics: Optional[list] = None
-    trace: Optional[list] = None
-    profile: Optional[list] = None
+    #: Probe name -> this point's snapshots.
+    snapshots: Dict[str, list] = field(default_factory=dict)
 
 
 @dataclass
@@ -224,65 +221,28 @@ class SweepError(RuntimeError):
         )
 
 
-def _call_spec(spec: SweepPointSpec) -> Any:
-    """Top-level trampoline so pool workers can unpickle the call."""
-    return spec.fn(**spec.kwargs)
-
-
 def _call_spec_collecting(
-    payload: Tuple[SweepPointSpec, Optional[float], Optional[Any], Optional[Any]]
-) -> Tuple[Any, Optional[list], Optional[list], Optional[list]]:
-    """Run one spec with metrics/trace/profile collection active here.
+    payload: Tuple[SweepPointSpec, Dict[str, Any]]
+) -> Tuple[Any, Dict[str, list]]:
+    """Run one spec with every probe session open in this process.
 
     Used for *both* the serial and the pooled path, so a point's
     snapshots are identical whatever ``jobs`` is; they travel back to the
-    parent alongside the point's result (snapshots are plain dataclasses,
-    hence picklable).  ``payload`` is ``(spec, metrics_interval_or_None,
-    trace_config_or_None, profile_config_or_None)``; the matching
-    snapshot slot is None for a collection that was not requested.
-
-    Profiling activates first and deactivates last, so the profile's
-    wall-clock denominator covers the whole point.
-
-    Legacy 4-element payloads (pre-chaos) are still accepted, so
-    checkpointed sweeps written against the old payload shape resume.
+    parent alongside the point's result, keyed by probe name.
+    ``payload`` is ``(spec, {probe name: config})``; with no probes the
+    point just runs (a sweep nested inside a probed point stays legal).
     """
-    spec, interval, trace_config, profile_config = payload[:4]
-    chaos = invariants = None
-    if len(payload) >= 6:
-        chaos, invariants = payload[4], payload[5]
-    if profile_config is not None:
-        profile_collect.activate(profile_config)
-    if interval is not None:
-        obs_collect.activate(interval)
-    if trace_config is not None:
-        trace_collect.activate(trace_config)
-    if chaos is not None or invariants is not None:
-        chaos_runtime.activate(chaos=chaos, invariants=invariants)
-    metric_snapshots = trace_snapshots = profile_snapshots = None
+    spec, configs = payload
+    if not configs:
+        return spec.fn(**spec.kwargs), {}
+    probe.start(configs)
     ok = False
     try:
         value = spec.fn(**spec.kwargs)
         ok = True
     finally:
-        try:
-            if chaos is not None or invariants is not None:
-                # Strict only when the point succeeded: a half-finished
-                # run legitimately violates end-state invariants, and
-                # raising here would mask the original error.  A
-                # fail-fast violation found by the final sweep raises
-                # out of this deactivate; the inner finally still tears
-                # the other collectors down so a pooled worker stays
-                # reusable.
-                chaos_runtime.deactivate(strict=ok)
-        finally:
-            if trace_config is not None:
-                trace_snapshots = trace_collect.deactivate()
-            if interval is not None:
-                metric_snapshots = obs_collect.deactivate()
-            if profile_config is not None:
-                profile_snapshots = profile_collect.deactivate()
-    return value, metric_snapshots, trace_snapshots, profile_snapshots
+        snapshots = probe.finish(ok)
+    return value, snapshots
 
 
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
@@ -381,9 +341,8 @@ class _RunState:
     def __init__(self, specs: Sequence[SweepPointSpec]):
         self.specs = specs
         self.keys: Optional[List[str]] = None
-        #: Per-spec outcome: None = unresolved, (value, metric_snaps,
-        #: trace_snaps, profile_snaps) = completed, PointFailure =
-        #: exhausted retries.
+        #: Per-spec outcome: None = unresolved, (value, {probe name:
+        #: snapshots}) = completed, PointFailure = exhausted retries.
         self.slots: List[Any] = [None] * len(specs)
         self.attempts = [0] * len(specs)
         self.pending: Deque[int] = deque()
@@ -404,33 +363,20 @@ class SweepExecutor:
     progress:
         Optional ``progress(line)`` callback, always invoked in the
         parent process.
-    metrics:
-        Optional :class:`~repro.obs.collect.MetricsCollector`.  When
-        given, each point runs with metrics collection active and its
-        snapshots are deposited into the collector in spec order —
-        identical output for any ``jobs`` value.  The collector's
-        ``executor_registry`` additionally receives the
-        ``sweep_point_retries`` / ``sweep_point_timeouts`` /
-        ``sweep_point_failures`` / ``sweep_worker_deaths`` /
-        ``sweep_points_resumed`` counters.
-    trace:
-        Optional :class:`~repro.obs.tracing.collect.TraceCollector`.
-        When given, each point runs with packet tracing armed per the
-        collector's :class:`~repro.obs.tracing.collect.TraceConfig`, and
-        its trace snapshots (spans, events, incidents) are deposited in
-        spec order — again identical for any ``jobs`` value.  Points
-        that exhaust their retries deposit a synthetic snapshot carrying
-        a ``sweep-point-failure`` :class:`~repro.obs.tracing.watchdog.Incident`.
-    profile:
-        Optional :class:`~repro.obs.profiling.collect.ProfileCollector`.
-        When given, each point runs with the wall-clock profiler active
-        per the collector's
-        :class:`~repro.obs.profiling.collect.ProfileConfig`, and its
-        profile snapshot (per-component hotspots, call-path self times,
-        measured wall clock) is deposited in spec order — the collection
-        structure is identical for any ``jobs`` value (the measured
-        times themselves naturally vary run to run).  Failed points
-        deposit an empty profile point to stay 1:1 with the specs.
+    probes:
+        Collectors following the :mod:`repro.core.probe` contract —
+        :class:`~repro.obs.collect.MetricsCollector`,
+        :class:`~repro.obs.tracing.collect.TraceCollector`,
+        :class:`~repro.obs.profiling.collect.ProfileCollector`,
+        :class:`~repro.chaos.runtime.ChaosCollector`.  Each point runs
+        with one session per probe open, and its snapshots are deposited
+        into the probes in spec order — identical output for any
+        ``jobs`` value.  A point that exhausts its retries is reported
+        through ``add_failure`` so every probe stays 1:1 with the specs.
+        A probe with an ``executor_registry`` (the metrics collector)
+        also receives the ``sweep_point_retries`` /
+        ``sweep_point_timeouts`` / ``sweep_point_failures`` /
+        ``sweep_worker_deaths`` / ``sweep_points_resumed`` counters.
     retries:
         Re-runs granted to a failed or timed-out point (with its
         identical deterministic spec) before it counts as failed.
@@ -464,24 +410,22 @@ class SweepExecutor:
         self,
         jobs: Optional[int] = None,
         progress: Optional[Callable[[str], None]] = None,
-        metrics=None,
-        trace=None,
-        profile=None,
+        probes: Sequence[probe.Probe] = (),
         *,
         retries: int = 0,
         point_timeout: Optional[float] = None,
         checkpoint: Union[SweepCheckpoint, str, None] = None,
         on_failure: str = ON_FAILURE_RAISE,
-        chaos: Optional[str] = None,
-        invariants: Optional[str] = None,
     ):
         self.jobs = resolve_jobs(jobs)
         self.progress = progress
-        self.metrics = metrics
-        self.trace = trace
-        self.profile = profile
-        self.chaos = chaos
-        self.invariants = invariants
+        self.probes = tuple(probes)
+        #: Probe name -> picklable config, shipped with every point.
+        self.configs: Dict[str, Any] = {}
+        for item in self.probes:
+            if item.name in self.configs:
+                raise ValueError(f"two probes named {item.name!r}")
+            self.configs[item.name] = item.config
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.retries = int(retries)
@@ -500,57 +444,9 @@ class SweepExecutor:
         #: PointFailure records of the last run (``on_failure="record"``).
         self.failures: List[PointFailure] = []
 
-    def _collecting(self) -> bool:
-        return (
-            self.metrics is not None
-            or self.trace is not None
-            or self.profile is not None
-        )
-
-    def _needs_activation(self) -> bool:
-        """True when points must run under an activation window.
-
-        Collectors and the chaos runtime are activated around the point
-        by :func:`_call_spec_collecting`; the serial fast path may only
-        skip it when neither is configured.
-        """
-        return self._collecting() or self.chaos is not None or self.invariants is not None
-
-    def _payload(self, spec: SweepPointSpec):
-        interval = self.metrics.interval if self.metrics is not None else None
-        config = self.trace.config if self.trace is not None else None
-        profile_config = self.profile.config if self.profile is not None else None
-        return (spec, interval, config, profile_config, self.chaos, self.invariants)
-
-    def _deposit(
-        self, label: str, metric_snapshots, trace_snapshots, profile_snapshots
-    ) -> None:
-        if self.metrics is not None:
-            self.metrics.add_point(label, metric_snapshots or [])
-        if self.trace is not None:
-            self.trace.add_point(label, trace_snapshots or [])
-        if self.profile is not None:
-            self.profile.add_point(label, profile_snapshots or [])
-
-    def _deposit_failure(self, spec: SweepPointSpec, failure: PointFailure) -> None:
-        """Keep collectors aligned 1:1 with specs when a point fails."""
-        if self.metrics is not None:
-            self.metrics.add_point(spec.label, [])
-        if self.profile is not None:
-            self.profile.add_point(spec.label, [])
-        if self.trace is not None:
-            incident = Incident(
-                kind="sweep-point-failure",
-                source=spec.label,
-                time=0.0,
-                detail={
-                    "index": failure.index,
-                    "cause": failure.kind,
-                    "attempts": failure.attempts,
-                    "error": failure.error,
-                },
-            )
-            self.trace.add_point(spec.label, [TraceSnapshot(incidents=[incident])])
+    def _deposit(self, label: str, snapshots: Dict[str, list]) -> None:
+        for item in self.probes:
+            item.add_point(label, snapshots.get(item.name) or [])
 
     def run(self, specs: Iterable[SweepPointSpec]) -> List[Any]:
         """Execute every spec; results are returned in spec order.
@@ -581,21 +477,8 @@ class SweepExecutor:
     def _restore_from_checkpoint(self, state: _RunState) -> None:
         total = len(state.specs)
         if self.checkpoint is not None:
-            interval = self.metrics.interval if self.metrics is not None else None
-            config = self.trace.config if self.trace is not None else None
-            profile_config = (
-                self.profile.config if self.profile is not None else None
-            )
             state.keys = [
-                self.checkpoint.spec_key(
-                    spec,
-                    interval,
-                    config,
-                    profile_config,
-                    chaos=self.chaos,
-                    invariants=self.invariants,
-                )
-                for spec in state.specs
+                self.checkpoint.spec_key(spec, self.configs) for spec in state.specs
             ]
         for index, spec in enumerate(state.specs):
             restored = (
@@ -616,17 +499,11 @@ class SweepExecutor:
     # ------------------------------------------------------------------
 
     def _complete(self, index: int, outcome, state: _RunState) -> None:
-        value, metric_snaps, trace_snaps, profile_snaps = outcome
-        state.slots[index] = (value, metric_snaps, trace_snaps, profile_snaps)
+        value, snapshots = outcome
+        state.slots[index] = (value, snapshots)
         if self.checkpoint is not None and state.keys is not None:
             self.checkpoint.record(
-                state.keys[index],
-                index,
-                state.specs[index].label,
-                value,
-                metric_snaps,
-                trace_snaps,
-                profile_snaps,
+                state.keys[index], index, state.specs[index].label, value, snapshots
             )
         self._release_announcements(state)
 
@@ -686,29 +563,25 @@ class SweepExecutor:
                     index=index,
                     label=state.specs[index].label,
                     value=slot[0],
-                    metrics=slot[1],
-                    trace=slot[2],
-                    profile=slot[3],
+                    snapshots=slot[1],
                 )
                 for index, slot in enumerate(state.slots)
                 if slot is not None and not isinstance(slot, PointFailure)
             ]
             for point in completed:
-                self._deposit(point.label, point.metrics, point.trace, point.profile)
+                self._deposit(point.label, point.snapshots)
             self._export_stats()
             raise SweepError(state.abort, state.failures, completed)
         results: List[Any] = []
         for index, slot in enumerate(state.slots):
             spec = state.specs[index]
             if isinstance(slot, PointFailure):
-                self._deposit_failure(spec, slot)
+                for item in self.probes:
+                    item.add_failure(spec.label, slot)
                 results.append(slot)
             else:
-                value, metric_snaps, trace_snaps, profile_snaps = slot
-                if self._collecting():
-                    self._deposit(
-                        spec.label, metric_snaps, trace_snaps, profile_snaps
-                    )
+                value, snapshots = slot
+                self._deposit(spec.label, snapshots)
                 results.append(value)
         self.failures = list(state.failures)
         self._export_stats()
@@ -716,14 +589,15 @@ class SweepExecutor:
 
     def _export_stats(self) -> None:
         """Mirror the run's fault counters into the metrics collector."""
-        registry = getattr(self.metrics, "executor_registry", None)
-        if registry is None:
-            return
-        registry.counter("sweep_point_retries").inc(self.stats.retries)
-        registry.counter("sweep_point_timeouts").inc(self.stats.timeouts)
-        registry.counter("sweep_point_failures").inc(self.stats.failures)
-        registry.counter("sweep_worker_deaths").inc(self.stats.worker_deaths)
-        registry.counter("sweep_points_resumed").inc(self.stats.resumed)
+        for item in self.probes:
+            registry = getattr(item, "executor_registry", None)
+            if registry is None:
+                continue
+            registry.counter("sweep_point_retries").inc(self.stats.retries)
+            registry.counter("sweep_point_timeouts").inc(self.stats.timeouts)
+            registry.counter("sweep_point_failures").inc(self.stats.failures)
+            registry.counter("sweep_worker_deaths").inc(self.stats.worker_deaths)
+            registry.counter("sweep_points_resumed").inc(self.stats.resumed)
 
     # ------------------------------------------------------------------
     # Serial path
@@ -755,10 +629,7 @@ class SweepExecutor:
                 self._announce(index + 1, total, spec.label)
                 state.announced[index] = True
             try:
-                if self._needs_activation():
-                    outcome = _call_spec_collecting(self._payload(spec))
-                else:
-                    outcome = (_call_spec(spec), None, None, None)
+                outcome = _call_spec_collecting((spec, self.configs))
             except Exception as exc:
                 self._attempt_failed(
                     index,
@@ -853,7 +724,7 @@ class SweepExecutor:
         while state.pending and state.abort is None:
             index = state.pending.popleft()
             try:
-                worker.conn.send((index, self._payload(state.specs[index])))
+                worker.conn.send((index, (state.specs[index], self.configs)))
             except (BrokenPipeError, OSError):
                 # The worker died while idle; put the point back and
                 # replace the worker.

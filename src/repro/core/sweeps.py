@@ -10,8 +10,8 @@ Grids whose callable is picklable can be evaluated by a process pool
 (``jobs > 1``); point order, recorded parameters and results are
 identical to a serial run (see :mod:`repro.core.parallel`).  The
 executor's fault-tolerance knobs — ``retries``, ``point_timeout``,
-``checkpoint``, ``on_failure`` — and its ``metrics``/``trace``/
-``profile`` collectors pass straight through.
+``checkpoint``, ``on_failure`` — and its ``probes`` pass straight
+through.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.core.checkpoint import SweepCheckpoint
 from repro.core.parallel import ON_FAILURE_RAISE, SweepExecutor, SweepPointSpec
+from repro.core.probe import Probe
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class Sweep:
 
     Each :meth:`run` call replaces :attr:`points` with the new grid's
     records (a reused ``Sweep`` never mixes grids in :meth:`series`).
-    ``metrics``/``trace``/``profile`` collectors and the fault-tolerance
+    ``probes`` (see :mod:`repro.core.probe`) and the fault-tolerance
     knobs (``retries``, ``point_timeout``, ``checkpoint``, ``on_failure``)
     forward to the :class:`~repro.core.parallel.SweepExecutor`.
 
@@ -66,9 +67,7 @@ class Sweep:
     progress: Optional[Callable[[str], None]] = None
     points: List[SweepPoint] = field(default_factory=list)
     jobs: Optional[int] = 1
-    metrics: Any = None
-    trace: Any = None
-    profile: Any = None
+    probes: Sequence[Probe] = ()
     retries: int = 0
     point_timeout: Optional[float] = None
     checkpoint: Union[SweepCheckpoint, str, None] = None
@@ -90,9 +89,7 @@ class Sweep:
         executor = SweepExecutor(
             jobs=self.jobs,
             progress=self.progress,
-            metrics=self.metrics,
-            trace=self.trace,
-            profile=self.profile,
+            probes=self.probes,
             retries=self.retries,
             point_timeout=self.point_timeout,
             checkpoint=self.checkpoint,

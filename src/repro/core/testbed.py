@@ -19,7 +19,7 @@ import enum
 from typing import Dict
 
 from repro import calibration
-from repro.chaos import runtime as chaos_runtime
+from repro.core import probe
 from repro.defense.controller import DefenseConfig, MitigationController
 from repro.defense.detector import FloodDetector
 from repro.sim import units
@@ -28,9 +28,6 @@ from repro.firewall.ruleset import RuleSet
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.topology import StarTopology
-from repro.obs import collect as obs_collect
-from repro.obs.profiling import collect as profile_collect
-from repro.obs.tracing import collect as trace_collect
 from repro.nic.adf import AdfNic
 from repro.nic.efw import EfwNic
 from repro.nic.hardened import HardenedNic
@@ -99,23 +96,15 @@ class Testbed:
         self.device = device
         self.client_device = client_device
         self.sim = Simulator()
-        # When metrics collection is active in this process (see
-        # repro.obs.collect), swap a real registry onto the fresh kernel
-        # *before* any component is built, so every constructor below
-        # self-registers its instruments into it.
-        obs_collect.attach_simulator(self.sim)
-        # Likewise for tracing: when a trace collection is active, arm
-        # this kernel's tracer (spans, flight recorder, watchdog) per the
-        # active TraceConfig before any packets flow.
-        trace_collect.attach_simulator(self.sim)
-        # And for wall-clock profiling: when a profile collection is
-        # active, the kernel's dispatch loop buckets host-CPU time by
-        # component category (see repro.obs.profiling).  Construction
-        # itself is billed to a "testbed.build" scope (a raising __init__
-        # aborts the point; the snapshot unwinds any dangling scope).
-        profiler = profile_collect.attach_simulator(self.sim)
-        if profiler is not None:
-            profiler.enter("testbed.build")
+        # Active probes (repro.core.probe) arm the fresh kernel before
+        # any component is built: a real metrics registry every
+        # constructor below self-registers into, an armed tracer, the
+        # live profiler.  Construction itself is billed to a
+        # "testbed.build" profiler scope (a raising __init__ aborts the
+        # point; the snapshot unwinds any dangling scope).
+        probe.attach_simulator(self.sim)
+        profiler = self.sim.profiler
+        profiler.enter("testbed.build")
         self.rng = RngRegistry(seed)
         self.topology = StarTopology(self.sim, bandwidth_bps=bandwidth_bps)
         self.hosts: Dict[str, Host] = {}
@@ -150,9 +139,8 @@ class Testbed:
                 agent = NicAgent(host, host.nic)
                 self.agents[station] = agent
                 self.policy_server.register_agent(agent)
-        if profiler is not None:
-            profiler.exit()
-        chaos_runtime.attach_testbed(self)
+        profiler.exit()
+        probe.attach_testbed(self)
 
     # ------------------------------------------------------------------
     # Convenience accessors

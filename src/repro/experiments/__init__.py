@@ -8,14 +8,12 @@ Run them via ``python -m repro.experiments
 series), or call each module's ``run()`` — every module follows the
 shared contract::
 
-    run(config: RunConfig | None = None, **legacy_kwargs)
+    run(config: RunConfig | None = None)
 
 One :class:`RunConfig` carries everything that shapes a run: the sweep
-grid (``preset``), execution (``progress``, ``jobs``), observability
-(``metrics``, ``trace``) and fault tolerance (``checkpoint``,
-``retries``, ``point_timeout``, ``on_failure``).  The legacy per-keyword
-form (``run(preset=..., jobs=...)``) still works but emits a
-:class:`DeprecationWarning`.
+grid (``preset``), execution (``progress``, ``jobs``), observability and
+chaos (``probes``) and fault tolerance (``checkpoint``, ``retries``,
+``point_timeout``, ``on_failure``).
 """
 
 from repro.experiments.config import RunConfig

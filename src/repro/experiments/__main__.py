@@ -7,6 +7,7 @@ import os
 import sys
 import time
 
+from repro.chaos.runtime import ChaosCollector
 from repro.chaos.schedule import SCENARIOS as CHAOS_SCENARIOS
 from repro.core.checkpoint import SweepCheckpoint
 from repro.core.parallel import JOBS_ENV_VAR, SweepError, resolve_jobs
@@ -277,6 +278,16 @@ def main(argv=None) -> int:
             if args.profile is not None
             else None
         )
+        chaos = (
+            ChaosCollector(args.chaos, args.invariants)
+            if args.chaos is not None or args.invariants is not None
+            else None
+        )
+        # The profiler opens first and closes last, so its wall clock
+        # covers the other probes' work too.
+        probes = tuple(
+            item for item in (profiler, collector, tracer, chaos) if item is not None
+        )
         checkpoint = None
         if args.checkpoint is not None:
             checkpoint = SweepCheckpoint(
@@ -287,15 +298,11 @@ def main(argv=None) -> int:
             preset=preset_name,
             progress=progress,
             jobs=jobs,
-            metrics=collector,
-            trace=tracer,
-            profile=profiler,
+            probes=probes,
             checkpoint=checkpoint,
             retries=args.retries,
             point_timeout=args.point_timeout,
             on_failure="record" if args.keep_going else "raise",
-            chaos=args.chaos,
-            invariants=args.invariants,
         )
         try:
             result = run_experiment_result(experiment_id, config=config)
@@ -363,6 +370,10 @@ def main(argv=None) -> int:
                     f"(wrote {chrome_path}, {jsonl_path} and {summary_path})",
                     file=sys.stderr,
                 )
+        if chaos is not None:
+            print(f"  {chaos.summary()}", file=sys.stderr)
+            for violation in chaos.violations():
+                print(f"  !! {violation.describe()}", file=sys.stderr)
         if profiler is not None:
             profile = profiler.experiment(experiment_id)
             json_path = os.path.join(args.profile, f"{experiment_id}_profile.json")

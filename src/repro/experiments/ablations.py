@@ -93,7 +93,7 @@ def response_traffic(
             kwargs={"settings": settings, "depth": depth},
         ),
     ]
-    allow, deny, muted = RunConfig.coerce(config).executor().run(specs)
+    allow, deny, muted = (config or RunConfig()).executor().run(specs)
     result = AblationResult(name="response-traffic (ADF)", unit="min DoS flood (pps)")
     result.outcomes["allowed flood, responses ON"] = allow
     result.outcomes["denied flood (reference)"] = deny
@@ -174,7 +174,7 @@ def lazy_decrypt(
         )
         for lazy, vpg_count in plans
     ]
-    values = RunConfig.coerce(config).executor().run(specs)
+    values = (config or RunConfig()).executor().run(specs)
     result = AblationResult(name="lazy-decrypt", unit="bandwidth (Mbps)")
     for (lazy, vpg_count), mbps in zip(plans, values):
         mode = "lazy" if lazy else "eager"
@@ -204,7 +204,7 @@ def ring_size(
         )
         for size in ring_sizes
     ]
-    values = RunConfig.coerce(config).executor().run(specs)
+    values = (config or RunConfig()).executor().run(specs)
     result = AblationResult(
         name=f"ring-size (flood {flood_rate:,.0f} pps)", unit="bandwidth (Mbps)"
     )
@@ -307,7 +307,7 @@ def stateful_firewall(
             kwargs={"settings": settings},
         ),
     ]
-    executor = RunConfig.coerce(config).executor()
+    executor = (config or RunConfig()).executor()
     (stateless_mbps, stateless_cpu), (stateful_mbps, stateful_cpu), exhaustion = (
         executor.run(specs)
     )
@@ -323,14 +323,13 @@ def stateful_firewall(
     return result
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> List[AblationResult]:
+def run(config: Optional[RunConfig] = None) -> List[AblationResult]:
     """Run all four ablations (grid knobs: ``vpg_counts``, ``ring_sizes``,
     ``stateful_depth``).
 
-    ``config`` is a :class:`~repro.experiments.RunConfig`; legacy
-    per-keyword calls still work but emit a :class:`DeprecationWarning`.
+    ``config`` is a :class:`~repro.experiments.RunConfig`.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
+    config = config or RunConfig()
     preset = config.resolved_preset("ablations")
     settings = preset.settings
     return [

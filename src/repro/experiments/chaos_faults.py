@@ -268,7 +268,7 @@ def _chaos_point(
     return point
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> ChaosResult:
+def run(config: Optional[RunConfig] = None) -> ChaosResult:
     """Run the chaos sweep (grid knobs: ``chaos_scenarios``,
     ``recovery_slices``).
 
@@ -276,7 +276,7 @@ def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> ChaosResult:
     identical for any ``jobs`` value and resumes byte-identically from a
     checkpoint.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
+    config = config or RunConfig()
     preset = config.resolved_preset("chaos")
     scenarios = preset.grid("chaos_scenarios", DEFAULT_SCENARIOS)
     recovery_slices = preset.grid("recovery_slices", DEFAULT_RECOVERY_SLICES)

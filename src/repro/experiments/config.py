@@ -1,29 +1,22 @@
 """The unified experiment run configuration.
 
-Every experiment module's ``run()`` historically took the same nine
-keywords (``preset, progress, jobs, metrics, trace, checkpoint, retries,
-point_timeout, on_failure``), re-threaded verbatim through
-:class:`~repro.experiments.runner.ExperimentSpec`, the module entry
-point, and :class:`~repro.core.parallel.SweepExecutor`.  That contract
-now lives in one place::
+Every experiment module's ``run()`` takes one :class:`RunConfig`, and
+:class:`~repro.experiments.runner.ExperimentSpec` forwards it with the
+preset resolved for that experiment::
 
     from repro.experiments import RunConfig, fig2_bandwidth
 
     config = RunConfig(preset="quick", jobs=4, retries=1)
     result = fig2_bandwidth.run(config)
-
-Legacy keyword calls (``fig2_bandwidth.run(preset=..., jobs=...)``)
-still work through a :class:`DeprecationWarning` shim and produce
-identical results.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.core.parallel import SweepExecutor
+from repro.core.probe import Probe
 from repro.experiments.presets import Preset, resolve_preset
 
 
@@ -43,15 +36,14 @@ class RunConfig:
         Sweep worker-process count (1 = serial, None = auto via
         ``REPRO_JOBS`` or the CPU count).  Results are identical for
         any value.
-    metrics:
-        Optional :class:`~repro.obs.collect.MetricsCollector`.
-    trace:
-        Optional :class:`~repro.obs.tracing.collect.TraceCollector`.
-    profile:
-        Optional :class:`~repro.obs.profiling.collect.ProfileCollector`.
-        Each sweep point then runs with the wall-clock profiler active
-        and deposits its per-component hotspot snapshot into the
-        collector, in spec order for any ``jobs`` value.
+    probes:
+        Collectors run around every sweep point (see
+        :mod:`repro.core.probe`):
+        :class:`~repro.obs.collect.MetricsCollector`,
+        :class:`~repro.obs.tracing.collect.TraceCollector`,
+        :class:`~repro.obs.profiling.collect.ProfileCollector` and
+        :class:`~repro.chaos.runtime.ChaosCollector`.  Each receives one
+        entry per point, in spec order for any ``jobs`` value.
     checkpoint:
         A :class:`~repro.core.checkpoint.SweepCheckpoint` or a path
         (opened in resume mode).
@@ -61,28 +53,16 @@ class RunConfig:
         Wall-clock seconds per point before its worker is killed.
     on_failure:
         "raise" (default) or "record" (keep going, record failures).
-    chaos:
-        Optional scenario name from
-        :data:`repro.chaos.schedule.SCENARIOS`; every sweep point then
-        runs with that fault schedule armed against its testbed.
-    invariants:
-        Optional ``"warn"``/``"fail-fast"``; every sweep point then
-        runs with the :class:`repro.chaos.invariants.InvariantMonitor`
-        suite attached.
     """
 
     preset: Union[None, str, Preset] = None
     progress: Optional[Callable[[str], None]] = None
     jobs: Optional[int] = None
-    metrics: Any = None
-    trace: Any = None
-    profile: Any = None
+    probes: Sequence[Probe] = ()
     checkpoint: Any = None
     retries: int = 0
     point_timeout: Optional[float] = None
     on_failure: str = "raise"
-    chaos: Optional[str] = None
-    invariants: Optional[str] = None
 
     def resolved_preset(self, experiment_id: str) -> Preset:
         """The concrete :class:`Preset` for ``experiment_id``."""
@@ -97,58 +77,9 @@ class RunConfig:
         return SweepExecutor(
             jobs=self.jobs,
             progress=self.progress,
-            metrics=self.metrics,
-            trace=self.trace,
-            profile=self.profile,
+            probes=self.probes,
             checkpoint=self.checkpoint,
             retries=self.retries,
             point_timeout=self.point_timeout,
             on_failure=self.on_failure,
-            chaos=self.chaos,
-            invariants=self.invariants,
         )
-
-    @classmethod
-    def coerce(
-        cls,
-        config: Optional["RunConfig"] = None,
-        legacy_kwargs: Optional[Mapping[str, Any]] = None,
-        *,
-        warn: bool = True,
-        stacklevel: int = 3,
-    ) -> "RunConfig":
-        """Normalize a ``run(config, **legacy_kwargs)`` call site.
-
-        Exactly one style may be used per call: a :class:`RunConfig`
-        (returned as-is) or the legacy keywords (converted; a
-        :class:`DeprecationWarning` is emitted when ``warn`` is True —
-        internal forwarding paths convert silently).  Mixing the two or
-        passing an unknown keyword raises :class:`TypeError`.
-        """
-        if not legacy_kwargs:
-            if config is None:
-                return cls()
-            if not isinstance(config, cls):
-                raise TypeError(
-                    f"config must be a RunConfig or None, got {type(config).__name__}"
-                )
-            return config
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(legacy_kwargs) - known)
-        if unknown:
-            raise TypeError(
-                f"unknown run() keyword(s): {', '.join(unknown)}; "
-                f"RunConfig fields are {', '.join(sorted(known))}"
-            )
-        if config is not None:
-            raise TypeError(
-                "pass either a RunConfig or legacy keywords, not both"
-            )
-        if warn:
-            warnings.warn(
-                "per-keyword run(preset=..., jobs=..., ...) is deprecated; "
-                "pass a repro.experiments.RunConfig instead",
-                DeprecationWarning,
-                stacklevel=stacklevel,
-            )
-        return cls(**legacy_kwargs)

@@ -112,15 +112,13 @@ def _hardened_point(
     return bandwidth, flood, tester.search().rate_pps
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> HardenedResult:
+def run(config: Optional[RunConfig] = None) -> HardenedResult:
     """Run the extension comparison (grid knob: ``depths``).
 
     ``config`` is a :class:`~repro.experiments.RunConfig`; results are
-    identical for any ``jobs`` value and with or without collectors.
-    Legacy per-keyword calls still work but emit a
-    :class:`DeprecationWarning`.
+    identical for any ``jobs`` value and with or without probes.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
+    config = config or RunConfig()
     preset = config.resolved_preset("extension")
     settings = preset.measurement()
     depths = preset.grid("depths", DEFAULT_DEPTHS)

@@ -61,15 +61,13 @@ def _vpg_point(vpg_count: int, settings: MeasurementSettings) -> float:
     return validator.available_bandwidth(vpg_count=vpg_count).mbps
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> Fig2Result:
+def run(config: Optional[RunConfig] = None) -> Fig2Result:
     """Regenerate Figure 2 (grid knobs: ``depths``, ``vpg_counts``).
 
     ``config`` is a :class:`~repro.experiments.RunConfig`; results are
-    identical for any ``jobs`` value and with or without collectors.
-    Legacy per-keyword calls (``run(preset=..., jobs=...)``) still work
-    but emit a :class:`DeprecationWarning`.
+    identical for any ``jobs`` value and with or without probes.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
+    config = config or RunConfig()
     preset = config.resolved_preset("fig2")
     settings = preset.measurement()
     depths = preset.grid("depths", DEFAULT_DEPTHS)

@@ -63,15 +63,14 @@ def _flood_point(
     return validator.bandwidth_under_flood(rate, vpg_count=vpg_count).mbps
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> Fig3aResult:
+def run(config: Optional[RunConfig] = None) -> Fig3aResult:
     """Regenerate Figure 3a (grid knobs: ``flood_rates``, ``repetitions``).
 
     ``config`` is a :class:`~repro.experiments.RunConfig`; every point is
     an isolated deterministic simulation, so the result is identical for
-    any ``jobs`` value and with or without collectors.  Legacy
-    per-keyword calls still work but emit a :class:`DeprecationWarning`.
+    any ``jobs`` value and with or without probes.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
+    config = config or RunConfig()
     preset = config.resolved_preset("fig3a")
     flood_rates = preset.grid("flood_rates", DEFAULT_FLOOD_RATES)
     repetitions = preset.grid("repetitions", DEFAULT_REPETITIONS)

@@ -76,16 +76,15 @@ def _minflood_point(
     )
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> Fig3bResult:
+def run(config: Optional[RunConfig] = None) -> Fig3bResult:
     """Regenerate Figure 3b (grid knobs: ``depths``, ``probe_duration``).
 
     ``probe_duration`` shortens each bandwidth probe inside the rate
     search; the DoS verdict is insensitive to the window length.
     ``config`` is a :class:`~repro.experiments.RunConfig`; results are
-    identical for any ``jobs`` value.  Legacy per-keyword calls still
-    work but emit a :class:`DeprecationWarning`.
+    identical for any ``jobs`` value.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
+    config = config or RunConfig()
     preset = config.resolved_preset("fig3b")
     settings = preset.measurement()
     depths = preset.grid("depths", DEFAULT_DEPTHS)

@@ -119,15 +119,13 @@ def _fleet_point(
     )
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> FleetFloodResult:
+def run(config: Optional[RunConfig] = None) -> FleetFloodResult:
     """Run the fleet sweep (grid knobs: ``fleet_sizes``, ``flood_shares``).
 
     ``config`` is a :class:`~repro.experiments.RunConfig`; results are
-    identical for any ``jobs`` value and with or without collectors.
-    Legacy per-keyword calls still work but emit a
-    :class:`DeprecationWarning`.
+    identical for any ``jobs`` value and with or without probes.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
+    config = config or RunConfig()
     preset = config.resolved_preset("fleet")
     settings = preset.measurement()
     fleet_sizes = preset.grid("fleet_sizes", DEFAULT_FLEET_SIZES)

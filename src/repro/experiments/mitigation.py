@@ -353,16 +353,15 @@ def _fleet_mitigation_point(
     return point
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> MitigationResult:
+def run(config: Optional[RunConfig] = None) -> MitigationResult:
     """Run the mitigation sweep (grid knobs: ``defense_modes``,
     ``fleet_defense_modes``, ``fleet_sizes``).
 
     ``config`` is a :class:`~repro.experiments.RunConfig`; every point is
     an isolated deterministic simulation, so the result is identical for
-    any ``jobs`` value and with or without collectors.  Legacy
-    per-keyword calls still work but emit a :class:`DeprecationWarning`.
+    any ``jobs`` value and with or without probes.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
+    config = config or RunConfig()
     preset = config.resolved_preset("mitigation")
     modes = preset.grid("defense_modes", DEFAULT_DEFENSE_MODES)
     fleet_modes = preset.grid("fleet_defense_modes", DEFAULT_FLEET_DEFENSE_MODES)

@@ -2,7 +2,7 @@
 
 Every experiment module exposes the same entry point::
 
-    run(config: RunConfig | None = None, **legacy_kwargs)
+    run(config: RunConfig | None = None)
 
 ``config.preset`` carries the sweep grid: measurement windows plus the
 union of grid knobs the experiments understand (``depths``,
@@ -12,7 +12,7 @@ regenerates the paper artefacts exactly, and :data:`QUICK` holds the
 trimmed per-experiment grids behind the CLI's ``--quick`` flag.
 
 Everything else that shapes a run (progress callback, worker-process
-count, collectors, fault tolerance) lives on
+count, probes, fault tolerance) lives on
 :class:`~repro.experiments.RunConfig`.
 """
 

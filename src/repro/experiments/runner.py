@@ -16,18 +16,13 @@ fault tolerance (per-point retries with identical seeds, wall-clock
 watchdog, JSONL checkpoint/resume; see
 :class:`~repro.core.parallel.SweepExecutor` and the CLI's
 ``--checkpoint``/``--resume``/``--retries``/``--point-timeout``/
-``--keep-going``).  ``metrics`` is an optional
-:class:`~repro.obs.collect.MetricsCollector` that receives per-sweep
-time series; ``trace`` an optional
-:class:`~repro.obs.tracing.collect.TraceCollector` that receives
-per-point packet-lifecycle traces and incidents.  ``--json DIR``,
-``--metrics DIR`` and ``--trace DIR`` on the CLI archive the result,
-the series and the traces (see :mod:`repro.experiments.results` and
+``--keep-going``).  ``probes`` are collectors run around every sweep
+point (see :mod:`repro.core.probe`): per-sweep metric time series,
+packet-lifecycle traces and incidents, wall-clock profiles, chaos
+faults and invariant violations.  ``--json DIR``, ``--metrics DIR`` and
+``--trace DIR`` on the CLI archive the result, the series and the
+traces (see :mod:`repro.experiments.results` and
 :mod:`repro.obs.tracing.export`).
-
-Legacy per-keyword calls (``spec.run(preset=..., jobs=...)``) are still
-accepted; module-level ``run()`` entry points additionally emit a
-:class:`DeprecationWarning` for them.
 """
 
 from __future__ import annotations
@@ -64,23 +59,17 @@ class ExperimentSpec:
     :class:`~repro.experiments.RunConfig`; :meth:`run` resolves the
     preset for this experiment id and forwards.  ``config.jobs`` is the
     sweep worker-process count (see :mod:`repro.core.parallel`) and
-    ``config.metrics`` an optional collector; results are identical for
-    any value of either.
+    ``config.probes`` the collectors; results are identical for any
+    value of either.
     """
 
     experiment_id: str
     title: str
     entry: Callable[..., Any]
 
-    def run(self, config: Optional[RunConfig] = None, **legacy_kwargs) -> Any:
-        """Run the experiment and return its raw result object.
-
-        Accepts a :class:`RunConfig`; the legacy keywords
-        (``preset=..., jobs=..., ...``) still work but emit a
-        :class:`DeprecationWarning`, like the experiment modules' own
-        ``run()`` entry points.
-        """
-        config = RunConfig.coerce(config, legacy_kwargs)
+    def run(self, config: Optional[RunConfig] = None) -> Any:
+        """Run the experiment and return its raw result object."""
+        config = config or RunConfig()
         resolved = config.resolved_preset(self.experiment_id)
         return self.entry(replace(config, preset=resolved))
 
@@ -155,23 +144,20 @@ def run_experiment_result(
     experiment_id: str,
     quick: bool = False,
     config: Optional[RunConfig] = None,
-    **legacy_kwargs,
 ) -> Any:
     """Run one experiment and return its raw result object.
 
     ``config`` carries everything that shapes the run (see
     :class:`~repro.experiments.RunConfig`); ``config.preset`` wins over
     the ``quick`` flag when both are given.  Results are identical for
-    any ``config.jobs`` value, with or without collectors.  The legacy
-    keywords (``preset=..., jobs=..., ...``) are still accepted here
-    without deprecation noise — this is the internal forwarding path.
+    any ``config.jobs`` value, with or without probes.
     """
     spec = REGISTRY.get(experiment_id)
     if spec is None:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; choose from {', '.join(REGISTRY)}"
         )
-    config = RunConfig.coerce(config, legacy_kwargs, warn=False)
+    config = config or RunConfig()
     if config.preset is None:
         config = replace(config, preset="quick" if quick else "full")
     return spec.run(config)

@@ -76,15 +76,13 @@ def _http_point(
     return validator.http_performance(depth=depth, vpg_count=vpg_count)
 
 
-def run(config: Optional[RunConfig] = None, **legacy_kwargs) -> Table1Result:
+def run(config: Optional[RunConfig] = None) -> Table1Result:
     """Regenerate Table 1 (grid knobs: ``depths``, ``vpg_counts``).
 
     ``config`` is a :class:`~repro.experiments.RunConfig`; results are
-    identical for any ``jobs`` value and with or without collectors.
-    Legacy per-keyword calls still work but emit a
-    :class:`DeprecationWarning`.
+    identical for any ``jobs`` value and with or without probes.
     """
-    config = RunConfig.coerce(config, legacy_kwargs)
+    config = config or RunConfig()
     preset = config.resolved_preset("table1")
     settings = preset.measurement()
     depths = preset.grid("depths", DEFAULT_DEPTHS)

@@ -9,9 +9,9 @@ the layer that makes those runs diagnosable while they happen:
 * :mod:`repro.obs.sampler` — an engine-driven :class:`Sampler` that
   snapshots every registered metric on a sim-time interval into time
   series (:class:`MetricsSnapshot`),
-* :mod:`repro.obs.collect` — per-sweep-point collection
-  (:class:`MetricsCollector`) whose output is identical for any
-  ``jobs`` worker count,
+* :mod:`repro.obs.collect` — the metrics probe
+  (:class:`MetricsCollector`, see :mod:`repro.core.probe`) whose
+  per-sweep-point output is identical for any ``jobs`` worker count,
 * :mod:`repro.obs.instrument` — kernel gauges (events executed /
   cancelled, heap depth),
 * :mod:`repro.obs.export` — CSV export of collected series (JSON goes
@@ -34,6 +34,7 @@ from repro.obs.collect import (
     DEFAULT_SAMPLE_INTERVAL,
     ExperimentMetrics,
     MetricsCollector,
+    MetricsConfig,
     PointMetrics,
 )
 from repro.obs.ewma import RateEwma
@@ -90,6 +91,7 @@ __all__ = [
     "Incident",
     "MetricSeries",
     "MetricsCollector",
+    "MetricsConfig",
     "MetricsRegistry",
     "MetricsSnapshot",
     "NULL_PROFILER",

@@ -1,29 +1,19 @@
 """Per-sweep-point metrics collection, identical for any worker count.
 
-The experiment sweeps run each point in its own (possibly forked)
-process, so collected metrics must travel back with the point's result.
-The pieces:
-
-* :class:`MetricsCollector` — parent-side storage the experiment modules
-  accept via their ``metrics=`` keyword.  The sweep executor deposits one
-  :class:`PointMetrics` per sweep point **in spec order**, so ``jobs=1``
-  and ``jobs=N`` runs produce identical collections.
-* the process-local *active collection* (:func:`activate` /
-  :func:`deactivate`) — while active, every
-  :class:`~repro.core.testbed.Testbed` built in this process attaches a
-  fresh :class:`~repro.obs.registry.MetricsRegistry` plus a running
-  :class:`~repro.obs.sampler.Sampler` (see :func:`attach_simulator`);
-  :func:`deactivate` snapshots them all, in creation order.
-
-The executor's worker wrapper activates before calling the point
-function and deactivates after, on both the serial and the pooled path —
-one code path, one result.
+:class:`MetricsCollector` is the metrics probe (see
+:mod:`repro.core.probe`).  While a point runs, every kernel a testbed
+creates gets a fresh :class:`~repro.obs.registry.MetricsRegistry` and a
+running :class:`~repro.obs.sampler.Sampler`; the point's snapshots, one
+per kernel in creation order, travel back with its result and are
+deposited as one :class:`PointMetrics` per sweep point **in spec
+order**, so ``jobs=1`` and ``jobs=N`` runs produce identical
+collections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.obs.instrument import instrument_simulator
 from repro.obs.registry import MetricsRegistry
@@ -32,6 +22,48 @@ from repro.obs.sampler import MetricsSnapshot, Sampler
 #: Default virtual-time sampling interval (seconds): ~50-100 points per
 #: quick-preset measurement window.
 DEFAULT_SAMPLE_INTERVAL = 0.01
+
+
+@dataclass(frozen=True)
+class MetricsConfig:
+    """Picklable recipe: the virtual-time sampling interval."""
+
+    interval: float = DEFAULT_SAMPLE_INTERVAL
+
+    def __post_init__(self):
+        if self.interval <= 0:
+            raise ValueError(f"sample interval must be positive, got {self.interval}")
+
+    def start(self) -> "_MetricsSession":
+        return _MetricsSession(self.interval)
+
+
+class _MetricsSession:
+    """Samplers created while one sweep point runs in this process."""
+
+    def __init__(self, interval: float):
+        self.interval = interval
+        self.samplers: List[Sampler] = []
+
+    def attach_simulator(self, sim) -> None:
+        # Installed before any component is built, so every constructor
+        # self-registers its instruments into the fresh registry.
+        registry = MetricsRegistry()
+        sim.metrics = registry
+        instrument_simulator(sim)
+        sampler = Sampler(sim, registry, self.interval)
+        sampler.start()
+        self.samplers.append(sampler)
+
+    def attach_testbed(self, bed) -> None:
+        pass
+
+    def finish(self, ok: bool) -> List[MetricsSnapshot]:
+        snapshots = []
+        for sampler in self.samplers:
+            sampler.stop()
+            snapshots.append(sampler.snapshot())
+        return snapshots
 
 
 @dataclass
@@ -61,7 +93,7 @@ class ExperimentMetrics:
 
 
 class MetricsCollector:
-    """Parent-side accumulator passed to ``run(metrics=...)``.
+    """The metrics probe, passed as ``RunConfig(probes=(collector,))``.
 
     Parameters
     ----------
@@ -74,16 +106,24 @@ class MetricsCollector:
     (retries, timeouts, failures, worker deaths, resumed points).
     """
 
+    name = "metrics"
+
     def __init__(self, interval: float = DEFAULT_SAMPLE_INTERVAL):
-        if interval <= 0:
-            raise ValueError(f"sample interval must be positive, got {interval}")
-        self.interval = float(interval)
+        self.config = MetricsConfig(float(interval))
         self.points: List[PointMetrics] = []
         self.executor_registry = MetricsRegistry()
+
+    @property
+    def interval(self) -> float:
+        return self.config.interval
 
     def add_point(self, label: str, snapshots: List[MetricsSnapshot]) -> None:
         """Deposit one sweep point's snapshots (called by the executor)."""
         self.points.append(PointMetrics(label=label, snapshots=snapshots))
+
+    def add_failure(self, label: str, failure) -> None:
+        """A failed point deposits no snapshots."""
+        self.add_point(label, [])
 
     def clear(self) -> None:
         """Drop everything collected so far."""
@@ -101,68 +141,3 @@ class MetricsCollector:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-# ---------------------------------------------------------------------------
-# Process-local active collection
-# ---------------------------------------------------------------------------
-
-
-class _ActiveCollection:
-    """Samplers created while one sweep point runs in this process."""
-
-    __slots__ = ("interval", "samplers")
-
-    def __init__(self, interval: float):
-        self.interval = interval
-        self.samplers: List[Sampler] = []
-
-
-_ACTIVE: Optional[_ActiveCollection] = None
-
-
-def collection_active() -> bool:
-    """True while this process is collecting metrics for a sweep point."""
-    return _ACTIVE is not None
-
-
-def activate(interval: float = DEFAULT_SAMPLE_INTERVAL) -> None:
-    """Begin collecting: testbeds built from now on are instrumented."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("metrics collection is already active in this process")
-    _ACTIVE = _ActiveCollection(float(interval))
-
-
-def deactivate() -> List[MetricsSnapshot]:
-    """Stop collecting and return every sampler's snapshot, in creation order."""
-    global _ACTIVE
-    active = _ACTIVE
-    _ACTIVE = None
-    if active is None:
-        return []
-    snapshots = []
-    for sampler in active.samplers:
-        sampler.stop()
-        snapshots.append(sampler.snapshot())
-    return snapshots
-
-
-def attach_simulator(sim) -> Optional[Tuple[MetricsRegistry, Sampler]]:
-    """Instrument ``sim`` if a collection is active in this process.
-
-    Called by :class:`~repro.core.testbed.Testbed` right after it creates
-    its kernel: installs a fresh registry as ``sim.metrics`` (so every
-    component built afterwards self-registers into it), registers the
-    kernel gauges, and starts a sampler.  Returns None when no collection
-    is active — the testbed then stays on the null registry.
-    """
-    if _ACTIVE is None:
-        return None
-    registry = MetricsRegistry()
-    sim.metrics = registry
-    instrument_simulator(sim)
-    sampler = Sampler(sim, registry, _ACTIVE.interval)
-    sampler.start()
-    _ACTIVE.samplers.append(sampler)
-    return registry, sampler

@@ -3,7 +3,7 @@
 The metrics/tracing layers observe simulated time; this package observes
 the simulation's own cost.  See :mod:`repro.obs.profiling.core` for the
 profiler and the null-object contract, :mod:`~repro.obs.profiling.collect`
-for the per-sweep-point collection plumbing (identical for any ``jobs``),
+for the profiling probe (identical for any ``jobs``),
 and :mod:`~repro.obs.profiling.export` for the hotspot table and the
 collapsed-stack flamegraph output.
 """

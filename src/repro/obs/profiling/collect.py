@@ -1,25 +1,14 @@
 """Per-sweep-point profile collection, identical for any worker count.
 
-This mirrors :mod:`repro.obs.collect` / :mod:`repro.obs.tracing.collect`
-exactly: sweep points run in (possibly forked) worker processes, so each
-point's profile travels back to the parent with the point's result as a
-picklable :class:`ProfileSnapshot`, deposited into the parent-side
-:class:`ProfileCollector` in spec order — ``jobs=1`` and ``jobs=N``
-produce the same collection structure.
-
-* :class:`ProfileConfig` — the picklable recipe the CLI builds and the
-  executor ships to workers.
-* :class:`ProfileCollector` — parent-side storage the experiment modules
-  accept via ``RunConfig.profile``; one :class:`PointProfile` per point.
-* the process-local *active collection* (:func:`activate` /
-  :func:`deactivate`) — while active, every
-  :class:`~repro.core.testbed.Testbed` built in this process installs
-  the live :class:`~repro.obs.profiling.core.Profiler` onto its kernel
-  (see :func:`attach_simulator`), and the module-level
-  :data:`~repro.obs.profiling.core.ACTIVE` pointer routes synchronous
-  hot paths (rule evaluation) to the same profiler.  :func:`deactivate`
-  snapshots the profiler together with the point's measured wall-clock
-  time, which is what the hotspot report's coverage figure divides by.
+:class:`ProfileCollector` is the profiling probe (see
+:mod:`repro.core.probe`), and :class:`ProfileConfig` the picklable
+recipe the CLI builds and the executor ships to workers.  While a point
+runs, every kernel a testbed creates shares one live
+:class:`~repro.obs.profiling.core.Profiler`.  When the point ends, the
+profiler is snapshotted together with the point's measured wall-clock
+time, which is what the hotspot report's coverage figure divides by.
+The collector holds one :class:`PointProfile` per point, in spec order,
+so ``jobs=1`` and ``jobs=N`` produce the same collection structure.
 """
 
 from __future__ import annotations
@@ -41,6 +30,9 @@ class ProfileConfig:
     stacks: bool = True
     #: Rows shown in the rendered hotspot table.
     top: int = 25
+
+    def start(self) -> "_ProfileSession":
+        return _ProfileSession(self)
 
 
 @dataclass
@@ -70,7 +62,7 @@ class ProfileSnapshot:
 
     entries: List[ProfileEntry] = field(default_factory=list)
     stacks: List[StackEntry] = field(default_factory=list)
-    #: Wall-clock nanoseconds between activate and deactivate — the
+    #: Wall-clock nanoseconds from session start to finish — the
     #: denominator of the coverage figure.
     wall_ns: int = 0
     schema_version: int = 1
@@ -171,7 +163,9 @@ def snapshot_profiler(
 
 
 class ProfileCollector:
-    """Parent-side accumulator passed via ``RunConfig.profile``."""
+    """The profiling probe, passed as ``RunConfig(probes=(collector,))``."""
+
+    name = "profile"
 
     def __init__(self, config: Optional[ProfileConfig] = None):
         self.config = config if config is not None else ProfileConfig()
@@ -180,6 +174,10 @@ class ProfileCollector:
     def add_point(self, label: str, snapshots: List[ProfileSnapshot]) -> None:
         """Deposit one sweep point's snapshots (called by the executor)."""
         self.points.append(PointProfile(label=label, snapshots=snapshots))
+
+    def add_failure(self, label: str, failure) -> None:
+        """A failed point deposits an empty profile."""
+        self.add_point(label, [])
 
     def clear(self) -> None:
         """Drop everything collected so far."""
@@ -201,72 +199,32 @@ class ProfileCollector:
         return len(self.points)
 
 
-# ---------------------------------------------------------------------------
-# Process-local active collection
-# ---------------------------------------------------------------------------
+class _ProfileSession:
+    """The live profiler while one sweep point runs in this process.
 
-
-class _ActiveProfiling:
-    """The live profiler while one sweep point runs in this process."""
-
-    __slots__ = ("config", "profiler", "started_ns")
+    Every kernel built during the point shares it, and the module-level
+    :data:`~repro.obs.profiling.core.ACTIVE` pointer routes synchronous
+    hot paths (rule evaluation) to it too.
+    """
 
     def __init__(self, config: ProfileConfig):
         self.config = config
         self.profiler = Profiler()
         self.started_ns = perf_counter_ns()
+        profiling_core.ACTIVE = self.profiler
 
+    def attach_simulator(self, sim) -> None:
+        sim.profiler = self.profiler
 
-_STATE: Optional[_ActiveProfiling] = None
+    def attach_testbed(self, bed) -> None:
+        pass
 
-
-def profiling_active() -> bool:
-    """True while this process is profiling a sweep point."""
-    return _STATE is not None
-
-
-def activate(config: Optional[ProfileConfig] = None) -> Profiler:
-    """Begin profiling: testbeds built from now on share one profiler."""
-    global _STATE
-    if _STATE is not None:
-        raise RuntimeError("profile collection is already active in this process")
-    _STATE = _ActiveProfiling(config if config is not None else ProfileConfig())
-    profiling_core.ACTIVE = _STATE.profiler
-    return _STATE.profiler
-
-
-def deactivate() -> List[ProfileSnapshot]:
-    """Stop profiling and snapshot the point's profiler + wall clock."""
-    global _STATE
-    state = _STATE
-    _STATE = None
-    profiling_core.ACTIVE = None
-    if state is None:
-        return []
-    wall_ns = perf_counter_ns() - state.started_ns
-    return [
-        snapshot_profiler(state.profiler, wall_ns=wall_ns, stacks=state.config.stacks)
-    ]
-
-
-def attach_simulator(sim) -> Optional[Profiler]:
-    """Install the live profiler on ``sim`` when a collection is active.
-
-    Called by :class:`~repro.core.testbed.Testbed` alongside the metrics
-    and tracing attaches.  Returns None when inactive — the kernel then
-    keeps its zero-cost :data:`~repro.obs.profiling.core.NULL_PROFILER`.
-    """
-    if _STATE is None:
-        return None
-    sim.profiler = _STATE.profiler
-    return _STATE.profiler
-
-
-def detach_all() -> None:
-    """Abandon any active collection (test cleanup helper)."""
-    global _STATE
-    _STATE = None
-    profiling_core.ACTIVE = None
+    def finish(self, ok: bool) -> List[ProfileSnapshot]:
+        profiling_core.ACTIVE = None
+        wall_ns = perf_counter_ns() - self.started_ns
+        return [
+            snapshot_profiler(self.profiler, wall_ns=wall_ns, stacks=self.config.stacks)
+        ]
 
 
 __all__ = [
@@ -279,10 +237,5 @@ __all__ = [
     "ProfileCollector",
     "merge_snapshots",
     "snapshot_profiler",
-    "profiling_active",
-    "activate",
-    "deactivate",
-    "attach_simulator",
-    "detach_all",
     "NULL_PROFILER",
 ]

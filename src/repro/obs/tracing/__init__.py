@@ -13,13 +13,11 @@ failure signatures of the paper's experiments into first-class incidents:
 * :mod:`~repro.obs.tracing.watchdog` — the :class:`Watchdog` anomaly
   detector (EFW lockup onset/recovery, queue saturation, flow-cache
   thrash, zero-goodput) filing :class:`Incident` records,
-* :mod:`~repro.obs.tracing.collect` — per-sweep-point collection
-  (:class:`TraceCollector` / ``run(trace=...)``), identical for any
-  ``jobs`` worker count,
+* :mod:`~repro.obs.tracing.collect` — the tracing probe
+  (:class:`TraceCollector`, see :mod:`repro.core.probe`), identical for
+  any ``jobs`` worker count,
 * :mod:`~repro.obs.tracing.export` — Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``) and flat JSONL exporters.
-
-``repro.sim.trace`` is a deprecated compatibility shim over this package.
 
 For ad-hoc scripts, :func:`arm_tracing` arms a testbed's tracer in one
 call::

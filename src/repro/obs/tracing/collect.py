@@ -1,23 +1,14 @@
 """Per-sweep-point trace collection, identical for any worker count.
 
-This mirrors :mod:`repro.obs.collect` exactly: experiment sweeps run each
-point in its own (possibly forked) process, so trace output must travel
-back with the point's result as picklable snapshots, deposited in spec
-order so ``jobs=1`` and ``jobs=N`` produce identical collections.
-
-* :class:`TraceConfig` — the picklable arming recipe the CLI builds and
-  the executor ships to workers.
-* :class:`TraceCollector` — parent-side storage the experiment modules
-  accept via their ``trace=`` keyword; one :class:`PointTrace` per sweep
-  point.
-* the process-local *active collection* (:func:`activate` /
-  :func:`deactivate`) — while active, every
-  :class:`~repro.core.testbed.Testbed` built in this process arms its
-  kernel's tracer (see :func:`attach_simulator`): spans + sampling per
-  the config, a flight recorder and watchdog when requested, and the
-  span-duration histogram bridge whenever the testbed also carries a
-  real metrics registry.  :func:`deactivate` finalizes every watchdog
-  and snapshots every tracer, in creation order.
+:class:`TraceCollector` is the tracing probe (see
+:mod:`repro.core.probe`), and :class:`TraceConfig` the picklable arming
+recipe the CLI builds and the executor ships to workers.  While a point
+runs, every kernel a testbed creates has its tracer armed: spans and
+sampling per the config, a flight recorder and watchdog when requested,
+and the span-duration histogram bridge whenever the testbed also
+carries a real metrics registry.  When the point ends, every watchdog is
+finalized and every tracer snapshotted, in creation order; the
+collector holds one :class:`PointTrace` per sweep point, in spec order.
 """
 
 from __future__ import annotations
@@ -46,6 +37,9 @@ class TraceConfig:
     watchdog: bool = True
     max_spans: int = 200_000
     max_records: int = 100_000
+
+    def start(self) -> "_TraceSession":
+        return _TraceSession(self)
 
 
 @dataclass
@@ -91,7 +85,9 @@ class ExperimentTrace:
 
 
 class TraceCollector:
-    """Parent-side accumulator passed to ``run(trace=...)``."""
+    """The tracing probe, passed as ``RunConfig(probes=(collector,))``."""
+
+    name = "trace"
 
     def __init__(self, config: Optional[TraceConfig] = None):
         self.config = config if config is not None else TraceConfig()
@@ -100,6 +96,21 @@ class TraceCollector:
     def add_point(self, label: str, snapshots: List[TraceSnapshot]) -> None:
         """Deposit one sweep point's snapshots (called by the executor)."""
         self.points.append(PointTrace(label=label, snapshots=snapshots))
+
+    def add_failure(self, label: str, failure) -> None:
+        """A failed point deposits a ``sweep-point-failure`` incident."""
+        incident = Incident(
+            kind="sweep-point-failure",
+            source=label,
+            time=0.0,
+            detail={
+                "index": failure.index,
+                "cause": failure.kind,
+                "attempts": failure.attempts,
+                "error": failure.error,
+            },
+        )
+        self.add_point(label, [TraceSnapshot(incidents=[incident])])
 
     def clear(self) -> None:
         """Drop everything collected so far."""
@@ -122,50 +133,6 @@ class TraceCollector:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-# ---------------------------------------------------------------------------
-# Process-local active collection
-# ---------------------------------------------------------------------------
-
-
-class _ActiveTracing:
-    """Tracers armed while one sweep point runs in this process."""
-
-    __slots__ = ("config", "simulators")
-
-    def __init__(self, config: TraceConfig):
-        self.config = config
-        self.simulators: List[Any] = []
-
-
-_ACTIVE: Optional[_ActiveTracing] = None
-
-
-def tracing_active() -> bool:
-    """True while this process is collecting traces for a sweep point."""
-    return _ACTIVE is not None
-
-
-def activate(config: Optional[TraceConfig] = None) -> None:
-    """Begin collecting: testbeds built from now on arm their tracers."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("trace collection is already active in this process")
-    _ACTIVE = _ActiveTracing(config if config is not None else TraceConfig())
-
-
-def deactivate() -> List[TraceSnapshot]:
-    """Stop collecting and snapshot every armed tracer, in creation order."""
-    global _ACTIVE
-    active = _ACTIVE
-    _ACTIVE = None
-    if active is None:
-        return []
-    snapshots = []
-    for sim in active.simulators:
-        snapshots.append(snapshot_tracer(sim.tracer, now=sim.now))
-    return snapshots
 
 
 def snapshot_tracer(tracer, now: Optional[float] = None) -> TraceSnapshot:
@@ -193,21 +160,25 @@ def arm_tracer(sim, config: TraceConfig):
     )
     if config.watchdog and tracer.watchdog is None:
         Watchdog(tracer)
-    if sim.metrics is not NULL_REGISTRY:
-        tracer.bridge_metrics(sim.metrics)
     return tracer
 
 
-def attach_simulator(sim):
-    """Arm ``sim``'s tracer if a trace collection is active in this process.
+class _TraceSession:
+    """Tracers armed while one sweep point runs in this process."""
 
-    Called by :class:`~repro.core.testbed.Testbed` right after the
-    metrics attach (so the histogram bridge can see a real registry when
-    both collections are active).  Returns None when inactive — the
-    testbed then keeps the cold default tracer.
-    """
-    if _ACTIVE is None:
-        return None
-    tracer = arm_tracer(sim, _ACTIVE.config)
-    _ACTIVE.simulators.append(sim)
-    return tracer
+    def __init__(self, config: TraceConfig):
+        self.config = config
+        self.simulators: List[Any] = []
+
+    def attach_simulator(self, sim) -> None:
+        arm_tracer(sim, self.config)
+        self.simulators.append(sim)
+
+    def attach_testbed(self, bed) -> None:
+        # Bridged here, once every probe has seen the kernel, so a
+        # metrics probe listed after this one still gets the histograms.
+        if bed.sim.metrics is not NULL_REGISTRY:
+            bed.sim.tracer.bridge_metrics(bed.sim.metrics)
+
+    def finish(self, ok: bool) -> List[TraceSnapshot]:
+        return [snapshot_tracer(sim.tracer, now=sim.now) for sim in self.simulators]

@@ -13,18 +13,12 @@ or given up on.  :class:`PushReport` bundles one round of
 :meth:`~repro.policy.server.PolicyServer.push_all` (or a set of
 individual pushes) and derives the aggregates from the records, so the
 counters and the report can never disagree.
-
-For one deprecation cycle :class:`PushReport` also answers the mapping
-protocol (``report["hostname"]``, iteration, ``len``) the way the
-interim ad-hoc dict did; that view warns :class:`DeprecationWarning`
-once per report and will be removed.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 #: Push lifecycle states.
 PENDING = "pending"
@@ -138,7 +132,6 @@ class PushReport:
     """
 
     outcomes: Dict[str, HostPushOutcome] = field(default_factory=dict)
-    _warned: bool = field(default=False, repr=False, compare=False)
 
     def add(self, outcome: HostPushOutcome) -> None:
         """Record one host's outcome (later rounds replace earlier)."""
@@ -207,41 +200,3 @@ class PushReport:
             host: list(outcome.backoff_s)
             for host, outcome in self.outcomes.items()
         }
-
-    # -- deprecated mapping view ---------------------------------------
-
-    def _mapping_deprecated(self) -> None:
-        if not self._warned:
-            self._warned = True
-            warnings.warn(
-                "treating PushReport as a dict is deprecated; use "
-                ".outcomes / .outcome_for() and the aggregate properties",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
-    def __getitem__(self, host: str) -> HostPushOutcome:
-        self._mapping_deprecated()
-        return self.outcomes[host]
-
-    def __iter__(self) -> Iterator[str]:
-        self._mapping_deprecated()
-        return iter(self.outcomes)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __contains__(self, host: object) -> bool:
-        return host in self.outcomes
-
-    def get(self, host: str, default: Any = None) -> Any:
-        self._mapping_deprecated()
-        return self.outcomes.get(host, default)
-
-    def keys(self):
-        self._mapping_deprecated()
-        return self.outcomes.keys()
-
-    def items(self):
-        self._mapping_deprecated()
-        return self.outcomes.items()

@@ -14,14 +14,15 @@ from repro.chaos import (
     PolicyServerOutage,
     SwitchPortFail,
     build_scenario,
-    chaos_active,
     note_flood,
 )
-from repro.chaos import runtime as chaos_runtime
+from repro.chaos.runtime import ChaosCollector, ChaosConfig
 from repro.chaos.faults import resolve_station
+from repro.core import probe
 from repro.core.fleet import FleetSpec, FleetTestbed
 from repro.core.methodology import MeasurementSettings
 from repro.core.parallel import SweepExecutor, SweepPointSpec
+from repro.core.sweeps import Sweep
 from repro.core.testbed import DeviceKind, Testbed
 from repro.firewall.builders import allow_all
 from repro.policy.audit import AuditEventKind
@@ -29,12 +30,12 @@ from repro.policy.audit import AuditEventKind
 
 @pytest.fixture(autouse=True)
 def _no_leaked_activation():
-    """Every test starts and ends with the chaos runtime inactive."""
-    if chaos_active():
-        chaos_runtime.deactivate(strict=False)
+    """Every test starts and ends with no probe session open."""
+    if probe.active():
+        probe.finish(ok=False)
     yield
-    if chaos_active():
-        chaos_runtime.deactivate(strict=False)
+    if probe.active():
+        probe.finish(ok=False)
 
 
 def _efw_bed(seed=1, defended=False):
@@ -301,27 +302,27 @@ class TestInvariants:
 
 class TestRuntime:
     def test_activation_arms_every_new_testbed(self):
-        chaos_runtime.activate(chaos="link-flap", invariants="warn")
+        probe.start({"chaos": ChaosConfig(scenario="link-flap", invariants="warn")})
         bed = _efw_bed()
         assert bed.chaos is not None
         assert bed.invariant_monitor is not None
         bed.run(0.3)
-        snapshot = chaos_runtime.deactivate()
+        [snapshot] = probe.finish()["chaos"]
         assert (snapshot.faults_injected, snapshot.faults_cleared) == (1, 1)
         assert snapshot.clean
         assert snapshot.scenario == "link-flap"
 
     def test_double_activation_raises(self):
-        chaos_runtime.activate(invariants="warn")
+        probe.start({"chaos": ChaosConfig(invariants="warn")})
         with pytest.raises(RuntimeError):
-            chaos_runtime.activate(invariants="warn")
+            probe.start({"chaos": ChaosConfig(invariants="warn")})
 
     def test_unknown_scenario_and_mode_rejected(self):
         with pytest.raises(ValueError):
-            chaos_runtime.activate(chaos="nonesuch")
+            ChaosCollector(scenario="nonesuch")
         with pytest.raises(ValueError):
-            chaos_runtime.activate(invariants="nonesuch")
-        assert not chaos_active()
+            ChaosCollector(invariants="nonesuch")
+        assert not probe.active()
 
     def test_inactive_attach_is_a_noop(self):
         bed = _efw_bed()
@@ -329,7 +330,34 @@ class TestRuntime:
         assert getattr(bed, "invariant_monitor", None) is None
 
     def test_deactivate_without_window_returns_none(self):
-        assert chaos_runtime.deactivate() is None
+        assert probe.finish() == {}
+
+    def test_fail_fast_violation_in_finish_tears_down_every_probe(self):
+        from repro.obs.collect import MetricsConfig
+        from repro.obs.profiling import core as profiling_core
+        from repro.obs.profiling.collect import ProfileConfig
+
+        probe.start(
+            {
+                "profile": ProfileConfig(),
+                "metrics": MetricsConfig(),
+                "chaos": ChaosConfig(invariants="fail-fast"),
+            }
+        )
+        bed = _efw_bed()
+        bed.run(0.05)
+        # Break conservation behind the periodic check's back: only the
+        # final check in finish() can see it.
+        bed.invariant_monitor._timer.stop()
+        bed.target.nic.packets_delivered = bed.target.nic.frames_received + 10
+        with pytest.raises(InvariantViolationError):
+            probe.finish()
+        assert not probe.active()
+        assert profiling_core.ACTIVE is None
+        # The process is reusable: a fresh session opens and closes cleanly.
+        probe.start({"chaos": ChaosConfig(invariants="fail-fast")})
+        _efw_bed().run(0.05)
+        assert probe.finish()["chaos"][0].clean
 
 
 def _probe_point(seed):
@@ -344,6 +372,21 @@ def _probe_point(seed):
     return (nic.frames_received, nic.packets_delivered, nic.rx_allowed)
 
 
+def _violating_at_finish_point():
+    """Break packet conservation where only the final check sees it."""
+    bed = _efw_bed()
+    bed.run(0.05)
+    bed.invariant_monitor._timer.stop()
+    bed.target.nic.packets_delivered = bed.target.nic.frames_received + 10
+    return "ran"
+
+
+def _monitored_point(seed):
+    """True when the testbed built inside the point got a monitor."""
+    bed = Testbed(device=DeviceKind.EFW, seed=seed, efw_lockup_enabled=False)
+    return getattr(bed, "invariant_monitor", None) is not None
+
+
 class TestExecutorWiring:
     def _specs(self):
         return [
@@ -353,18 +396,46 @@ class TestExecutorWiring:
 
     def test_invariants_leave_results_identical(self):
         plain = SweepExecutor(jobs=1).run(self._specs())
-        watched = SweepExecutor(jobs=1, invariants="warn").run(self._specs())
+        watched = SweepExecutor(
+            jobs=1, probes=(ChaosCollector(invariants="warn"),)
+        ).run(self._specs())
         assert watched == plain
 
     def test_chaos_scenario_actually_perturbs_the_sweep(self):
         plain = SweepExecutor(jobs=1).run(self._specs())
-        flapped = SweepExecutor(jobs=1, chaos="link-flap").run(self._specs())
+        flapped = SweepExecutor(
+            jobs=1, probes=(ChaosCollector(scenario="link-flap"),)
+        ).run(self._specs())
         # The client link goes down mid-flood: fewer frames arrive.
         assert flapped[0][0] < plain[0][0]
 
     def test_worker_deactivates_between_points(self):
-        SweepExecutor(jobs=1, chaos="link-flap", invariants="warn").run(self._specs())
-        assert not chaos_active()
+        collector = ChaosCollector(scenario="link-flap", invariants="warn")
+        SweepExecutor(jobs=1, probes=(collector,)).run(self._specs())
+        assert not probe.active()
+        # Every point's snapshot is kept, in spec order.
+        assert [point.label for point in collector.points] == ["probe 1", "probe 2"]
+        assert [len(point.snapshots) for point in collector.points] == [1, 1]
+        assert collector.snapshots()[0].faults_injected == 1
+
+    def test_fail_fast_in_finish_leaves_pooled_workers_reusable(self):
+        specs = [SweepPointSpec(label="broken", fn=_violating_at_finish_point)] + [
+            SweepPointSpec(label=f"probe {seed}", fn=_probe_point, kwargs={"seed": seed})
+            for seed in (1, 2, 3)
+        ]
+        collector = ChaosCollector(invariants="fail-fast")
+        executor = SweepExecutor(jobs=2, probes=(collector,), on_failure="record")
+        results = executor.run(specs)
+        assert results[0].kind == "error"
+        assert "InvariantViolationError" in results[0].error
+        assert results[1:] == SweepExecutor(jobs=1).run(specs[1:])
+        assert executor.stats.worker_deaths == 0
+        assert [len(point.snapshots) for point in collector.points] == [0, 1, 1, 1]
+
+    def test_sweep_forwards_chaos_probes(self):
+        sweep = Sweep(_monitored_point, jobs=1, probes=(ChaosCollector(invariants="warn"),))
+        points = sweep.run({"seed": [1, 2]})
+        assert [point.result for point in points] == [True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +513,47 @@ class TestChaosExperiment:
 
         preset = _mini_preset(scenarios=("link-flap",), duration=0.08, slices=2)
         result = chaos_faults.run(
-            RunConfig(preset=preset, jobs=1, invariants="fail-fast")
+            RunConfig(
+                preset=preset, jobs=1, probes=(ChaosCollector(invariants="fail-fast"),)
+            )
         )
         assert len(result.points) == 4
-        assert not chaos_active()
+        assert not probe.active()
+
+
+def _violating_point():
+    """A point whose target NIC claims more deliveries than arrivals."""
+    bed = _efw_bed()
+    bed.run(0.05)
+    bed.target.nic.packets_delivered = bed.target.nic.frames_received + 10
+    bed.run(0.1)
+    return "ran"
+
+
+def _violating_entry(config):
+    config.executor().run([SweepPointSpec(label="p", fn=_violating_point)])
+    return "STUB-OUTPUT"
 
 
 class TestCliFlags:
+    def test_warn_violations_and_fault_counts_reach_stderr(self, monkeypatch, capsys):
+        from repro.experiments import __main__ as cli
+        from repro.experiments import runner
+
+        spec = runner.ExperimentSpec("stub", "a stub", _violating_entry)
+        monkeypatch.setattr(runner, "REGISTRY", {"stub": spec})
+        monkeypatch.setattr(cli, "run_experiment_result", runner.run_experiment_result)
+        monkeypatch.setattr(cli, "experiment_ids", runner.experiment_ids)
+        argv = ["stub", "--no-progress", "--jobs", "1", "--invariants", "warn"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert "STUB-OUTPUT" in captured.out
+        assert "chaos: scenario=- invariants=warn faults injected=0 cleared=0" in captured.err
+        violations = [line for line in captured.err.splitlines() if "!!" in line]
+        assert violations
+        assert all("target" in line for line in violations)
+        assert "chaos:" not in captured.out
+
     def test_unknown_chaos_scenario_rejected_at_parse_time(self, capsys):
         from repro.experiments import __main__ as cli
 

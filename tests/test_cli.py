@@ -184,14 +184,15 @@ def _cli_tick():
 
 
 def _profiled_point() -> bool:
-    from repro.obs.profiling import collect as profile_collect
+    from repro.core import probe
+    from repro.obs.profiling import NULL_PROFILER
     from repro.sim.engine import Simulator
 
     sim = Simulator()
-    attached = profile_collect.attach_simulator(sim)
+    probe.attach_simulator(sim)
     sim.schedule(0.01, _cli_tick)
     sim.run(until=0.02)
-    return attached is not None
+    return sim.profiler is not NULL_PROFILER
 
 
 class TestProfileFlag:

@@ -11,11 +11,15 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import signal
 
 import pytest
 
+from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
+from repro.chaos import ChaosCollector
 from repro.core.checkpoint import SweepCheckpoint
 from repro.core.parallel import (
     PointFailure,
@@ -24,8 +28,10 @@ from repro.core.parallel import (
     SweepPointSpec,
 )
 from repro.core.sweeps import Sweep
-from repro.experiments.results import to_json
-from repro.obs import MetricsCollector
+from repro.core.testbed import DeviceKind, Testbed
+from repro.experiments.results import serialize, to_json
+from repro.firewall.builders import allow_all
+from repro.obs import MetricsCollector, ProfileCollector, TraceCollector, TraceConfig
 
 
 # ----------------------------------------------------------------------
@@ -82,6 +88,57 @@ def _specs(values):
         SweepPointSpec(label=f"point x={value}", fn=_square, kwargs={"x": value})
         for value in values
     ]
+
+
+def _flooded_bed_point(seed):
+    """Flood an EFW testbed through a client link flap (picklable)."""
+    bed = Testbed(device=DeviceKind.EFW, seed=seed, efw_lockup_enabled=False)
+    bed.install_target_policy(allow_all())
+    flood = FloodGenerator(bed.client, FloodSpec(kind=FloodKind.UDP, dst_port=7777))
+    flood.start(bed.target.ip, 3000)
+    bed.run(0.3)
+    flood.stop()
+    return bed.target.nic.rx_allowed
+
+
+def _bed_specs():
+    return [
+        SweepPointSpec(label=f"bed {seed}", fn=_flooded_bed_point, kwargs={"seed": seed})
+        for seed in (1, 2, 3)
+    ]
+
+
+def _four_probes():
+    """All four probes: profile, metrics, trace and chaos."""
+    return (
+        ProfileCollector(),
+        MetricsCollector(interval=0.05),
+        TraceCollector(TraceConfig(sample_every=7, flight=True)),
+        ChaosCollector(scenario="link-flap", invariants="warn"),
+    )
+
+
+def _collections(probes, profile_times=True):
+    """Digest of every probe's collection as JSON (profile times optional).
+
+    Key order is kept, so equal digests mean byte-identical exports.
+    """
+    profile, metrics, trace, chaos = probes
+    if profile_times:
+        profiles = serialize(profile.experiment("x"))
+    else:
+        profiles = [
+            (point.label, [[(e.name, e.calls) for e in s.entries] for s in point.snapshots])
+            for point in profile.points
+        ]
+    collections = [
+        profiles,
+        # (metrics.executor counts resumed points, so it differs.)
+        serialize(metrics.points),
+        serialize(trace.experiment("x")),
+        serialize(chaos.points),
+    ]
+    return [hashlib.sha256(json.dumps(c).encode()).hexdigest() for c in collections]
 
 
 def _executions(log_dir):
@@ -317,6 +374,51 @@ class TestCheckpointResume:
         assert executor.run(_specs([3])) == [9]
         assert executor.stats.resumed == 1
 
+    def test_all_four_probes_round_trip_byte_identically(self, tmp_path):
+        path = str(tmp_path / "ckpt.jsonl")
+        first_probes = _four_probes()
+        with SweepCheckpoint(path, resume=False) as checkpoint:
+            first = SweepExecutor(
+                jobs=1, probes=first_probes, checkpoint=checkpoint
+            ).run(_bed_specs())
+        assert first_probes[3].snapshots()[0].faults_injected == 1
+        resumed_probes = _four_probes()
+        with SweepCheckpoint(path, resume=True) as checkpoint:
+            executor = SweepExecutor(jobs=2, probes=resumed_probes, checkpoint=checkpoint)
+            resumed = executor.run(_bed_specs())
+        assert executor.stats.resumed == 3
+        assert to_json(resumed) == to_json(first)
+        assert _collections(resumed_probes) == _collections(first_probes)
+        # A different probe set is a different point identity: without
+        # the chaos probe the points re-run, and no link flap eats frames.
+        with SweepCheckpoint(path, resume=True) as checkpoint:
+            executor = SweepExecutor(jobs=1, checkpoint=checkpoint)
+            plain = executor.run(_bed_specs())
+        assert executor.stats.resumed == 0
+        assert plain[0] > first[0]
+
+    def test_v1_record_for_the_same_spec_is_ignored(self, tmp_path):
+        path = str(tmp_path / "ckpt.jsonl")
+        [spec] = _specs([3])
+        key = SweepCheckpoint.spec_key(spec, {})
+        with open(path, "w", encoding="utf-8") as stream:
+            record = {
+                "schema_version": 1,
+                "key": key,
+                "index": 0,
+                "label": spec.label,
+                "result": 999,
+                "metrics": None,
+                "trace": None,
+                "profile": None,
+            }
+            stream.write(json.dumps(record) + "\n")
+        with SweepCheckpoint(path, resume=True) as checkpoint:
+            assert len(checkpoint) == 0
+            executor = SweepExecutor(jobs=1, checkpoint=checkpoint)
+            assert executor.run([spec]) == [9]
+        assert executor.stats.resumed == 0
+
     def test_changed_config_ignores_stale_records(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
         with SweepCheckpoint(path, resume=False) as checkpoint:
@@ -361,9 +463,21 @@ class TestSweepWrapper:
         assert [point.result for point in second] == [16, 25]
         assert sweep.points is second or sweep.points == second
 
+    def test_all_four_probes_collect_identically_for_any_jobs(self):
+        serial_probes = _four_probes()
+        serial = SweepExecutor(jobs=1, probes=serial_probes).run(_bed_specs())
+        parallel_probes = _four_probes()
+        parallel = SweepExecutor(jobs=2, probes=parallel_probes).run(_bed_specs())
+        assert serial == parallel
+        # Measured profile times vary run to run; the structure must not.
+        assert _collections(serial_probes, profile_times=False) == _collections(
+            parallel_probes, profile_times=False
+        )
+        assert all(len(probe.points) == 3 for probe in serial_probes)
+
     def test_metrics_collector_is_forwarded(self):
         collector = MetricsCollector(interval=0.5)
-        sweep = Sweep(_square, jobs=1, metrics=collector)
+        sweep = Sweep(_square, jobs=1, probes=(collector,))
         sweep.run({"x": [1, 2]})
         assert len(collector) == 2  # one deposit per point, spec order
 
@@ -388,7 +502,7 @@ class TestExecutorCounters:
                 label="flaky", fn=_fail_once, kwargs={"x": 3, "marker": marker}
             )
         ]
-        executor = SweepExecutor(jobs=1, metrics=collector, retries=1)
+        executor = SweepExecutor(jobs=1, probes=(collector,), retries=1)
         executor.run(specs)
         counters = collector.executor_registry.read_all()
         assert counters["sweep_point_retries"] == 1
@@ -405,7 +519,7 @@ class TestExecutorCounters:
             SweepPointSpec(label="doomed", fn=_fail_always, kwargs={"x": 9}),
         ]
         executor = SweepExecutor(
-            jobs=1, trace=tracer, on_failure="record"
+            jobs=1, probes=(tracer,), on_failure="record"
         )
         executor.run(specs)
         incidents = tracer.incidents()

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core import probe
 from repro.core.checkpoint import SweepCheckpoint
 from repro.core.parallel import SweepExecutor, SweepPointSpec
 from repro.experiments.results import deserialize, serialize
-from repro.obs.profiling import collect as profile_collect
+from repro.obs.profiling import core as profiling_core
 from repro.obs.profiling.collect import (
     ProfileCollector,
     ProfileConfig,
@@ -30,7 +31,8 @@ from repro.sim.timer import PeriodicTimer, Timer, TimerWheel
 def _clean_profiling_state():
     """Never leak an active profile collection between tests."""
     yield
-    profile_collect.detach_all()
+    if probe.active():
+        probe.finish(ok=False)
 
 
 def _fake_clock():
@@ -198,35 +200,39 @@ class TestNullProfiler:
 
 class TestActivation:
     def test_inactive_by_default(self):
-        assert not profile_collect.profiling_active()
-        assert profile_collect.attach_simulator(Simulator()) is None
-        assert profile_collect.deactivate() == []
+        assert not probe.active()
+        sim = Simulator()
+        probe.attach_simulator(sim)
+        assert sim.profiler is NULL_PROFILER
+        assert probe.finish() == {}
 
     def test_activate_attach_deactivate_cycle(self):
-        profiler = profile_collect.activate(ProfileConfig(stacks=True))
-        assert profile_collect.profiling_active()
+        probe.start({"profile": ProfileConfig(stacks=True)})
+        profiler = profiling_core.ACTIVE
+        assert isinstance(profiler, Profiler)
         sim = Simulator()
-        assert profile_collect.attach_simulator(sim) is profiler
+        probe.attach_simulator(sim)
         assert sim.profiler is profiler
         sim.schedule(0.01, _free_callback)
         sim.run(until=0.02)
-        snapshots = profile_collect.deactivate()
-        assert not profile_collect.profiling_active()
+        snapshots = probe.finish()["profile"]
+        assert not probe.active()
+        assert profiling_core.ACTIVE is None
         assert len(snapshots) == 1
         assert snapshots[0].wall_ns > 0
         names = [entry.name for entry in snapshots[0].entries]
         assert any(name.endswith("._free_callback") for name in names)
 
     def test_double_activate_rejected(self):
-        profile_collect.activate()
+        probe.start({"profile": ProfileConfig()})
         with pytest.raises(RuntimeError):
-            profile_collect.activate()
+            probe.start({"profile": ProfileConfig()})
 
     def test_stacks_false_drops_call_paths_keeps_totals(self):
-        profiler = profile_collect.activate(ProfileConfig(stacks=False))
-        with profiler.scope("only"):
+        probe.start({"profile": ProfileConfig(stacks=False)})
+        with profiling_core.ACTIVE.scope("only"):
             pass
-        (snapshot,) = profile_collect.deactivate()
+        (snapshot,) = probe.finish()["profile"]
         assert snapshot.stacks == []
         assert [entry.name for entry in snapshot.entries] == ["only"]
 
@@ -278,9 +284,8 @@ class TestSnapshotMerging:
 def _profiled_point(count: int) -> int:
     """A sweep point whose simulator self-profiles (picklable)."""
     sim = Simulator()
-    assert profile_collect.attach_simulator(sim) is not None, (
-        "executor should activate profiling"
-    )
+    probe.attach_simulator(sim)
+    assert sim.profiler is not NULL_PROFILER, "executor should activate profiling"
     obj = _Categorized()
     for step in range(count):
         sim.schedule(0.01 * (step + 1), obj.tick)
@@ -318,7 +323,7 @@ def _structure(collector: ProfileCollector):
 class TestExecutorIntegration:
     def test_serial_executor_deposits_points_in_spec_order(self):
         collector = ProfileCollector(ProfileConfig(stacks=True))
-        values = SweepExecutor(jobs=1, profile=collector).run(_specs())
+        values = SweepExecutor(jobs=1, probes=(collector,)).run(_specs())
         assert values == [3, 5, 2, 4]
         assert [point.label for point in collector.points] == [
             "point count=3",
@@ -332,20 +337,21 @@ class TestExecutorIntegration:
 
     def test_jobs_1_and_jobs_4_collect_identical_structure(self):
         serial = ProfileCollector()
-        SweepExecutor(jobs=1, profile=serial).run(_specs())
+        SweepExecutor(jobs=1, probes=(serial,)).run(_specs())
         parallel = ProfileCollector()
-        SweepExecutor(jobs=4, profile=parallel).run(_specs())
+        SweepExecutor(jobs=4, probes=(parallel,)).run(_specs())
         assert _structure(serial) == _structure(parallel)
         aggregated = parallel.aggregate()
         assert aggregated.wall_ns > 0
 
     def test_profiling_is_inactive_again_after_a_run(self):
-        SweepExecutor(jobs=1, profile=ProfileCollector()).run(_specs()[:1])
-        assert not profile_collect.profiling_active()
+        SweepExecutor(jobs=1, probes=(ProfileCollector(),)).run(_specs()[:1])
+        assert not probe.active()
+        assert profiling_core.ACTIVE is None
 
     def test_collector_clear_and_len(self):
         collector = ProfileCollector()
-        SweepExecutor(jobs=1, profile=collector).run(_specs()[:2])
+        SweepExecutor(jobs=1, probes=(collector,)).run(_specs()[:2])
         assert len(collector) == 2
         collector.clear()
         assert len(collector) == 0
@@ -354,7 +360,7 @@ class TestExecutorIntegration:
 class TestSerialization:
     def test_experiment_profile_round_trips_through_the_envelope(self):
         collector = ProfileCollector(ProfileConfig(stacks=True, top=10))
-        SweepExecutor(jobs=1, profile=collector).run(_specs()[:2])
+        SweepExecutor(jobs=1, probes=(collector,)).run(_specs()[:2])
         profile = collector.experiment("unit")
         payload = serialize(profile)
         restored = deserialize(payload)
@@ -367,11 +373,10 @@ class TestSerialization:
 
     def test_spec_key_omits_profile_when_absent(self):
         spec = SweepPointSpec(label="p", fn=_profiled_point, kwargs={"count": 1})
-        without = SweepCheckpoint.spec_key(spec, None, None)
-        explicit_none = SweepCheckpoint.spec_key(spec, None, None, None)
-        with_profile = SweepCheckpoint.spec_key(spec, None, None, ProfileConfig())
-        # Pre-profiler checkpoints keep matching post-profiler runs...
-        assert without == explicit_none
+        without = SweepCheckpoint.spec_key(spec, {})
+        with_profile = SweepCheckpoint.spec_key(spec, {"profile": ProfileConfig()})
+        # The key is stable across calls...
+        assert without == SweepCheckpoint.spec_key(spec, {})
         # ...but a profiled run is keyed distinctly.
         assert with_profile != without
 
@@ -415,7 +420,7 @@ class TestExporters:
 
     def test_exporters_accept_experiment_profiles(self):
         collector = ProfileCollector()
-        SweepExecutor(jobs=1, profile=collector).run(_specs()[:1])
+        SweepExecutor(jobs=1, probes=(collector,)).run(_specs()[:1])
         profile = collector.experiment("unit")
         assert "nic.test" in hotspot_table(profile)
         # Dispatched callbacks nest under the kernel's sim.run root scope.
@@ -432,7 +437,7 @@ class TestCoverageAcceptance:
         from repro.experiments import REGISTRY, RunConfig
 
         collector = ProfileCollector(ProfileConfig(stacks=True))
-        REGISTRY["fig3a"].run(RunConfig(preset="quick", jobs=1, profile=collector))
+        REGISTRY["fig3a"].run(RunConfig(preset="quick", jobs=1, probes=(collector,)))
         aggregated = collector.aggregate()
         assert aggregated.coverage() >= 0.90
         names = {entry.name for entry in aggregated.entries}

@@ -1,7 +1,5 @@
 """Tests for the typed policy-push accounting (repro.policy.push)."""
 
-import warnings
-
 import pytest
 
 from repro.core.testbed import DeviceKind, Testbed
@@ -69,21 +67,13 @@ class TestPushReport:
         with pytest.raises(KeyError):
             report.outcome_for("nope")
 
-    def test_mapping_view_is_deprecated_but_compatible(self):
-        # One deprecation cycle: dict-style consumers keep working and
-        # get told, once per report, to move to the typed accessors.
+    def test_mapping_view_is_gone(self):
+        # The dict-style view finished its deprecation cycle: consumers
+        # use .outcomes / .outcome_for() and the aggregate properties.
         report = self.build()
-        with pytest.warns(DeprecationWarning, match="PushReport"):
-            assert report["a"].acked
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # Second dict-style access on the same report stays quiet.
-            assert report.get("c").failed
-            assert set(report.keys()) == {"a", "b", "c", "d"}
-            assert sorted(host for host, _ in report.items())[0] == "a"
-            # len/contains are shared with the typed API: never warn.
-            assert len(report) == 4
-            assert "a" in report
+        with pytest.raises(TypeError):
+            report["a"]
+        assert report.outcome_for("a").acked
 
 
 class TestServerIntegration:

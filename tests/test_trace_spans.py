@@ -48,8 +48,20 @@ def _specs():
 
 def _run_collect(jobs: int) -> TraceCollector:
     collector = TraceCollector(TraceConfig(spans=True, sample_every=5, flight=True))
-    SweepExecutor(jobs=jobs, trace=collector).run(_specs())
+    SweepExecutor(jobs=jobs, probes=(collector,)).run(_specs())
     return collector
+
+
+def test_span_histograms_bridge_whatever_the_probe_order():
+    from repro.obs import MetricsCollector
+
+    for order in ("trace-first", "metrics-first"):
+        tracer = TraceCollector(TraceConfig(sample_every=5))
+        metrics = MetricsCollector()
+        probes = (tracer, metrics) if order == "trace-first" else (metrics, tracer)
+        SweepExecutor(jobs=1, probes=probes).run(_specs()[:1])
+        [snapshot] = metrics.points[0].snapshots
+        assert any(series.name == "trace_span_ms" for series in snapshot.series), order
 
 
 @pytest.fixture(scope="module")
