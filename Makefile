@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all test-deprecations bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-digests bench-fleet bench-fleet-smoke bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
+.PHONY: install test test-slow test-all test-deprecations bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -68,6 +68,17 @@ bench-digests:
 		$(PYTHON) benchmarks/harness/run.py --workload $$workload --seconds 1 || exit 1; \
 	done
 	$(PYTHON) -m pytest benchmarks/harness
+
+# Quick-preset result pins: all nine experiments at --quick --jobs 2,
+# each JSON envelope checked against benchmarks/quick_digests.sha256
+# (CI runs this; about 155 s on 2 vCPUs).  A change that alters results
+# on purpose regenerates the pins from that directory and says so.
+QUICK_DIGEST_DIR ?= quick_digests_output
+
+quick-digests:
+	rm -rf $(QUICK_DIGEST_DIR)
+	PYTHONHASHSEED=0 $(PYTHON) -m repro.experiments all --quick --jobs 2 --json $(QUICK_DIGEST_DIR) --no-progress > /dev/null
+	cd $(QUICK_DIGEST_DIR) && sha256sum -c $(CURDIR)/benchmarks/quick_digests.sha256
 
 # Chaos smoke: the trimmed scenario grid under fail-fast invariants —
 # every fault injects and clears on schedule and no invariant is
