@@ -392,7 +392,9 @@ class SweepExecutor:
         uninterrupted run.
     on_failure:
         ``"raise"`` (default): abort on the first exhausted point with a
-        :class:`SweepError` carrying all completed results.
+        :class:`SweepError` carrying all completed results.  Points
+        already running on other workers finish first; nothing new
+        starts.
         ``"record"``: keep going; the failed point's result slot holds a
         :class:`PointFailure` and the full failure list lands in
         ``executor.failures``.
@@ -538,7 +540,8 @@ class SweepExecutor:
         self.stats.failures += 1
         state.failures.append(failure)
         if self.on_failure == ON_FAILURE_RAISE:
-            state.abort = failure
+            if state.abort is None:
+                state.abort = failure
         else:
             state.slots[index] = failure
             self._release_announcements(state)
@@ -684,6 +687,8 @@ class SweepExecutor:
         self, workers: List[_PoolWorker], state: _RunState, context
     ) -> None:
         """Respawn replacements while more points than workers remain."""
+        if state.abort is not None:
+            return
         remaining = len(state.pending) + sum(
             1 for worker in workers if worker.index is not None
         )
@@ -762,15 +767,17 @@ class SweepExecutor:
             self._run_serial(state)
             return
         try:
-            while state.abort is None:
-                for worker in list(workers):
-                    if worker.index is None:
-                        self._dispatch(worker, workers, state, context)
-                if state.abort is not None:
-                    break
+            while True:
+                # After an abort nothing new is dispatched, but the points
+                # already running are collected (each still bounded by
+                # point_timeout) so the SweepError carries them.
+                if state.abort is None:
+                    for worker in list(workers):
+                        if worker.index is None:
+                            self._dispatch(worker, workers, state, context)
                 in_flight = [w for w in workers if w.index is not None]
                 if not in_flight:
-                    if not state.pending:
+                    if state.abort is not None or not state.pending:
                         break
                     # Every worker is gone and none could be respawned:
                     # finish the remaining points inline.

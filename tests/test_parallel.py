@@ -8,6 +8,8 @@ to the serial loop instead of failing.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.parallel import (
@@ -31,6 +33,11 @@ def _mul(a, b):
 
 def _fail(message):
     raise ValueError(message)
+
+
+def _slow_square(x, seconds):
+    time.sleep(seconds)
+    return x * x
 
 
 def _specs(values):
@@ -148,6 +155,19 @@ class TestSweepExecutor:
         assert (0, "ok", 4) in [
             (p.index, p.label, p.value) for p in excinfo.value.completed
         ]
+
+    def test_abort_keeps_points_already_in_flight(self):
+        # The failure lands while the slow point is still running on the
+        # other worker: the abort must wait for it, not kill it.
+        specs = [
+            SweepPointSpec(label="slow", fn=_slow_square, kwargs={"x": 3, "seconds": 0.5}),
+            SweepPointSpec(label="boom", fn=_fail, kwargs={"message": "bad point"}),
+            SweepPointSpec(label="never", fn=_square, kwargs={"x": 4}),
+        ]
+        with pytest.raises(SweepError, match="bad point") as excinfo:
+            SweepExecutor(jobs=2).run(specs)
+        assert excinfo.value.failure.label == "boom"
+        assert [(p.index, p.value) for p in excinfo.value.completed] == [(0, 9)]
 
     def test_single_spec_runs_inline(self):
         assert SweepExecutor(jobs=8).run(_specs([5])) == [25]
