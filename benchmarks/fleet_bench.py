@@ -56,7 +56,7 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-import repro.core.fleet as fleet_module
+import repro.core.testbed as testbed_module
 import repro.net.topology as topology_module
 from repro.core.fleet import FleetSpec, FleetTestbed
 from repro.net.addresses import MacAddress
@@ -341,22 +341,26 @@ def spec_for_hosts(hosts: int) -> FleetSpec:
 
 
 class _patched:
-    """Swap the kernel/switch classes the testbed resolves at build time."""
+    """Swap the kernel/switch classes the testbed resolves at build time.
+
+    ``Testbed._build`` creates the kernel from ``repro.core.testbed`` and
+    ``FabricTopology`` its switches from ``repro.net.topology``.
+    """
 
     def __init__(self, legacy: bool):
         self.legacy = legacy
 
     def __enter__(self):
         if self.legacy:
-            self._sim = fleet_module.Simulator
+            self._sim = testbed_module.Simulator
             self._switch = topology_module.EthernetSwitch
-            fleet_module.Simulator = LegacySimulator
+            testbed_module.Simulator = LegacySimulator
             topology_module.EthernetSwitch = LegacyEthernetSwitch
         return self
 
     def __exit__(self, *exc):
         if self.legacy:
-            fleet_module.Simulator = self._sim
+            testbed_module.Simulator = self._sim
             topology_module.EthernetSwitch = self._switch
         return False
 
@@ -369,6 +373,9 @@ def run_scenario(hosts: int, duration: float, legacy: bool) -> Dict[str, Any]:
         spec = dataclasses.replace(spec, use_timer_wheel=False)
     with _patched(legacy):
         bed = FleetTestbed(spec, seed=1)
+        if legacy:
+            assert type(bed.sim) is LegacySimulator, "legacy leg built the current kernel"
+            assert type(bed.topology.switch) is LegacyEthernetSwitch
         bed.distribute_policies(networked=False)
         before = bed.sim.events_executed
         started = time.perf_counter()

@@ -4,12 +4,12 @@ Each fault is a frozen dataclass with an :meth:`inject`/:meth:`clear`
 pair that mutates an existing testbed through the same surfaces an
 operator's failure would hit: link impairments
 (:class:`~repro.net.link.LinkImpairment`), switch port state
-(:meth:`fail_station_port` on the topologies), and the policy server's
-agent registry.  Faults are duck-typed over both
-:class:`~repro.core.testbed.Testbed` (star topology, stations named
-``client``/``target``/...) and :class:`~repro.core.fleet.FleetTestbed`
-(fabric, stations named ``c000``/``t000``/...) — the canonical station
-names resolve to the fleet's first station of each role.
+(:meth:`~repro.net.topology.FabricTopology.fail_station_port`), and the
+policy server's agent registry.  A fault names a station or a role
+(``client``, ``target``, ``attacker``); a role resolves to the bed's
+first station of that role, so one fault applies to the paper's
+:class:`~repro.core.testbed.Testbed` (station ``target``) and to a
+:class:`~repro.core.fleet.FleetTestbed` (station ``t000``) alike.
 
 All randomness (loss draws, corruption bit positions) comes from the
 testbed's seeded :class:`~repro.sim.rng.RngRegistry`, so a schedule is
@@ -26,32 +26,14 @@ from typing import Any, Dict, Optional
 
 from repro.net.link import LinkImpairment
 
-#: Canonical station roles mapped onto the fleet's naming scheme.
-_STATION_ALIASES = {
-    "client": "c000",
-    "target": "t000",
-    "attacker": "a000",
-}
-
-
 def resolve_station(bed, station: str) -> str:
-    """Map a canonical station name onto the testbed's naming scheme."""
+    """``station`` itself, or the bed's first station with that role."""
     if station in bed.hosts:
         return station
-    alias = _STATION_ALIASES.get(station)
-    if alias is not None and alias in bed.hosts:
-        return alias
+    for name, role, _kind in bed.stations:
+        if role == station:
+            return name
     raise ValueError(f"testbed has no station {station!r}")
-
-
-def topology_of(bed):
-    """The bed's switch fabric (``topology`` on star beds, ``fabric`` on fleets)."""
-    topo = getattr(bed, "topology", None)
-    if topo is None:
-        topo = getattr(bed, "fabric", None)
-    if topo is None:
-        raise ValueError(f"object {bed!r} has no topology/fabric")
-    return topo
 
 
 @dataclass(frozen=True)
@@ -91,7 +73,7 @@ class LinkFlap:
 
     def inject(self, bed) -> None:
         station = resolve_station(bed, self.station)
-        link = topology_of(bed).link_for(station)
+        link = bed.topology.link_for(station)
         if self.mode == "down":
             impairment = LinkImpairment(down=True)
         elif self.mode == "loss":
@@ -105,7 +87,7 @@ class LinkFlap:
 
     def clear(self, bed) -> None:
         station = resolve_station(bed, self.station)
-        topology_of(bed).link_for(station).impairment = None
+        bed.topology.link_for(station).impairment = None
 
 
 @dataclass(frozen=True)
@@ -127,11 +109,11 @@ class SwitchPortFail:
 
     def inject(self, bed) -> None:
         station = resolve_station(bed, self.station)
-        topology_of(bed).fail_station_port(station, True)
+        bed.topology.fail_station_port(station, True)
 
     def clear(self, bed) -> None:
         station = resolve_station(bed, self.station)
-        topology_of(bed).fail_station_port(station, False)
+        bed.topology.fail_station_port(station, False)
 
 
 @dataclass(frozen=True)
@@ -158,14 +140,14 @@ class PacketCorruption:
 
     def inject(self, bed) -> None:
         station = resolve_station(bed, self.station)
-        link = topology_of(bed).link_for(station)
+        link = bed.topology.link_for(station)
         link.impairment = LinkImpairment(
             corrupt=True, rng=bed.rng.stream(f"chaos:corruption:{station}")
         )
 
     def clear(self, bed) -> None:
         station = resolve_station(bed, self.station)
-        topology_of(bed).link_for(station).impairment = None
+        bed.topology.link_for(station).impairment = None
 
 
 @dataclass(frozen=True)
@@ -191,11 +173,11 @@ class PolicyServerOutage:
         return {}
 
     def inject(self, bed) -> None:
-        link = topology_of(bed).link_for("policyserver")
+        link = bed.topology.link_for("policyserver")
         link.impairment = LinkImpairment(down=True)
 
     def clear(self, bed) -> None:
-        topology_of(bed).link_for("policyserver").impairment = None
+        bed.topology.link_for("policyserver").impairment = None
 
 
 @dataclass(frozen=True)

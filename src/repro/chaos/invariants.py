@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos.faults import topology_of
 from repro.obs.tracing.watchdog import Incident
 from repro.policy.push import ACKED
 from repro.sim.timer import PeriodicTimer
@@ -93,7 +92,8 @@ class InvariantMonitor:
     bed:
         A :class:`~repro.core.testbed.Testbed` or
         :class:`~repro.core.fleet.FleetTestbed` (duck-typed: needs
-        ``sim``, ``hosts``, and a ``topology``/``fabric``).
+        ``sim``, ``hosts`` and a
+        :class:`~repro.net.topology.FabricTopology` ``topology``).
     mode:
         ``"warn"`` collects violations; ``"fail-fast"`` raises on the
         first one.
@@ -204,11 +204,9 @@ class InvariantMonitor:
         self._last_now = now
 
     def _links(self):
-        topology = topology_of(self.bed)
-        for link in topology.links.values():
-            yield link
-        for link in getattr(topology, "trunks", ()):
-            yield link
+        topology = self.bed.topology
+        yield from topology.links.values()
+        yield from topology.trunks
 
     def _check_links(self) -> None:
         for link in self._links():

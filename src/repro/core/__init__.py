@@ -3,6 +3,8 @@
 Public API:
 
 * :class:`~repro.core.testbed.Testbed` — the four-host Figure 1 network,
+* :class:`~repro.core.fleet.FleetTestbed` — the same wiring scaled to a
+  fleet on a spine/leaf fabric (:class:`~repro.core.fleet.FleetSpec`),
 * :class:`~repro.core.methodology.FloodToleranceValidator` — the
   measurement methodology (bandwidth vs. depth, bandwidth under flood,
   minimum DoS flood rate, HTTP impact, deployability verdict),
@@ -17,6 +19,7 @@ Public API:
 from repro import calibration
 from repro.core import metrics, reports
 from repro.core.checkpoint import SweepCheckpoint
+from repro.core.fleet import FleetResult, FleetSpec, FleetTestbed
 from repro.core.methodology import (
     BandwidthMeasurement,
     FloodToleranceValidator,
@@ -45,6 +48,9 @@ __all__ = [
     "BandwidthMeasurement",
     "CompletedPoint",
     "DeviceKind",
+    "FleetResult",
+    "FleetSpec",
+    "FleetTestbed",
     "FloodToleranceValidator",
     "HttpMeasurement",
     "LatencyMeasurement",

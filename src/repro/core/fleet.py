@@ -31,23 +31,11 @@ from repro import calibration
 from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
 from repro.apps.iperf import IperfClient, IperfServer, UdpIperfSession
 from repro.core import metrics, probe
-from repro.core.testbed import DeviceKind
+from repro.core.testbed import DeviceKind, Testbed
 from repro.firewall.builders import padded_ruleset, service_rule
 from repro.firewall.rules import Action, IpProtocol
-from repro.host.host import Host
-from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.topology import FabricTopology
-from repro.nic.adf import AdfNic
-from repro.nic.efw import EfwNic
-from repro.nic.hardened import HardenedNic
-from repro.nic.standard import StandardNic
-from repro.defense.controller import DefenseConfig, MitigationController
-from repro.defense.detector import FloodDetector
 from repro.policy.push import PushBackoff, PushReport
-from repro.policy.server import NicAgent, PolicyServer
 from repro.sim import units
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
 from repro.sim.timer import TimerWheel
 
 
@@ -135,12 +123,13 @@ class FleetResult:
         return denied / len(self.goodput_mbps)
 
 
-class FleetTestbed:
+class FleetTestbed(Testbed):
     """A freshly-wired fleet on a multi-switch fabric.
 
     Station naming: ``policyserver``, targets ``t000..``, paired clients
     ``c000..`` (client ``cNNN`` measures target ``tNNN``), attackers
-    ``a000..``.
+    ``a000..``.  The stations are wired by the shared
+    :meth:`Testbed._build`; this class adds the fleet workload.
     """
 
     __test__ = False
@@ -151,17 +140,22 @@ class FleetTestbed:
         if spec.attackers < 0:
             raise ValueError(f"attackers must be >= 0, got {spec.attackers}")
         self.spec = spec
-        self.sim = Simulator()
-        probe.attach_simulator(self.sim)
-        profiler = self.sim.profiler
-        profiler.enter("testbed.build")
-        self.rng = RngRegistry(seed)
+        self.device = spec.device
+        standard = DeviceKind.STANDARD
+        stations = (
+            [("policyserver", "policyserver", standard)]
+            + [(f"t{i:03d}", "target", spec.device) for i in range(spec.targets)]
+            + [(f"c{i:03d}", "client", standard) for i in range(spec.targets)]
+            + [(f"a{i:03d}", "attacker", standard) for i in range(spec.attackers)]
+        )
         leaf_count = max(1, -(-spec.station_count // spec.stations_per_leaf))
-        spine_count = max(1, -(-leaf_count // spec.leaves_per_spine))
-        self.fabric = FabricTopology(
-            self.sim,
+        self._build(
+            stations,
+            seed,
+            spec.efw_lockup_enabled,
+            spec.ring_size,
             leaf_count=leaf_count,
-            spine_count=spine_count,
+            spine_count=max(1, -(-leaf_count // spec.leaves_per_spine)),
             bandwidth_bps=spec.bandwidth_bps,
             trunk_bandwidth_bps=spec.trunk_bandwidth_bps,
         )
@@ -172,74 +166,13 @@ class FleetTestbed:
             if spec.use_timer_wheel and spec.attackers > 0
             else None
         )
-
-        self.hosts: Dict[str, Host] = {}
-        self.target_names: List[str] = [f"t{i:03d}" for i in range(spec.targets)]
-        self.client_names: List[str] = [f"c{i:03d}" for i in range(spec.targets)]
-        self.attacker_names: List[str] = [f"a{i:03d}" for i in range(spec.attackers)]
-        station_order = (
-            ["policyserver"] + self.target_names + self.client_names + self.attacker_names
-        )
-        for index, name in enumerate(station_order, start=1):
-            host = Host(
-                self.sim,
-                name,
-                ip=Ipv4Address((10 << 24) | index),
-                mac=MacAddress.from_index(index),
-                rng=self.rng,
-            )
-            nic = self._build_nic(name)
-            nic.attach(self.fabric.add_station(name))
-            host.attach_nic(nic)
-            self.hosts[name] = host
-
-        # Static ARP (isolated fabric, no dynamic ARP model) and primed
-        # MAC tables: warm-up flooding across 500+ stations would swamp
-        # the trunks before the measurement even starts.
-        all_hosts = list(self.hosts.values())
-        for a in all_hosts:
-            arp = a.ip_layer.arp_table
-            for b in all_hosts:
-                if a is not b:
-                    arp[b.ip] = b.mac
-        self.fabric.prime_mac_tables(
-            {name: host.mac for name, host in self.hosts.items()}
-        )
-
-        self.policy_server = PolicyServer(self.hosts["policyserver"])
-        self.agents: Dict[str, NicAgent] = {}
-        if spec.device.is_embedded:
-            for name in self.target_names:
-                host = self.hosts[name]
-                agent = NicAgent(host, host.nic)
-                self.agents[name] = agent
-                self.policy_server.register_agent(agent)
-
         self._flood_generators: List[FloodGenerator] = []
         self._servers: Dict[str, IperfServer] = {}
         self._sessions: Dict[str, UdpIperfSession] = {}
         #: The distribution round's per-host outcomes, once
         #: :meth:`distribute_policies` runs.
         self.push_report: Optional[PushReport] = None
-        #: The MitigationController once :meth:`enable_defense` runs.
-        self.defense: Optional[MitigationController] = None
-        profiler.exit()
         probe.attach_testbed(self)
-
-    def _build_nic(self, station: str):
-        kind = self.spec.device if station.startswith("t") else DeviceKind.STANDARD
-        if kind == DeviceKind.EFW:
-            return EfwNic(
-                self.sim,
-                name=f"{station}.efw",
-                ring_size=self.spec.ring_size,
-                lockup_enabled=self.spec.efw_lockup_enabled,
-            )
-        if kind == DeviceKind.ADF:
-            return AdfNic(self.sim, name=f"{station}.adf", ring_size=self.spec.ring_size)
-        if kind == DeviceKind.HARDENED:
-            return HardenedNic(self.sim, name=f"{station}.hardened")
-        return StandardNic(self.sim, name=f"{station}.nic")
 
     # ------------------------------------------------------------------
     # Policy distribution
@@ -392,51 +325,6 @@ class FleetTestbed:
             )
         self.sim.run(until=started + duration + 0.05)
         return {name: session.result().mbps for name, session in sessions.items()}
-
-    # ------------------------------------------------------------------
-    # Closed-loop defense
-    # ------------------------------------------------------------------
-
-    def enable_defense(self, config: Optional[DefenseConfig] = None) -> MitigationController:
-        """Arm the closed flood-defense loop around every target.
-
-        Fleet-scale mirror of ``Testbed.enable_defense``: fast-cadence
-        heartbeats from every agent, one detector watching every
-        protected NIC, and a controller whose quarantine hook blocks the
-        offender's access port at its home leaf switch.
-        """
-        if not self.spec.device.is_embedded:
-            raise RuntimeError("defense needs embedded enforcement points on the targets")
-        if self.defense is not None:
-            raise RuntimeError("defense already enabled")
-        if config is None:
-            config = DefenseConfig()
-        server = self.policy_server
-        server.enable_heartbeat_monitor(
-            check_interval=config.heartbeat_check_interval,
-            grace=config.heartbeat_grace,
-        )
-        for agent in self.agents.values():
-            agent.start_heartbeat(server.host.ip, interval=config.heartbeat_interval)
-        detector = FloodDetector(self.sim, server=server, config=config.detector)
-        for name in self.target_names:
-            detector.watch(name, self.hosts[name].nic)
-        ip_to_station = {str(host.ip): name for name, host in self.hosts.items()}
-        controller = MitigationController(
-            self.sim,
-            server,
-            detector,
-            config.actions,
-            station_for_ip=ip_to_station.get,
-            quarantine=self.fabric.quarantine_station,
-        )
-        detector.start()
-        self.defense = controller
-        return controller
-
-    def run(self, duration: float) -> None:
-        """Advance the simulation by ``duration`` seconds."""
-        self.sim.run(until=self.sim.now + duration)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

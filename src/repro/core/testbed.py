@@ -16,7 +16,7 @@ isolated network, eliminating extraneous packets").
 from __future__ import annotations
 
 import enum
-from typing import Dict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import calibration
 from repro.core import probe
@@ -27,7 +27,7 @@ from repro.firewall.iptables import IptablesFilter
 from repro.firewall.ruleset import RuleSet
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.topology import StarTopology
+from repro.net.topology import FabricTopology
 from repro.nic.adf import AdfNic
 from repro.nic.efw import EfwNic
 from repro.nic.hardened import HardenedNic
@@ -54,8 +54,12 @@ class DeviceKind(enum.Enum):
         return self in (DeviceKind.EFW, DeviceKind.ADF, DeviceKind.HARDENED)
 
 
-#: Station names in the paper's Figure 1.
+#: Station names in the paper's Figure 1; each name is also its role.
 STATIONS = ("policyserver", "client", "target", "attacker")
+
+#: A station of a testbed: ``(name, role, device)``.  The roles are
+#: ``policyserver``, ``target``, ``client`` and ``attacker``.
+Station = Tuple[str, str, DeviceKind]
 
 
 class Testbed:
@@ -79,6 +83,11 @@ class Testbed:
         Link speed of every segment.  The paper's testbed is 100 Mbps;
         its §4.5 discussion of 10 Mbps deployments is reproduced by
         passing ``units.mbps(10)``.
+
+    The network is the :data:`STATIONS` list on a degenerate
+    :class:`~repro.net.topology.FabricTopology` (one switch).
+    :class:`~repro.core.fleet.FleetTestbed` wires a fleet through the
+    same :meth:`_build`.
     """
 
     #: Not a pytest test class, despite the capitalised "Test" prefix.
@@ -95,6 +104,34 @@ class Testbed:
     ):
         self.device = device
         self.client_device = client_device
+        kinds = {"target": device, "client": client_device}
+        self._build(
+            [(name, name, kinds.get(name, DeviceKind.STANDARD)) for name in STATIONS],
+            seed,
+            efw_lockup_enabled,
+            ring_size,
+            name="lan",
+            leaf_count=0,
+            bandwidth_bps=bandwidth_bps,
+        )
+        probe.attach_testbed(self)
+
+    def _build(
+        self,
+        stations: Sequence[Station],
+        seed: int,
+        efw_lockup_enabled: bool,
+        ring_size: int,
+        **fabric,
+    ) -> None:
+        """Wire ``stations``, in order, onto a ``FabricTopology(**fabric)``.
+
+        Station *i* (from 1) gets IPv4 ``10.0.0.0 + i`` and
+        ``MacAddress.from_index(i)``; the ``policyserver`` station hosts
+        the policy server, and every embedded target, then client,
+        registers an agent with it.  The caller finishes construction
+        with ``probe.attach_testbed(self)``.
+        """
         self.sim = Simulator()
         # Active probes (repro.core.probe) arm the fresh kernel before
         # any component is built: a real metrics registry every
@@ -106,41 +143,52 @@ class Testbed:
         profiler = self.sim.profiler
         profiler.enter("testbed.build")
         self.rng = RngRegistry(seed)
-        self.topology = StarTopology(self.sim, bandwidth_bps=bandwidth_bps)
+        self.topology = FabricTopology(self.sim, **fabric)
+        self.stations: List[Station] = list(stations)
+        self.target_names = [name for name, role, _ in self.stations if role == "target"]
+        self.client_names = [name for name, role, _ in self.stations if role == "client"]
+        self.attacker_names = [name for name, role, _ in self.stations if role == "attacker"]
         self.hosts: Dict[str, Host] = {}
         self.agents: Dict[str, NicAgent] = {}
         #: The MitigationController once :meth:`enable_defense` runs.
-        self.defense = None
+        self.defense: Optional[MitigationController] = None
 
-        for index, name in enumerate(STATIONS, start=1):
+        for index, (name, _role, kind) in enumerate(self.stations, start=1):
             host = Host(
                 self.sim,
                 name,
-                ip=Ipv4Address(f"10.0.0.{index}"),
+                ip=Ipv4Address((10 << 24) | index),
                 mac=MacAddress.from_index(index),
                 rng=self.rng,
             )
-            nic = self._build_nic(name, efw_lockup_enabled, ring_size)
+            nic = self._build_nic(name, kind, efw_lockup_enabled, ring_size)
             nic.attach(self.topology.add_station(name))
             host.attach_nic(nic)
             self.hosts[name] = host
 
-        # Static ARP (the isolated segment has no dynamic ARP model).
-        for a in self.hosts.values():
-            for b in self.hosts.values():
+        # Static ARP (the isolated network has no dynamic ARP model).
+        all_hosts = list(self.hosts.values())
+        for a in all_hosts:
+            arp = a.ip_layer.arp_table
+            for b in all_hosts:
                 if a is not b:
-                    a.ip_layer.arp_table[b.ip] = b.mac
+                    arp[b.ip] = b.mac
+        if self.topology.leaves:
+            # Primed MAC tables: warm-up flooding across hundreds of
+            # stations would swamp the trunks before a measurement starts.
+            self.topology.prime_mac_tables(
+                {name: host.mac for name, host in self.hosts.items()}
+            )
 
         self.policy_server = PolicyServer(self.hosts["policyserver"])
-        for station in ("target", "client"):
-            host = self.hosts[station]
-            kind = device if station == "target" else client_device
-            if kind.is_embedded:
+        embedded = {name for name, _role, kind in self.stations if kind.is_embedded}
+        for name in self.target_names + self.client_names:
+            if name in embedded:
+                host = self.hosts[name]
                 agent = NicAgent(host, host.nic)
-                self.agents[station] = agent
+                self.agents[name] = agent
                 self.policy_server.register_agent(agent)
         profiler.exit()
-        probe.attach_testbed(self)
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -148,18 +196,18 @@ class Testbed:
 
     @property
     def client(self) -> Host:
-        """The legitimate measurement peer."""
-        return self.hosts["client"]
+        """The (first) legitimate measurement peer."""
+        return self.hosts[self.client_names[0]]
 
     @property
     def target(self) -> Host:
-        """The host protected by the device under test."""
-        return self.hosts["target"]
+        """The (first) host protected by the device under test."""
+        return self.hosts[self.target_names[0]]
 
     @property
     def attacker(self) -> Host:
-        """The flood-generator host."""
-        return self.hosts["attacker"]
+        """The (first) flood-generator host."""
+        return self.hosts[self.attacker_names[0]]
 
     # ------------------------------------------------------------------
     # Policy installation
@@ -205,20 +253,20 @@ class Testbed:
     # Closed-loop defense
     # ------------------------------------------------------------------
 
-    def enable_defense(self, config=None) -> MitigationController:
-        """Arm the closed flood-defense loop around the target.
+    def enable_defense(self, config: Optional[DefenseConfig] = None) -> MitigationController:
+        """Arm the closed flood-defense loop around every target.
 
-        Starts fast-cadence agent heartbeats and the server's monitor,
-        watches the target's NIC with a
+        Starts fast-cadence heartbeats from every agent and the server's
+        monitor, watches every target's NIC with one
         :class:`~repro.defense.detector.FloodDetector`, and stands up a
         :class:`~repro.defense.controller.MitigationController` wired to
         this topology (so :class:`~repro.defense.actions.QuarantinePort`
-        can cut an identified flooder off at the switch).  Returns the
-        controller; call its :meth:`report` after the run for recovery
-        accounting.
+        can cut an identified flooder off at its home switch).  Returns
+        the controller; call its :meth:`report` after the run for
+        recovery accounting.
         """
         if not self.device.is_embedded:
-            raise RuntimeError("defense needs an embedded enforcement point on the target")
+            raise RuntimeError("defense needs an embedded enforcement point on the targets")
         if self.defense is not None:
             raise RuntimeError("defense already enabled")
         if config is None:
@@ -231,7 +279,8 @@ class Testbed:
         for agent in self.agents.values():
             agent.start_heartbeat(server.host.ip, interval=config.heartbeat_interval)
         detector = FloodDetector(self.sim, server=server, config=config.detector)
-        detector.watch("target", self.target.nic)
+        for name in self.target_names:
+            detector.watch(name, self.hosts[name].nic)
         ip_to_station = {str(host.ip): name for name, host in self.hosts.items()}
         controller = MitigationController(
             self.sim,
@@ -251,12 +300,9 @@ class Testbed:
         """Advance the simulation by ``duration`` seconds."""
         self.sim.run(until=self.sim.now + duration)
 
-    def _build_nic(self, station: str, efw_lockup_enabled: bool, ring_size: int):
-        kind = DeviceKind.STANDARD
-        if station == "target":
-            kind = self.device
-        elif station == "client":
-            kind = self.client_device
+    def _build_nic(
+        self, station: str, kind: DeviceKind, efw_lockup_enabled: bool, ring_size: int
+    ):
         if kind == DeviceKind.EFW:
             return EfwNic(
                 self.sim,

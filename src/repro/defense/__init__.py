@@ -16,9 +16,10 @@ can *measure*:
   that applies actions on detection and accounts for every step
   (audit events, trace incidents, :class:`DefenseReport`).
 
-``Testbed.enable_defense`` / ``FleetTestbed.enable_defense`` wire a
-:class:`DefenseConfig` into a running testbed; the ``mitigation``
-experiment sweeps the catalogue against the Figure 3a flood.
+``Testbed.enable_defense`` (inherited by ``FleetTestbed``) wires a
+:class:`DefenseConfig` into a running testbed, watching every target;
+the ``mitigation`` experiment sweeps the catalogue against the Figure 3a
+flood.
 """
 
 from repro.defense.actions import (

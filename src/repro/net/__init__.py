@@ -1,7 +1,8 @@
 """Layer-1/2 network substrate: addresses, packets, links and switches.
 
-This package models the physical testbed of the paper's Figure 1: a
-100 Mbps switched Ethernet segment connecting four hosts.  It provides
+This package models the physical testbed of the paper's Figure 1, a
+100 Mbps switched Ethernet segment connecting four hosts, and the
+multi-switch fleet fabric it is the smallest case of.  It provides
 
 * :mod:`~repro.net.addresses` -- MAC and IPv4 address value types,
 * :mod:`~repro.net.packet` -- Ethernet/IPv4/TCP/UDP/ICMP packet model with
@@ -10,7 +11,8 @@ This package models the physical testbed of the paper's Figure 1: a
 * :mod:`~repro.net.link` -- full-duplex point-to-point links with
   serialization and propagation delay and bounded transmit queues,
 * :mod:`~repro.net.switch` -- a store-and-forward learning switch,
-* :mod:`~repro.net.topology` -- a builder for star topologies,
+* :mod:`~repro.net.topology` -- the spine/leaf fabric builder, whose
+  ``leaf_count=0`` case is the single-switch segment,
 * :mod:`~repro.net.capture` -- packet capture taps for tests and debugging.
 """
 
@@ -32,7 +34,7 @@ from repro.net.packet import (
     UdpDatagram,
 )
 from repro.net.switch import EthernetSwitch
-from repro.net.topology import StarTopology
+from repro.net.topology import FabricTopology
 
 __all__ = [
     "BROADCAST_MAC",
@@ -43,6 +45,7 @@ __all__ = [
     "ETHERTYPE_IPV4",
     "EthernetFrame",
     "EthernetSwitch",
+    "FabricTopology",
     "IcmpMessage",
     "IpProtocol",
     "Ipv4Address",
@@ -51,7 +54,6 @@ __all__ = [
     "LinkPort",
     "MacAddress",
     "RawPayload",
-    "StarTopology",
     "TcpFlags",
     "TcpSegment",
     "UdpDatagram",

@@ -1,15 +1,13 @@
-"""Topology builders.
+"""The switched fabric every testbed runs on.
 
-The paper's testbed is a star: four hosts on a single 100 Mbps switch.
-:class:`StarTopology` builds the switch and one link per station, and
-hands back the station-side :class:`~repro.net.link.LinkPort` for a NIC to
-attach to.
-
-:class:`FabricTopology` scales the same contract to fleets: a loop-free
-multi-switch fabric (a chain of spine switches with leaf switches hanging
-off it — one spine and it is a two-level tree, several and it is a
-spine-chain/leaf fabric) with inter-switch trunk links that can run at a
-different bandwidth than the station access links.  MAC learning on every
+:class:`FabricTopology` builds a loop-free multi-switch fabric (a chain
+of spine switches with leaf switches hanging off it — one spine and it
+is a two-level tree, several and it is a spine-chain/leaf fabric) with
+inter-switch trunk links that can run at a different bandwidth than the
+station access links, and hands back the station-side
+:class:`~repro.net.link.LinkPort` of each access link for a NIC to attach
+to.  The paper's testbed, four hosts on a single 100 Mbps switch, is its
+smallest case: ``leaf_count=0``.  MAC learning on every
 switch makes any-to-any forwarding work without configuration; for
 200+-host fabrics :meth:`FabricTopology.prime_mac_tables` pre-installs
 the learning tables so the first frame between every host pair does not
@@ -19,7 +17,7 @@ flood the whole tree.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.addresses import MacAddress
 from repro.net.link import Link, LinkPort
@@ -32,92 +30,6 @@ from repro.sim.engine import Simulator
 DEFAULT_TRUNK_BPS = units.gbps(1)
 
 
-class StarTopology:
-    """A single switch with point-to-point links to each station.
-
-    Parameters
-    ----------
-    sim:
-        Simulation kernel.
-    bandwidth_bps:
-        Link bandwidth for every segment (default 100 Mbps).
-    propagation_delay:
-        One-way propagation delay per segment.
-    queue_capacity:
-        Transmit queue bound for every port.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "lan",
-        bandwidth_bps: float = units.FAST_ETHERNET_BPS,
-        propagation_delay: float = units.microseconds(0.5),
-        queue_capacity: int = 128,
-    ):
-        self.sim = sim
-        self.name = name
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.propagation_delay = float(propagation_delay)
-        self.queue_capacity = queue_capacity
-        self.switch = EthernetSwitch(sim, name=f"{name}.switch")
-        self.links: Dict[str, Link] = {}
-
-    def add_station(self, station_name: str) -> LinkPort:
-        """Create a new segment and return the station-side port.
-
-        The switch side is attached automatically; the caller attaches a
-        NIC (or any :class:`~repro.net.link.FrameSink`) to the returned
-        port.
-        """
-        if station_name in self.links:
-            raise ValueError(f"station {station_name!r} already exists")
-        link = Link(
-            self.sim,
-            name=f"{self.name}.{station_name}",
-            bandwidth_bps=self.bandwidth_bps,
-            propagation_delay=self.propagation_delay,
-            queue_capacity=self.queue_capacity,
-        )
-        self.links[station_name] = link
-        self.switch.attach_port(link.port_a)
-        return link.port_b
-
-    def link_for(self, station_name: str) -> Link:
-        """The link serving ``station_name``."""
-        return self.links[station_name]
-
-    def quarantine_station(self, station_name: str, quarantined: bool = True) -> None:
-        """Block (or release) a station's access port at the switch.
-
-        The mitigation controller's switch-assisted action against an
-        identified flooder: its frames are discarded at the access port,
-        before they can contend with anyone else's traffic.
-        """
-        self.switch.quarantine_port(self.links[station_name].port_a, quarantined)
-
-    def station_is_quarantined(self, station_name: str) -> bool:
-        """True while the station's access port is blocked."""
-        return self.switch.port_is_quarantined(self.links[station_name].port_a)
-
-    def fail_station_port(self, station_name: str, failed: bool = True) -> None:
-        """Blackhole (or repair) a station's access port at the switch.
-
-        The chaos-injected hardware failure
-        (:class:`repro.chaos.SwitchPortFail`), independent of the
-        defense quarantine state on the same port.
-        """
-        self.switch.fail_port(self.links[station_name].port_a, failed)
-
-    def station_port_failed(self, station_name: str) -> bool:
-        """True while the station's access port is blackholed."""
-        return self.switch.port_is_failed(self.links[station_name].port_a)
-
-    def station_names(self) -> List[str]:
-        """Names of all stations, in creation order."""
-        return list(self.links)
-
-
 class FabricTopology:
     """A loop-free multi-switch fabric for fleet-scale experiments.
 
@@ -128,10 +40,9 @@ class FabricTopology:
     The graph is a tree, so MAC learning converges without a spanning
     tree protocol and broadcasts cannot loop.
 
-    ``leaf_count=0`` is the **degenerate star**: stations attach straight
-    to the single spine switch, making the fabric event-for-event
-    identical to :class:`StarTopology` with the same link parameters
-    (the equivalence the fabric tests pin down).
+    ``leaf_count=0`` is the **degenerate star** of the paper's Figure 1:
+    stations attach straight to the one switch, named ``<name>.switch``
+    (the fabric tests pin its frame timings).
 
     Parameters
     ----------
@@ -148,9 +59,6 @@ class FabricTopology:
         aggregate many stations).
     mac_ageing_time:
         Passed to every switch.
-    switch_factory:
-        ``factory(sim, name) -> EthernetSwitch``-compatible object;
-        benchmarks inject reference implementations here.
     """
 
     def __init__(
@@ -167,7 +75,6 @@ class FabricTopology:
         trunk_propagation_delay: Optional[float] = None,
         trunk_queue_capacity: Optional[int] = None,
         mac_ageing_time: Optional[float] = None,
-        switch_factory: Optional[Callable[[Simulator, str], EthernetSwitch]] = None,
     ):
         if spine_count < 1:
             raise ValueError(f"spine_count must be >= 1, got {spine_count}")
@@ -190,17 +97,17 @@ class FabricTopology:
         self.trunk_queue_capacity = (
             queue_capacity * 4 if trunk_queue_capacity is None else trunk_queue_capacity
         )
-        if switch_factory is None:
-            switch_factory = lambda sim_, name_: EthernetSwitch(
-                sim_, name=name_, mac_ageing_time=mac_ageing_time
-            )
-        self._switch_factory = switch_factory
-
+        spine_names = (
+            [f"{name}.switch"] if leaf_count == 0
+            else [f"{name}.spine{index}" for index in range(spine_count)]
+        )
         self.spines: List[EthernetSwitch] = [
-            switch_factory(sim, f"{name}.spine{index}") for index in range(spine_count)
+            EthernetSwitch(sim, name=switch_name, mac_ageing_time=mac_ageing_time)
+            for switch_name in spine_names
         ]
         self.leaves: List[EthernetSwitch] = [
-            switch_factory(sim, f"{name}.leaf{index}") for index in range(leaf_count)
+            EthernetSwitch(sim, name=f"{name}.leaf{index}", mac_ageing_time=mac_ageing_time)
+            for index in range(leaf_count)
         ]
         #: Inter-switch trunk links, in creation order.
         self.trunks: List[Link] = []
@@ -268,6 +175,11 @@ class FabricTopology:
     # ------------------------------------------------------------------
 
     @property
+    def switch(self) -> EthernetSwitch:
+        """The root switch (the only one on a degenerate fabric)."""
+        return self.spines[0]
+
+    @property
     def switches(self) -> List[EthernetSwitch]:
         """Every switch in the fabric (spines first)."""
         return self.spines + self.leaves
@@ -283,9 +195,9 @@ class FabricTopology:
     def quarantine_station(self, station_name: str, quarantined: bool = True) -> None:
         """Block (or release) a station's access port at its home switch.
 
-        Same contract as :meth:`StarTopology.quarantine_station`: the
-        offender is cut off at its own leaf, so its flood never crosses
-        a trunk.
+        The mitigation controller's switch-assisted action against an
+        identified flooder: it is cut off at its own leaf, so its flood
+        never crosses a trunk or contends with anyone else's traffic.
         """
         self._station_switch[station_name].quarantine_port(
             self.links[station_name].port_a, quarantined
@@ -300,7 +212,9 @@ class FabricTopology:
     def fail_station_port(self, station_name: str, failed: bool = True) -> None:
         """Blackhole (or repair) a station's access port at its home switch.
 
-        Same contract as :meth:`StarTopology.fail_station_port`.
+        The chaos-injected hardware failure
+        (:class:`repro.chaos.SwitchPortFail`), independent of the
+        defense quarantine state on the same port.
         """
         self._station_switch[station_name].fail_port(
             self.links[station_name].port_a, failed

@@ -6,7 +6,7 @@ import pytest
 
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.topology import StarTopology
+from repro.net.topology import FabricTopology
 from repro.nic.standard import StandardNic
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -46,7 +46,7 @@ class MiniNet:
     def __init__(self, sim: Simulator, rng: RngRegistry, names=("alice", "bob")):
         self.sim = sim
         self.rng = rng
-        self.topology = StarTopology(sim)
+        self.topology = FabricTopology(sim, leaf_count=0)
         self.hosts = {}
         for index, name in enumerate(names, start=1):
             host = Host(

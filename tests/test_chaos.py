@@ -97,9 +97,9 @@ class TestFaults:
         assert resolve_station(fleet, "client") == "c000"
         fault = SwitchPortFail(station="client")
         fault.inject(fleet)
-        assert fleet.fabric.station_port_failed("c000")
+        assert fleet.topology.station_port_failed("c000")
         fault.clear(fleet)
-        assert not fleet.fabric.station_port_failed("c000")
+        assert not fleet.topology.station_port_failed("c000")
 
     def test_unknown_station_is_rejected(self):
         bed = _efw_bed()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.fleet import FleetSpec, FleetTestbed
 from repro.core.testbed import STATIONS, DeviceKind, Testbed
 from repro.firewall.builders import allow_all, deny_all
 from repro.nic.adf import AdfNic
@@ -114,3 +115,41 @@ class TestPolicyInstallation:
             return session.result().bytes_transferred
 
         assert measure(7) == measure(7)
+
+
+class TestOneWiringPath:
+    def test_documented_imports_resolve(self):
+        import repro.core
+        import repro.net
+        from repro.net.topology import FabricTopology
+
+        assert repro.core.FleetTestbed is FleetTestbed
+        assert repro.core.FleetSpec is FleetSpec
+        assert repro.net.FabricTopology is FabricTopology
+
+    def test_paper_bed_is_the_single_switch_fabric(self):
+        bed = Testbed()
+        assert not bed.topology.leaves
+        assert bed.topology.switch.name == "lan.switch"
+        assert bed.topology.station_names() == list(STATIONS)
+        assert bed.target_names == ["target"]
+        assert bed.client_names == ["client"]
+        assert bed.attacker_names == ["attacker"]
+        assert [str(bed.hosts[name].ip) for name in STATIONS] == [
+            "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"
+        ]
+
+    def test_fleet_bed_roles_and_shared_accessors(self):
+        bed = FleetTestbed(FleetSpec(targets=2, attackers=1))
+        assert bed.target_names == ["t000", "t001"]
+        assert bed.client_names == ["c000", "c001"]
+        assert bed.attacker_names == ["a000"]
+        assert bed.target is bed.hosts["t000"]
+        assert list(bed.agents) == ["t000", "t001"]
+        assert bed.topology.leaves
+
+    def test_defense_watches_every_target(self):
+        bed = FleetTestbed(FleetSpec(targets=3, attackers=1))
+        bed.distribute_policies(networked=False)
+        controller = bed.enable_defense()
+        assert controller.detector.watched_hosts() == ["t000", "t001", "t002"]

@@ -1,10 +1,10 @@
-"""Tests for the multi-switch FabricTopology (and its star degeneracy)."""
+"""Tests for the multi-switch FabricTopology (and its single-switch case)."""
 
 import pytest
 
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.packet import EthernetFrame, Ipv4Packet, UdpDatagram
-from repro.net.topology import DEFAULT_TRUNK_BPS, FabricTopology, StarTopology
+from repro.net.topology import DEFAULT_TRUNK_BPS, FabricTopology
 from repro.sim import units
 from repro.sim.engine import Simulator
 
@@ -72,28 +72,40 @@ class TestValidation:
 
 class TestDegenerateStarEquivalence:
     def test_four_host_fabric_matches_star_event_for_event(self):
-        """leaf_count=0 must reproduce StarTopology timing exactly."""
+        """leaf_count=0 reproduces the paper's single-switch star exactly.
 
-        def run(topology_factory):
-            sim = Simulator()
-            topology = topology_factory(sim)
-            sinks, ports = attach_stations(topology, 4, sim)
-            # h0 -> h2 unknown unicast (floods), then the learned reply.
-            ports[0].send(make_frame(0, 2))
-            sim.run(until=0.01)
-            ports[2].send(make_frame(2, 0))
-            sim.run(until=0.02)
-            return [
-                [(when, int(frame.src_mac), int(frame.dst_mac)) for when, frame in sink.frames]
-                for sink in sinks
-            ], sim.events_executed
+        The literals are the frame timings and kernel event count the
+        dedicated star topology produced before the fabric replaced it.
+        """
+        sim = Simulator()
+        topology = FabricTopology(sim, name="lan", leaf_count=0)
+        sinks, ports = attach_stations(topology, 4, sim)
+        # h0 -> h2 unknown unicast (floods), then the learned reply.
+        ports[0].send(make_frame(0, 2))
+        sim.run(until=0.01)
+        ports[2].send(make_frame(2, 0))
+        sim.run(until=0.02)
+        frames = [
+            [(when, int(frame.src_mac), int(frame.dst_mac)) for when, frame in sink.frames]
+            for sink in sinks
+        ]
+        h0, h2 = int(MacAddress.from_index(0)), int(MacAddress.from_index(2))
+        assert frames == [
+            [(0.01003256, h2, h0)],
+            [(3.256e-05, h0, h2)],
+            [(3.256e-05, h0, h2)],
+            [(3.256e-05, h0, h2)],
+        ]
+        assert sim.events_executed == 14
 
-        star_frames, star_events = run(lambda sim: StarTopology(sim))
-        fabric_frames, fabric_events = run(
-            lambda sim: FabricTopology(sim, leaf_count=0, spine_count=1)
-        )
-        assert fabric_frames == star_frames
-        assert fabric_events == star_events
+    def test_single_switch_keeps_the_star_names(self):
+        sim = Simulator()
+        topology = FabricTopology(sim, name="lan", leaf_count=0)
+        topology.add_station("target")
+        assert topology.switches == [topology.switch]
+        assert topology.switch.name == "lan.switch"
+        assert topology.link_for("target").name == "lan.target"
+        assert not topology.trunks
 
 
 class TestMultiSwitchForwarding:

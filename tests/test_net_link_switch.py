@@ -23,7 +23,7 @@ from repro.net.packet import (
     UdpDatagram,
 )
 from repro.net.switch import EthernetSwitch
-from repro.net.topology import StarTopology
+from repro.net.topology import FabricTopology
 from repro.obs.registry import MetricsRegistry
 from repro.sim import units
 
@@ -217,7 +217,7 @@ class TestSerializerExactness:
 class TestImpairmentDropAccounting:
     def test_link_flap_drops_are_exported_apart_from_queue_overflow(self, sim):
         sim.metrics = MetricsRegistry()
-        topology = StarTopology(sim, queue_capacity=2)
+        topology = FabricTopology(sim, leaf_count=0, queue_capacity=2)
         port = topology.add_station("client")
         port.attach(Sink(sim))
         bed = SimpleNamespace(hosts={"client": None}, topology=topology)
@@ -347,7 +347,7 @@ class TestSwitch:
 
 class TestTopology:
     def test_star_connects_stations(self, sim):
-        topo = StarTopology(sim)
+        topo = FabricTopology(sim, leaf_count=0)
         port_a = topo.add_station("a")
         port_b = topo.add_station("b")
         sink_a, sink_b = Sink(sim), Sink(sim)
@@ -358,13 +358,13 @@ class TestTopology:
         assert len(sink_b.frames) == 1
 
     def test_duplicate_station_rejected(self, sim):
-        topo = StarTopology(sim)
+        topo = FabricTopology(sim, leaf_count=0)
         topo.add_station("a")
         with pytest.raises(ValueError):
             topo.add_station("a")
 
     def test_station_names_and_links(self, sim):
-        topo = StarTopology(sim)
+        topo = FabricTopology(sim, leaf_count=0)
         topo.add_station("x")
         topo.add_station("y")
         assert topo.station_names() == ["x", "y"]

@@ -10,7 +10,7 @@ from repro.firewall.ruleset import RuleSet
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.packet import IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram
-from repro.net.topology import StarTopology
+from repro.net.topology import FabricTopology
 from repro.nic.adf import AdfNic
 from repro.nic.efw import EfwNic
 from repro.nic.standard import StandardNic
@@ -20,7 +20,7 @@ from repro.sim.rng import RngRegistry
 def build_pair(sim, target_nic_factory):
     """alice (standard NIC) talking to bob (NIC under test)."""
     rng = RngRegistry(1)
-    topo = StarTopology(sim)
+    topo = FabricTopology(sim, leaf_count=0)
     hosts = {}
     for index, (name, factory) in enumerate(
         [("alice", lambda: StandardNic(sim)), ("bob", target_nic_factory)], start=1
@@ -208,7 +208,7 @@ class TestVpgDataPath:
 
     def test_end_to_end_encrypted_channel(self, sim):
         rng = RngRegistry(1)
-        topo = StarTopology(sim)
+        topo = FabricTopology(sim, leaf_count=0)
         store = VpgKeyStore()
         hosts = {}
         for index, name in enumerate(["alice", "bob"], start=1):
@@ -255,7 +255,7 @@ class TestVpgDataPath:
 
     def test_unmatched_vpg_packet_dropped(self, sim):
         rng = RngRegistry(1)
-        topo = StarTopology(sim)
+        topo = FabricTopology(sim, leaf_count=0)
         store = VpgKeyStore()
         hosts = {}
         for index, name in enumerate(["alice", "bob"], start=1):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.topology import StarTopology
+from repro.net.topology import FabricTopology
 from repro.nic.standard import StandardNic
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -19,7 +19,7 @@ from repro.sim.rng import RngRegistry
 def build_net():
     sim = Simulator()
     rng = RngRegistry(99)
-    topo = StarTopology(sim)
+    topo = FabricTopology(sim, leaf_count=0)
     hosts = []
     for index, name in enumerate(["alice", "bob"], start=1):
         host = Host(sim, name, Ipv4Address(f"10.9.0.{index}"), MacAddress.from_index(index), rng)
