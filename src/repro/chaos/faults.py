@@ -26,6 +26,7 @@ from typing import Any, Dict, Optional
 
 from repro.net.link import LinkImpairment
 
+
 def resolve_station(bed, station: str) -> str:
     """``station`` itself, or the bed's first station with that role."""
     if station in bed.hosts:

@@ -7,11 +7,13 @@ inter-switch trunk links that can run at a different bandwidth than the
 station access links, and hands back the station-side
 :class:`~repro.net.link.LinkPort` of each access link for a NIC to attach
 to.  The paper's testbed, four hosts on a single 100 Mbps switch, is its
-smallest case: ``leaf_count=0``.  MAC learning on every
-switch makes any-to-any forwarding work without configuration; for
-200+-host fabrics :meth:`FabricTopology.prime_mac_tables` pre-installs
-the learning tables so the first frame between every host pair does not
-flood the whole tree.
+smallest case: ``leaf_count=0``.
+
+MAC learning on every switch makes any-to-any forwarding work without
+configuration; for 200+-host fabrics
+:meth:`FabricTopology.prime_mac_tables` pre-installs the learning tables
+so the first frame between every host pair does not flood the whole
+tree.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ DEFAULT_TRUNK_BPS = units.gbps(1)
 
 
 class FabricTopology:
-    """A loop-free multi-switch fabric for fleet-scale experiments.
+    """A loop-free switched fabric, from one switch to a spine/leaf fleet.
 
     Layout: ``spine_count`` spine switches joined in a chain by trunk
     links, with ``leaf_count`` leaf switches distributed round-robin
