@@ -73,12 +73,10 @@ bench-digests:
 # each JSON envelope checked against benchmarks/quick_digests.sha256
 # (CI runs this; about 155 s on 2 vCPUs).  A change that alters results
 # on purpose regenerates the pins from that directory and says so.
-QUICK_DIGEST_DIR ?= quick_digests_output
-
 quick-digests:
-	rm -rf $(QUICK_DIGEST_DIR)
-	PYTHONHASHSEED=0 $(PYTHON) -m repro.experiments all --quick --jobs 2 --json $(QUICK_DIGEST_DIR) --no-progress > /dev/null
-	cd $(QUICK_DIGEST_DIR) && sha256sum -c $(CURDIR)/benchmarks/quick_digests.sha256
+	rm -rf quick_digests_output
+	PYTHONHASHSEED=0 $(PYTHON) -m repro.experiments all --quick --jobs 2 --json quick_digests_output --no-progress > /dev/null
+	cd quick_digests_output && sha256sum -c ../benchmarks/quick_digests.sha256
 
 # Chaos smoke: the trimmed scenario grid under fail-fast invariants —
 # every fault injects and clears on schedule and no invariant is

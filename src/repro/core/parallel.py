@@ -520,7 +520,9 @@ class SweepExecutor:
     ) -> None:
         state.attempts[index] += 1
         spec = state.specs[index]
-        if retryable and state.attempts[index] <= self.retries:
+        # After an abort nothing is re-dispatched: a point that fails
+        # while the in-flight points drain is a failure, not a retry.
+        if retryable and state.abort is None and state.attempts[index] <= self.retries:
             self.stats.retries += 1
             if self.progress is not None:
                 self.progress(

@@ -214,16 +214,17 @@ class Testbed:
     # ------------------------------------------------------------------
 
     def install_target_policy(self, ruleset: RuleSet, networked_push: bool = False) -> None:
-        """Install ``ruleset`` on the target's device under test.
+        """Install ``ruleset`` on the (first) target's device under test.
 
         Embedded devices receive it through the policy server (optionally
         as real UDP push traffic); the iptables variant installs it as
         the host's INPUT/forwarding chain; a standard NIC ignores it.
         """
+        target = self.target_names[0]
         if self.device.is_embedded:
             self.policy_server.define_policy(ruleset.name, ruleset)
-            self.policy_server.assign("target", ruleset.name)
-            self.policy_server.push_policy("target", inline=not networked_push)
+            self.policy_server.assign(target, ruleset.name)
+            self.policy_server.push_policy(target, inline=not networked_push)
             if networked_push:
                 # Let the push traffic propagate before measurements start.
                 self.sim.run(until=self.sim.now + 0.01)
@@ -235,16 +236,17 @@ class Testbed:
         # STANDARD: no enforcement point; nothing to install.
 
     def install_client_policy(self, ruleset: RuleSet) -> None:
-        """Install a policy on the client's NIC (VPG measurements)."""
-        if not self.client_device.is_embedded:
+        """Install a policy on the (first) client's NIC (VPG measurements)."""
+        client = self.client_names[0]
+        if client not in self.agents:
             raise RuntimeError("client has no embedded firewall NIC")
         self.policy_server.define_policy(f"client:{ruleset.name}", ruleset)
-        self.policy_server.assign("client", f"client:{ruleset.name}")
-        self.policy_server.push_policy("client", inline=True)
+        self.policy_server.assign(client, f"client:{ruleset.name}")
+        self.policy_server.push_policy(client, inline=True)
 
     def restart_target_agent(self) -> None:
-        """Restart the target's firewall agent (EFW lockup recovery)."""
-        agent = self.agents.get("target")
+        """Restart the (first) target's firewall agent (EFW lockup recovery)."""
+        agent = self.agents.get(self.target_names[0])
         if agent is None:
             raise RuntimeError("target has no NIC agent (not an embedded device)")
         agent.restart()

@@ -148,6 +148,16 @@ class TestOneWiringPath:
         assert list(bed.agents) == ["t000", "t001"]
         assert bed.topology.leaves
 
+    def test_policy_methods_key_on_the_first_station_of_each_role(self):
+        bed = FleetTestbed(FleetSpec(targets=2, attackers=1))
+        bed.install_target_policy(allow_all())
+        assert bed.hosts["t000"].nic.policy is not None
+        assert bed.hosts["t001"].nic.policy is None
+        bed.restart_target_agent()
+        assert bed.hosts["t000"].nic.agent_restarts == 1
+        with pytest.raises(RuntimeError, match="client has no embedded"):
+            bed.install_client_policy(allow_all())
+
     def test_defense_watches_every_target(self):
         bed = FleetTestbed(FleetSpec(targets=3, attackers=1))
         bed.distribute_policies(networked=False)

@@ -17,6 +17,7 @@ from repro.core.parallel import (
     SweepError,
     SweepExecutor,
     SweepPointSpec,
+    _RunState,
     derive_seed,
     resolve_jobs,
 )
@@ -167,7 +168,20 @@ class TestSweepExecutor:
         with pytest.raises(SweepError, match="bad point") as excinfo:
             SweepExecutor(jobs=2).run(specs)
         assert excinfo.value.failure.label == "boom"
-        assert [(p.index, p.value) for p in excinfo.value.completed] == [(0, 9)]
+        assert (0, 9) in [(p.index, p.value) for p in excinfo.value.completed]
+
+    def test_failure_after_abort_is_recorded_not_retried(self):
+        executor = SweepExecutor(jobs=2, retries=2)
+        state = _RunState(_specs([1, 2]))
+        executor._attempt_failed(0, "unpicklable", "first", None, state, retryable=False)
+        assert state.abort is not None and state.abort.index == 0
+        # Point 1 was in flight when point 0 aborted the run; it fails
+        # with retries left but is never run again.
+        executor._attempt_failed(1, "error", "ValueError: second", None, state)
+        assert not state.pending
+        assert [f.index for f in state.failures] == [0, 1]
+        assert state.abort.index == 0
+        assert executor.stats.retries == 0
 
     def test_single_spec_runs_inline(self):
         assert SweepExecutor(jobs=8).run(_specs([5])) == [25]
