@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all test-deprecations bench bench-quick bench-equivalence bench-trace bench-profile bench-invariants bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
+.PHONY: install test test-slow test-all test-deprecations bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -27,37 +27,20 @@ test-deprecations:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Serial-vs-parallel wall-clock + metrics overhead for the quick presets
-# -> BENCH_parallel.json.
+# Serial-vs-parallel wall-clock for every quick preset plus the four
+# fig2 overhead legs (metrics, trace, profile, invariants) and their gates
+# -> merged into BENCH_parallel.json.
 bench-quick:
 	$(PYTHON) benchmarks/parallel_bench.py
 
-# Compiled-vs-linear matcher: byte-identical quick-preset tables plus the
-# deep-rule speedup -> BENCH_equivalence.json (CI runs this).
-bench-equivalence:
-	$(PYTHON) benchmarks/parallel_bench.py fig2 fig3a fig3b table1 --equivalence-only -o BENCH_equivalence.json
-
-# Tracing overhead on the fig2 quick preset: disabled vs sampled vs full,
-# identical tables required; merged into BENCH_parallel.json.  Fails when
-# the *disabled* tracer costs >3% over the recorded pre-tracing baseline
-# (CI runs this).
-bench-trace:
-	$(PYTHON) benchmarks/parallel_bench.py fig2 --trace-overhead-only --fail-overhead-above 3
-
-# Wall-clock profiler overhead on the fig2 quick preset: profiler absent
-# vs fully on (stack collection included), identical tables required;
-# merged into BENCH_parallel.json.  Fails when the *absent* profiler
-# costs >3% over the recorded pre-profiler baseline or the fully-on
-# profiler costs >35% over the absent run (CI runs this).
-bench-profile:
-	$(PYTHON) benchmarks/parallel_bench.py fig2 --profile-overhead-only --fail-profile-off-above 3 --fail-profile-on-above 35
-
-# Runtime invariant-monitor overhead on the fig2 quick preset: monitors
-# absent vs warn mode, identical tables required; merged into
-# BENCH_parallel.json.  Fails when warn mode costs >5% over the
-# monitors-absent run (CI runs this).
-bench-invariants:
-	$(PYTHON) benchmarks/parallel_bench.py fig2 --invariant-overhead-only --fail-invariant-overhead-above 5
+# The overhead gates on the fig2 quick preset, every side interleaved
+# with identical tables required: disabled tracer <=3% over the recorded
+# pre-tracing baseline, absent profiler <=3% over the pre-profiler
+# baseline, fully-on profiler <=35% over absent, invariants=warn <=5%
+# over absent.  Every gate is printed; exits 1 if any failed (CI runs
+# this).
+bench-gates:
+	$(PYTHON) benchmarks/parallel_bench.py --gates
 
 # Benchmark result pins: every harness workload runs once at seed 1 and
 # fails when its result digest differs from benchmarks/harness/digests.json;
@@ -85,8 +68,8 @@ chaos-smoke:
 	$(PYTHON) -m repro.experiments chaos --preset quick --invariants fail-fast --no-progress
 
 # Fleet-scale kernel benchmark: 4/32/128/256-host flood scenarios on the
-# multi-switch fabric, current vs embedded pre-PR kernel/switch, plus the
-# gated (>=3x at >=128 hosts) timer-dispatch leg -> BENCH_parallel.json.
+# multi-switch fabric, plus the gated (>=3x at >=128 hosts) timer-wheel
+# vs per-sender-timer dispatch leg -> BENCH_parallel.json.
 bench-fleet:
 	$(PYTHON) benchmarks/fleet_bench.py
 

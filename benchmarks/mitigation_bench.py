@@ -26,8 +26,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
 from typing import Any, Dict
@@ -35,8 +33,7 @@ from typing import Any, Dict
 from repro.core.methodology import MeasurementSettings
 from repro.experiments import RunConfig, mitigation
 from repro.experiments.presets import Preset
-
-OUTPUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_parallel.json")
+from summary import SUMMARY_PATH, merge_sections
 
 OFF_COLLAPSE_MAX = 0.2
 RECOVERY_MIN = 0.8
@@ -103,18 +100,6 @@ def check_gates(points) -> list:
     return failures
 
 
-def merge_output(section: Dict[str, Any], path: str) -> None:
-    """Merge the ``mitigation`` section into ``BENCH_parallel.json``."""
-    data: Dict[str, Any] = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            data = json.load(handle)
-    data["mitigation"] = section
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -126,7 +111,7 @@ def main(argv=None) -> int:
         help="sweep worker processes (default: auto)",
     )
     parser.add_argument(
-        "--output", default=os.path.normpath(OUTPUT_PATH),
+        "--output", default=SUMMARY_PATH,
         help="JSON file to merge the 'mitigation' section into",
     )
     args = parser.parse_args(argv)
@@ -159,7 +144,7 @@ def main(argv=None) -> int:
         },
         "points": records,
     }
-    merge_output(section, args.output)
+    merge_sections(args.output, {"mitigation": section})
     print(f"mitigation bench: {len(result.points)} points in {elapsed:.1f}s "
           f"-> {args.output}", file=sys.stderr)
     if failures:

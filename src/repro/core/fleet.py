@@ -75,10 +75,6 @@ class FleetSpec:
     trunk_bandwidth_bps: Optional[float] = None
     efw_lockup_enabled: bool = True
     ring_size: int = calibration.EMBEDDED_NIC_RING_SIZE
-    #: Pace all attackers off one shared timer wheel (one kernel event
-    #: per tick fleet-wide).  Disable to give each attacker a dedicated
-    #: periodic timer, as the four-host experiments do.
-    use_timer_wheel: bool = True
 
     @property
     def station_count(self) -> int:
@@ -160,10 +156,11 @@ class FleetTestbed(Testbed):
             trunk_bandwidth_bps=spec.trunk_bandwidth_bps,
         )
         #: Shared pacing wheel for the attacker fleet (one tick per
-        #: flood interval; all attackers fire on the same tick).
+        #: flood interval; all attackers fire on the same tick, so the
+        #: whole fleet costs one kernel event per tick).
         self.wheel: Optional[TimerWheel] = (
             TimerWheel(self.sim, tick=1.0 / spec.flood_rate_pps)
-            if spec.use_timer_wheel and spec.attackers > 0
+            if spec.attackers > 0
             else None
         )
         self._flood_generators: List[FloodGenerator] = []

@@ -1,4 +1,4 @@
-"""Command-line entry point: ``python -m repro.experiments [ids] [--quick] [--preset NAME] [--jobs N] [--json DIR] [--metrics DIR] [--trace DIR] [--trace-sample K] [--flight-recorder] [--profile DIR] [--profile-top N] [--no-compiled-matcher] [--checkpoint DIR] [--resume] [--retries N] [--point-timeout S] [--keep-going] [--chaos SCENARIO] [--invariants MODE]``."""
+"""Command-line entry point: ``python -m repro.experiments [ids] [--quick] [--preset NAME] [--jobs N] [--json DIR] [--metrics DIR] [--trace DIR] [--trace-sample K] [--flight-recorder] [--profile DIR] [--profile-top N] [--checkpoint DIR] [--resume] [--retries N] [--point-timeout S] [--keep-going] [--chaos SCENARIO] [--invariants MODE]``."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.chaos.runtime import ChaosCollector
 from repro.chaos.schedule import SCENARIOS as CHAOS_SCENARIOS
 from repro.core.checkpoint import SweepCheckpoint
 from repro.core.parallel import JOBS_ENV_VAR, SweepError, resolve_jobs
-from repro.firewall.compiled import set_compiled_enabled
 from repro.experiments.figures import plot_result
 from repro.experiments.results import write_json
 from repro.obs import MetricsCollector, write_metrics_csv
@@ -217,17 +216,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="suppress per-measurement progress lines",
     )
-    parser.add_argument(
-        "--no-compiled-matcher",
-        action="store_true",
-        help=(
-            "evaluate rule-sets with the linear reference matcher instead of "
-            "the compiled classifier (slower; results are identical either way)"
-        ),
-    )
     args = parser.parse_args(argv)
-    if args.no_compiled_matcher:
-        set_compiled_enabled(False)
     if args.trace_sample is not None and args.trace_sample < 1:
         parser.error("--trace-sample must be >= 1")
     if args.resume and args.checkpoint is None:

@@ -7,12 +7,7 @@ what it costs — the central subject of the paper.
 """
 
 from repro.firewall.anomalies import Anomaly, AnomalyKind, analyze, shadowed_rules
-from repro.firewall.compiled import (
-    ClassifierStats,
-    CompiledClassifier,
-    compiled_enabled,
-    set_compiled_enabled,
-)
+from repro.firewall.compiled import ClassifierStats, CompiledClassifier
 from repro.firewall.builders import (
     allow_all,
     deny_all,
@@ -67,8 +62,6 @@ __all__ = [
     "VpgRule",
     "allow_all",
     "analyze",
-    "compiled_enabled",
-    "set_compiled_enabled",
     "deny_all",
     "oracle_ruleset",
     "padded_ruleset",

@@ -35,58 +35,24 @@ cumulative table depth (VPG rules cost two entries) is precomputed at
 compile time into an immutable :class:`~repro.firewall.ruleset.MatchResult`;
 first-match order is recovered by taking the minimum rule index over all
 candidate hits.  The simulated per-rule cycle cost charged by the NIC
-models is therefore bit-identical with the fast path on or off — only
-the host wall-clock changes.
+models is therefore bit-identical to the linear walk's.
 
-The fast path can be disabled globally (``--no-compiled-matcher`` on the
-CLI, or the ``REPRO_NO_COMPILED_MATCHER`` environment variable), which
-drops every rule-set back to the linear reference matcher — the escape
-hatch, and the other half of every equivalence test.
+The compiled classifier is the only runtime matcher.  The linear walk
+(:meth:`~repro.firewall.ruleset.RuleSet.evaluate_linear`) stays as the
+reference the equivalence tests compare every lookup against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import IpProtocol
-
-#: Environment variable that disables the compiled fast path when set to
-#: anything but ``0``/``false`` (inherited by sweep worker processes).
-DISABLE_ENV_VAR = "REPRO_NO_COMPILED_MATCHER"
 
 #: Protocols whose packets carry ports that rules check.
 _PORTED_PROTOCOLS = (IpProtocol.TCP, IpProtocol.UDP)
 
 #: Prefix-length -> 32-bit network mask.
 _MASKS = tuple(((0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF) if plen else 0 for plen in range(33))
-
-
-def _env_disabled() -> bool:
-    return os.environ.get(DISABLE_ENV_VAR, "").strip().lower() not in ("", "0", "false", "no")
-
-
-_ENABLED = not _env_disabled()
-
-
-def compiled_enabled() -> bool:
-    """True when rule-sets should classify through the compiled fast path."""
-    return _ENABLED
-
-
-def set_compiled_enabled(enabled: bool) -> None:
-    """Globally enable/disable the compiled fast path.
-
-    Also mirrors the choice into :data:`DISABLE_ENV_VAR` so worker
-    processes spawned afterwards (any start method) agree with the
-    parent.  Already-compiled classifiers are kept but bypassed.
-    """
-    global _ENABLED
-    _ENABLED = bool(enabled)
-    if _ENABLED:
-        os.environ.pop(DISABLE_ENV_VAR, None)
-    else:
-        os.environ[DISABLE_ENV_VAR] = "1"
 
 
 class ClassifierStats:
@@ -97,23 +63,19 @@ class ClassifierStats:
     only per-packet cost.
     """
 
-    __slots__ = ("compiles", "hits", "fallbacks")
+    __slots__ = ("compiles", "hits")
 
     def __init__(self):
         #: Times a compiled structure was (re)built from the rules.
         self.compiles = 0
         #: Uncached evaluations answered by the compiled fast path.
         self.hits = 0
-        #: Uncached evaluations that ran the linear reference matcher
-        #: (fast path disabled).
-        self.fallbacks = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Snapshot for reports and debugging."""
         return {
             "compiles": self.compiles,
             "hits": self.hits,
-            "fallbacks": self.fallbacks,
         }
 
 

@@ -88,12 +88,6 @@ class IptablesFilter:
             + self.output_chain.compiled_stats.hits,
             component="iptables",
         )
-        metrics.counter_fn(
-            "fw_compiled_fallbacks",
-            lambda: self.input_chain.compiled_stats.fallbacks
-            + self.output_chain.compiled_stats.fallbacks,
-            component="iptables",
-        )
 
     def bind_host(self, host) -> None:
         """Called by :meth:`repro.host.Host.install_iptables`."""

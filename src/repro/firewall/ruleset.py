@@ -6,17 +6,13 @@ is exactly the quantity the paper's cost model depends on ("when we refer
 to rule-set length (or depth) we are technically referring to the number
 of rules up to and including the action rule").
 
-Evaluation has two equivalent engines:
-
-* the **linear reference matcher** (:meth:`RuleSet.evaluate_linear`),
-  a straight first-match walk mirroring what the real cards do, and
-* the **compiled fast path** (:mod:`repro.firewall.compiled`), a
-  field-indexed structure returning the same verdict and the same
-  *charged* ``rules_traversed`` without the per-packet rule loop.
-
-The fast path is on by default and can be disabled globally
-(``--no-compiled-matcher`` / ``REPRO_NO_COMPILED_MATCHER``); simulation
-outcomes are bit-identical either way, only host wall-clock differs.
+Uncached evaluations run through the **compiled classifier**
+(:mod:`repro.firewall.compiled`), a field-indexed structure that returns
+the verdict and the *charged* ``rules_traversed`` without the per-packet
+rule loop.  The **linear reference matcher**
+(:meth:`RuleSet.evaluate_linear`) is the straight first-match walk the
+real cards perform; it is not on the runtime path, and the equivalence
+tests check every compiled lookup against it.
 
 Mutation goes through one place: :meth:`RuleSet.mutate` opens a
 :class:`RuleSetMutation` batch whose commit bumps the rule-set version
@@ -30,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional
 
-from repro.firewall.compiled import ClassifierStats, CompiledClassifier, compiled_enabled
+from repro.firewall.compiled import ClassifierStats, CompiledClassifier
 from repro.firewall.rules import Action, Direction, Rule, VpgRule
 from repro.net.packet import Ipv4Packet
 from repro.obs.profiling import core as _profiling
@@ -164,9 +160,9 @@ class RuleSet:
         self._compiled: Optional[CompiledClassifier] = None
         self._version = 0
         self.compiled_stats = ClassifierStats()
-        #: Which engine answered the most recent evaluation:
-        #: "cache", "compiled", or "linear".  One attribute store per
-        #: lookup; the tracing layer reads it to annotate classify spans.
+        #: Which engine answered the most recent evaluation: "cache" or
+        #: "compiled".  One attribute store per lookup; the tracing layer
+        #: reads it to annotate classify spans.
         self.last_engine: Optional[str] = None
         #: Flow-cache LRU evictions since construction.
         self.cache_evictions = 0
@@ -286,24 +282,11 @@ class RuleSet:
             cache[cache_key] = cached  # re-insert at the MRU end
             self.last_engine = "cache"
             return cached
-        if compiled_enabled():
-            result = self.compiled_classifier.lookup(flow, direction)
-            self.compiled_stats.hits += 1
-            self.last_engine = "compiled"
-        else:
-            result = self._evaluate_linear(packet, direction)
-            self.compiled_stats.fallbacks += 1
-            self.last_engine = "linear"
+        result = self.compiled_classifier.lookup(flow, direction)
+        self.compiled_stats.hits += 1
+        self.last_engine = "compiled"
         self._cache_store(cache_key, result)
         return result
-
-    def evaluate_linear(self, packet: Ipv4Packet, direction: Direction) -> MatchResult:
-        """The linear reference matcher (uncached, compiled path bypassed).
-
-        This is the walk the real cards perform and the ground truth the
-        compiled classifier is differentially tested against.
-        """
-        return self._evaluate_linear(packet, direction)
 
     def _cache_store(self, cache_key, result: MatchResult) -> None:
         """Insert into the flow cache, evicting the LRU entry when full."""
@@ -319,7 +302,12 @@ class RuleSet:
                 hook()
         cache[cache_key] = result
 
-    def _evaluate_linear(self, packet: Ipv4Packet, direction: Direction) -> MatchResult:
+    def evaluate_linear(self, packet: Ipv4Packet, direction: Direction) -> MatchResult:
+        """The linear reference matcher (uncached, compiled path bypassed).
+
+        This is the walk the real cards perform and the ground truth the
+        compiled classifier is differentially tested against.
+        """
         traversed = 0
         for rule in self._rules:
             traversed += rule.rule_cost
@@ -361,22 +349,14 @@ class RuleSet:
             cache[cache_key] = cached  # re-insert at the MRU end
             self.last_engine = "cache"
             return cached
-        if compiled_enabled():
-            result = self.compiled_classifier.lookup_encrypted(spi)
-            self.compiled_stats.hits += 1
-            self.last_engine = "compiled"
-        else:
-            result = self._evaluate_encrypted_linear(spi)
-            self.compiled_stats.fallbacks += 1
-            self.last_engine = "linear"
+        result = self.compiled_classifier.lookup_encrypted(spi)
+        self.compiled_stats.hits += 1
+        self.last_engine = "compiled"
         self._cache_store(cache_key, result)
         return result
 
     def evaluate_encrypted_linear(self, spi: int) -> MatchResult:
         """Linear reference walk for encrypted VPG packets (uncached)."""
-        return self._evaluate_encrypted_linear(spi)
-
-    def _evaluate_encrypted_linear(self, spi: int) -> MatchResult:
         traversed = 0
         for rule in self._rules:
             traversed += rule.rule_cost

@@ -131,9 +131,8 @@ class EmbeddedFirewallNic(BaseNic):
         metrics.counter_fn("nic_packets", lambda: self.tx_denied, nic=name, direction="tx", verdict="denied")
         metrics.counter_fn("nic_rules_evaluated", lambda: self.rules_evaluated, nic=name)
         # Compiled-classifier health for the installed policy: how often
-        # the rule-set was (re)compiled, how many uncached verdicts the
-        # fast path answered, and how many fell back to the linear walk
-        # (fast path disabled).  Callback-backed, so free per packet.
+        # the rule-set was (re)compiled and how many uncached verdicts the
+        # fast path answered.  Callback-backed, so free per packet.
         metrics.counter_fn(
             "fw_compiled_compiles",
             lambda: self.policy.compiled_stats.compiles if self.policy is not None else 0,
@@ -142,11 +141,6 @@ class EmbeddedFirewallNic(BaseNic):
         metrics.counter_fn(
             "fw_compiled_hits",
             lambda: self.policy.compiled_stats.hits if self.policy is not None else 0,
-            nic=name,
-        )
-        metrics.counter_fn(
-            "fw_compiled_fallbacks",
-            lambda: self.policy.compiled_stats.fallbacks if self.policy is not None else 0,
             nic=name,
         )
         metrics.counter_fn("nic_vpg_opened", lambda: self.vpg_opened, nic=name)

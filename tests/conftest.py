@@ -24,22 +24,6 @@ def rng():
     return RngRegistry(seed=1234)
 
 
-@pytest.fixture
-def linear_matcher():
-    """Force rule-sets onto the linear reference matcher for one test.
-
-    Useful where object identity must distinguish a cached result from a
-    recomputed one — the compiled fast path returns shared per-rule
-    MatchResult objects, so identity holds there regardless of caching.
-    """
-    from repro.firewall.compiled import compiled_enabled, set_compiled_enabled
-
-    original = compiled_enabled()
-    set_compiled_enabled(False)
-    yield
-    set_compiled_enabled(original)
-
-
 class MiniNet:
     """Two (or more) hosts with standard NICs on one switch."""
 

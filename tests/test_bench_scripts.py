@@ -1,0 +1,147 @@
+"""The benchmark scripts' shared A/B leg, gate table and summary merge.
+
+``benchmarks/parallel_bench.py`` times everything through ``ab_leg``.
+These tests swap its experiment runner for a stub that returns chosen
+wall times and tables instantly, so the leg's bookkeeping — interleaving
+order, the identical-table check, the budget maths and the reporting of
+every failed gate — is checked without running a simulation.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    return importlib.import_module("parallel_bench")
+
+
+def _stub_runner(monkeypatch, bench, wall_of, table_of=lambda config: "table"):
+    """Replace the runner; ``wall_of``/``table_of`` map a config to results."""
+    calls = []
+
+    def run(experiment_id, config):
+        calls.append((experiment_id, config))
+        return wall_of(config), table_of(config)
+
+    monkeypatch.setattr(bench, "_timed_run", run)
+    return calls
+
+
+class TestAbLeg:
+    def test_sides_interleave_round_by_round(self, bench, monkeypatch):
+        calls = _stub_runner(monkeypatch, bench, lambda config: 1.0)
+        sides = {label: (lambda label=label: label) for label in ("a", "b", "c")}
+        bench.ab_leg("fig2", sides, runs=3)
+        assert [config for _, config in calls] == ["a", "b", "c"] * 3
+        assert {experiment_id for experiment_id, _ in calls} == {"fig2"}
+
+    def test_each_side_keeps_its_best_run(self, bench, monkeypatch):
+        walls = iter([5.0, 8.0, 4.0, 9.0, 6.0, 7.5])
+        _stub_runner(monkeypatch, bench, lambda config: next(walls))
+        sides = {"off": lambda: "off", "on": lambda: "on"}
+        record, configs = bench.ab_leg("fig2", sides, runs=3)
+        assert record["sides"] == {
+            "off": {"wall_s": 4.0, "overhead_pct": 0.0},
+            "on": {"wall_s": 7.5, "overhead_pct": 87.5},
+        }
+        assert record["runs"] == 3
+        assert configs == {"off": "off", "on": "on"}
+
+    def test_a_side_that_changes_the_table_is_rejected(self, bench, monkeypatch):
+        _stub_runner(
+            monkeypatch,
+            bench,
+            lambda config: 1.0,
+            table_of=lambda config: "changed" if config == "on" else "table",
+        )
+        sides = {"off": lambda: "off", "on": lambda: "on"}
+        with pytest.raises(AssertionError, match="'on' changed the rendered table"):
+            bench.ab_leg("fig2", sides, runs=1)
+
+
+class TestGates:
+    @staticmethod
+    def _legs(trace_off, profile_off, profile_on, invariants_off, invariants_warn):
+        def leg(**walls):
+            return {"sides": {side: {"wall_s": wall} for side, wall in walls.items()}}
+
+        return {
+            "trace": leg(off=trace_off),
+            "profile": leg(off=profile_off, on=profile_on),
+            "invariants": leg(off=invariants_off, warn=invariants_warn),
+        }
+
+    def test_budget_maths(self, bench):
+        legs = self._legs(
+            trace_off=bench.PRE_TRACE_BASELINE_S * 1.03,  # exactly at budget
+            profile_off=bench.PRE_PROFILE_BASELINE_S * 1.031,  # just over
+            profile_on=bench.PRE_PROFILE_BASELINE_S * 1.031 * 1.35,
+            invariants_off=10.0,
+            invariants_warn=10.6,
+        )
+        gates = {(g["leg"], g["side"]): g for g in bench.check_gates(legs)}
+        assert gates[("trace", "off")]["overhead_pct"] == 3.0
+        assert gates[("trace", "off")]["passed"]
+        assert gates[("profile", "off")]["overhead_pct"] == 3.1
+        assert not gates[("profile", "off")]["passed"]
+        assert gates[("profile", "on")]["reference"] == "off"
+        assert gates[("profile", "on")]["overhead_pct"] == 35.0
+        assert gates[("profile", "on")]["passed"]
+        assert gates[("invariants", "warn")]["overhead_pct"] == 6.0
+        assert not gates[("invariants", "warn")]["passed"]
+
+    def test_only_gates_whose_leg_ran_are_checked(self, bench):
+        legs = {"invariants": {"sides": {"off": {"wall_s": 1.0}, "warn": {"wall_s": 1.0}}}}
+        assert [g["leg"] for g in bench.check_gates(legs)] == ["invariants"]
+
+    def test_every_failed_gate_is_reported(self, bench, monkeypatch, tmp_path, capsys):
+        # Every instrumented side costs double, and the off sides are far
+        # over their recorded baselines: all four gates fail.
+        _stub_runner(monkeypatch, bench, lambda config: 200.0 if config.probes else 100.0)
+        output = tmp_path / "summary.json"
+        assert bench.main(["--gates", "-o", str(output)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("FAIL:") == len(bench.GATES) == 4
+        gates = json.loads(output.read_text())["gates"]
+        assert [(g["leg"], g["side"], g["passed"]) for g in gates] == [
+            ("trace", "off", False),
+            ("profile", "off", False),
+            ("profile", "on", False),
+            ("invariants", "warn", False),
+        ]
+
+    def test_passing_gates_exit_zero(self, bench, monkeypatch, tmp_path):
+        _stub_runner(monkeypatch, bench, lambda config: 1.0)
+        assert bench.main(["--gates", "-o", str(tmp_path / "summary.json")]) == 0
+
+
+class TestSummaryMerge:
+    def test_full_run_keeps_other_scripts_sections(self, bench, monkeypatch, tmp_path):
+        output = tmp_path / "BENCH_parallel.json"
+        fleet = {"gate": {"pass": True}}
+        output.write_text(json.dumps({"fleet": fleet, "mitigation": {"smoke": True}}))
+        _stub_runner(monkeypatch, bench, lambda *_: 1.0)
+        assert bench.main(["fig3a", "-j", "2", "-o", str(output)]) == 0
+        summary = json.loads(output.read_text())
+        assert summary["fleet"] == fleet
+        assert summary["mitigation"] == {"smoke": True}
+        assert summary["experiments"]["fig3a"] == {
+            "serial_s": 1.0,
+            "parallel_s": 1.0,
+            "speedup": 1.0,
+        }
+
+    def test_merge_sections_replaces_only_its_keys(self, bench, tmp_path):
+        from summary import merge_sections
+
+        path = tmp_path / "summary.json"
+        merge_sections(str(path), {"a": 1, "b": 2})
+        merge_sections(str(path), {"b": 3})
+        assert json.loads(path.read_text()) == {"a": 1, "b": 3}

@@ -130,30 +130,15 @@ class TestCli:
         assert cli.main(["stub", "--no-progress"]) == 0
         assert seen[0][1].jobs == 5
 
-    def test_no_compiled_matcher_flag_disables_fast_path(self, monkeypatch, capsys):
-        from repro.firewall import compiled
-
-        original = compiled.compiled_enabled()
+    def test_no_compiled_matcher_flag_is_gone(self, monkeypatch, capsys):
+        # The compiled classifier is the only runtime matcher; there is no
+        # switch back to the linear walk.
         monkeypatch.setattr(cli, "run_experiment_result", lambda *a, **k: "output")
         monkeypatch.setattr(cli, "experiment_ids", lambda: ["stub"])
-        try:
-            assert cli.main(["stub", "--no-progress", "--no-compiled-matcher"]) == 0
-            assert not compiled.compiled_enabled()
-        finally:
-            compiled.set_compiled_enabled(original)
-
-    def test_compiled_matcher_stays_on_by_default(self, monkeypatch, capsys):
-        from repro.firewall import compiled
-
-        original = compiled.compiled_enabled()
-        monkeypatch.setattr(cli, "run_experiment_result", lambda *a, **k: "output")
-        monkeypatch.setattr(cli, "experiment_ids", lambda: ["stub"])
-        try:
-            compiled.set_compiled_enabled(True)
-            assert cli.main(["stub", "--no-progress"]) == 0
-            assert compiled.compiled_enabled()
-        finally:
-            compiled.set_compiled_enabled(original)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["stub", "--no-progress", "--no-compiled-matcher"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-compiled-matcher" in capsys.readouterr().err
 
     def test_metrics_flag_writes_series_files(self, monkeypatch, capsys, tmp_path):
         import json

@@ -13,7 +13,6 @@ the mix.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.firewall.compiled import compiled_enabled, set_compiled_enabled
 from repro.firewall.rules import (
     Action,
     AddressPattern,
@@ -156,16 +155,8 @@ class TestDifferentialEquivalence:
         assert compiled.rule is None
 
 
-@pytest.fixture()
-def restore_compiled_flag():
-    original = compiled_enabled()
-    yield
-    set_compiled_enabled(original)
-
-
 class TestEvaluateRouting:
-    def test_evaluate_uses_compiled_path_and_counts_hits(self, restore_compiled_flag):
-        set_compiled_enabled(True)
+    def test_evaluate_uses_compiled_path_and_counts_hits(self):
         ruleset = RuleSet([Rule(action=Action.ALLOW, protocol=IpProtocol.TCP)])
         packet = Ipv4Packet(
             src=ADDRESS_POOL[0],
@@ -176,24 +167,8 @@ class TestEvaluateRouting:
         assert result.allowed
         assert ruleset.compiled_stats.compiles == 1
         assert ruleset.compiled_stats.hits == 1
-        assert ruleset.compiled_stats.fallbacks == 0
 
-    def test_disabled_flag_falls_back_to_linear(self, restore_compiled_flag):
-        set_compiled_enabled(False)
-        ruleset = RuleSet([Rule(action=Action.ALLOW, protocol=IpProtocol.TCP)])
-        packet = Ipv4Packet(
-            src=ADDRESS_POOL[0],
-            dst=ADDRESS_POOL[1],
-            payload=TcpSegment(src_port=40000, dst_port=80),
-        )
-        result = ruleset.evaluate(packet, Direction.INBOUND)
-        assert result.allowed
-        assert ruleset.compiled_stats.compiles == 0
-        assert ruleset.compiled_stats.hits == 0
-        assert ruleset.compiled_stats.fallbacks == 1
-
-    def test_mutation_forces_recompile(self, restore_compiled_flag):
-        set_compiled_enabled(True)
+    def test_mutation_forces_recompile(self):
         ruleset = RuleSet([Rule(action=Action.ALLOW)])
         packet = Ipv4Packet(
             src=ADDRESS_POOL[0],

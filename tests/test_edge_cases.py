@@ -163,10 +163,7 @@ class TestRulesetEdges:
         assert result.allowed
         assert result.rules_traversed == 1  # charged at least one entry
 
-    def test_flow_cache_bounded(self, linear_matcher):
-        # Runs on the linear matcher: it builds a fresh MatchResult per
-        # walk, so object identity distinguishes cached from recomputed
-        # (the compiled path returns shared per-rule results either way).
+    def test_flow_cache_bounded(self):
         from repro.firewall.builders import allow_all
         from repro.firewall.rules import Direction
         from repro.net.packet import TcpSegment
@@ -180,7 +177,7 @@ class TestRulesetEdges:
         )
         first = ruleset.evaluate(packet, Direction.INBOUND)
         second = ruleset.evaluate(packet, Direction.INBOUND)
-        assert first is not second  # nothing cached
+        assert ruleset.last_engine == "compiled"  # nothing cached
         assert first == second  # but equal verdicts
 
 
@@ -192,13 +189,9 @@ class TestFlowCacheLru:
     forever.  The cache is now a bounded LRU: one-shot flood flows evict
     each other while hot flows stay resident.
 
-    These run on the linear matcher so object identity distinguishes a
-    cache hit from a recomputed walk (see the ``linear_matcher`` fixture).
+    ``RuleSet.last_engine`` names the engine that answered the latest
+    lookup, so ``"cache"`` marks a hit and ``"compiled"`` a miss.
     """
-
-    @pytest.fixture(autouse=True)
-    def _linear(self, linear_matcher):
-        yield
 
     @staticmethod
     def _packet(src_port):
@@ -210,54 +203,54 @@ class TestFlowCacheLru:
             payload=TcpSegment(src_port=src_port, dst_port=80),
         )
 
+    @classmethod
+    def _hit(cls, ruleset, port):
+        """Evaluate the flow from ``port``; True when the cache answered."""
+        from repro.firewall.rules import Direction
+
+        ruleset.evaluate(cls._packet(port), Direction.INBOUND)
+        return ruleset.last_engine == "cache"
+
     def test_fresh_flows_still_cached_after_saturation(self):
         from repro.firewall.builders import allow_all
-        from repro.firewall.rules import Direction
 
         ruleset = allow_all()
         ruleset.FLOW_CACHE_LIMIT = 16
         # Saturate: 3x the cache bound of one-shot flows.
         for port in range(1000, 1048):
-            ruleset.evaluate(self._packet(port), Direction.INBOUND)
+            self._hit(ruleset, port)
         assert len(ruleset._flow_cache) == 16
-        # A brand-new flow must still be admitted (identity proves a hit).
-        fresh = self._packet(5000)
-        first = ruleset.evaluate(fresh, Direction.INBOUND)
-        second = ruleset.evaluate(fresh, Direction.INBOUND)
-        assert first is second
+        # A brand-new flow must still be admitted.
+        assert not self._hit(ruleset, 5000)
+        assert self._hit(ruleset, 5000)
 
     def test_hot_flow_survives_a_flood(self):
         from repro.firewall.builders import allow_all
-        from repro.firewall.rules import Direction
 
         ruleset = allow_all()
         ruleset.FLOW_CACHE_LIMIT = 16
-        hot = self._packet(22)
-        hot_result = ruleset.evaluate(hot, Direction.INBOUND)
+        assert not self._hit(ruleset, 22)
         # Interleave flood flows with re-use of the hot flow: the hit
         # refreshes its recency, so the flood evicts only its own flows.
         for port in range(2000, 2100):
-            ruleset.evaluate(self._packet(port), Direction.INBOUND)
-            assert ruleset.evaluate(hot, Direction.INBOUND) is hot_result
+            assert not self._hit(ruleset, port)
+            assert self._hit(ruleset, 22)
 
     def test_cold_entries_are_the_ones_evicted(self):
         from repro.firewall.builders import allow_all
-        from repro.firewall.rules import Direction
 
         ruleset = allow_all()
         ruleset.FLOW_CACHE_LIMIT = 4
-        results = {
-            port: ruleset.evaluate(self._packet(port), Direction.INBOUND)
-            for port in (1, 2, 3, 4)
-        }
+        for port in (1, 2, 3, 4):
+            assert not self._hit(ruleset, port)
         # Touch 1 and 2, then add two new flows: 3 and 4 get evicted.
-        assert ruleset.evaluate(self._packet(1), Direction.INBOUND) is results[1]
-        assert ruleset.evaluate(self._packet(2), Direction.INBOUND) is results[2]
-        ruleset.evaluate(self._packet(5), Direction.INBOUND)
-        ruleset.evaluate(self._packet(6), Direction.INBOUND)
-        assert ruleset.evaluate(self._packet(1), Direction.INBOUND) is results[1]
-        assert ruleset.evaluate(self._packet(2), Direction.INBOUND) is results[2]
-        assert ruleset.evaluate(self._packet(3), Direction.INBOUND) is not results[3]
+        assert self._hit(ruleset, 1)
+        assert self._hit(ruleset, 2)
+        assert not self._hit(ruleset, 5)
+        assert not self._hit(ruleset, 6)
+        assert self._hit(ruleset, 1)
+        assert self._hit(ruleset, 2)
+        assert not self._hit(ruleset, 3)
 
     def test_encrypted_lookups_share_the_bound(self):
         from repro.firewall.builders import allow_all
