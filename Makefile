@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all test-deprecations bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
+.PHONY: install test test-slow test-all bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -16,13 +16,6 @@ test-slow:
 
 test-all:
 	$(PYTHON) -m pytest tests/ -m "slow or not slow"
-
-# Tier-1 with DeprecationWarnings from repro.* promoted to errors: the
-# repo carries no deprecation shims today, and this keeps any future one
-# from being leaned on by in-repo callers (a test exercising a shim must
-# wrap it in pytest.warns, which overrides the filter inside its block).
-test-deprecations:
-	$(PYTHON) -m pytest tests/ -x -q -W "error::DeprecationWarning:repro"
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -52,13 +45,14 @@ bench-digests:
 	done
 	$(PYTHON) -m pytest benchmarks/harness
 
-# Quick-preset result pins: all nine experiments at --quick --jobs 2,
+# Quick-preset result pins: all nine experiments at --quick --jobs 2
+# under fail-fast invariants (packet conservation, bounded queues, ...),
 # each JSON envelope checked against benchmarks/quick_digests.sha256
-# (CI runs this; about 155 s on 2 vCPUs).  A change that alters results
+# (CI runs this; about 110-155 s on 2 vCPUs).  A change that alters results
 # on purpose regenerates the pins from that directory and says so.
 quick-digests:
 	rm -rf quick_digests_output
-	PYTHONHASHSEED=0 $(PYTHON) -m repro.experiments all --quick --jobs 2 --json quick_digests_output --no-progress > /dev/null
+	PYTHONHASHSEED=0 $(PYTHON) -m repro.experiments all --quick --jobs 2 --invariants fail-fast --json quick_digests_output --no-progress > /dev/null
 	cd quick_digests_output && sha256sum -c ../benchmarks/quick_digests.sha256
 
 # Chaos smoke: the trimmed scenario grid under fail-fast invariants —

@@ -10,13 +10,13 @@ unbounded event backlog.
 Devices (NICs, switches) attach to a port and must implement
 ``receive_frame(frame, port)``.
 
-Per-hop cost: a frame's wire size is read once, when it reaches the head
-of the queue, and rides along as an argument of the transmit-complete
-and delivery events; the byte counters and trace spans use that value.
-The serialization delay depends only on the wire size, so each
-:class:`Link` memoises it per size (:meth:`Link.serialization_delay`).
-The memo computes exactly what :func:`repro.sim.units.transmission_delay`
-does, so event times are bit-identical to computing it per frame.
+Per-hop cost: one kernel event.  :meth:`LinkPort.send` books the frame's
+wire slot in virtual time (from when the wire is next free) and schedules
+only its delivery, carrying the wire size read at booking for the byte
+counters and trace spans.  Each :class:`Link` memoises the serialization
+delay per wire size exactly as :func:`repro.sim.units.transmission_delay`
+computes it, and a queued slot starts at the previous slot's end, so event
+times are bit-identical to an event per transmit completion.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class LinkImpairment:
       probability (lossy/degraded link), drawn from the supplied
       deterministic ``rng``,
     * ``extra_delay`` — added to the propagation delay of every frame
-      (latency degradation),
+      booked while installed (latency degradation),
     * ``corrupt`` — each frame's IPv4 header is serialized, one bit is
       flipped, and the corrupted copy rides along; the receiving NIC
       re-verifies the RFC 1071 checksum and discards the frame (burst
@@ -130,14 +130,16 @@ class LinkImpairment:
 class LinkPort:
     """One endpoint of a full-duplex link.
 
-    Transmission model: frames handed to :meth:`send` enter a bounded FIFO;
-    the head frame is serialized for its wire time (including preamble and
-    inter-frame gap) and delivered to the device attached at the far end
-    after the propagation delay.  Frames offered while the queue is full
-    are dropped and counted.
+    Transmission model: :meth:`send` books each frame a wire slot of its
+    wire time (preamble and inter-frame gap included) starting when the
+    wire is next free, and the frame reaches the far end's device after
+    the propagation delay.  A frame whose slot has not started is
+    waiting; frames offered while ``queue_capacity`` wait are dropped
+    and counted.  ``tx_frames``/``tx_bytes`` count a frame when its slot
+    is booked, and :attr:`LinkImpairment.extra_delay` is read then too.
     """
 
-    #: Wall-clock profiling bucket for transmit-complete/delivery events.
+    #: Wall-clock profiling bucket for delivery events.
     profile_category = "link"
 
     def __init__(self, link: "Link", name: str, queue_capacity: int):
@@ -146,8 +148,10 @@ class LinkPort:
         self.queue_capacity = queue_capacity
         self.peer: Optional["LinkPort"] = None
         self.device: Optional[FrameSink] = None
-        self._queue: Deque[EthernetFrame] = deque()
-        self._transmitting = False
+        #: Virtual time the wire is next free.
+        self._busy_until = 0.0
+        #: Slot start times of the waiting frames, in FIFO order.
+        self._waiting: Deque[float] = deque()
         # Counters
         self.tx_frames = 0
         self.tx_bytes = 0
@@ -175,7 +179,7 @@ class LinkPort:
             lambda: self.impairment_dropped_frames,
             port=name, reason="impairment",
         )
-        metrics.gauge_fn("link_queue_depth", lambda: len(self._queue), port=name)
+        metrics.gauge_fn("link_queue_depth", lambda: self.queue_depth, port=name)
 
     # ------------------------------------------------------------------
 
@@ -186,22 +190,23 @@ class LinkPort:
         self.device = device
 
     def send(self, frame: EthernetFrame) -> bool:
-        """Queue a frame for transmission.
-
-        Returns False (and counts a drop) if the transmit queue is full.
-        """
-        impairment = self.link.impairment
+        """Book a wire slot for ``frame`` and schedule its delivery.
+        Returns False (and counts a drop) if the transmit queue is full."""
+        link = self.link
+        impairment = link.impairment
         if impairment is not None and not impairment.admit(self, frame):
             self.dropped_frames += 1
             self.impairment_dropped_frames += 1
             return False
-        tracer = self.link.sim.tracer
-        if len(self._queue) >= self.queue_capacity:
+        sim = link.sim
+        now = sim.now
+        tracer = sim.tracer
+        if self._depth_at(now) >= self.queue_capacity:
             self.dropped_frames += 1
             if tracer.hot:
                 packet = frame.ip
                 tracer.event(
-                    self.link.sim.now, self.name, "drop-queue-full",
+                    now, self.name, "drop-queue-full",
                     getattr(packet, "trace_ctx", None) if packet is not None else None,
                     bytes=frame.wire_size,
                 )
@@ -215,44 +220,39 @@ class LinkPort:
                 # copy's span later parents under this captured id — not
                 # under whatever a sibling branch made of the shared
                 # context head in the meantime.
-                frame.trace_t0 = self.link.sim.now
+                frame.trace_t0 = now
                 frame.trace_parent = getattr(packet, "trace_parent", None)
-        self._queue.append(frame)
-        if not self._transmitting:
-            self._start_next()
+        size = frame.wire_size
+        tx_delay = link._tx_delays.get(size)
+        if tx_delay is None:
+            tx_delay = link.serialization_delay(size)
+        start = self._busy_until
+        if start > now:
+            self._waiting.append(start)
+        else:
+            start = now
+        end = self._busy_until = start + tx_delay
+        self.tx_frames += 1
+        self.tx_bytes += size
+        delay = link.propagation_delay
+        if impairment is not None:
+            delay += impairment.extra_delay
+        sim.schedule_at(end + delay, self._deliver, frame, size)
         return True
 
     @property
     def queue_depth(self) -> int:
         """Frames currently waiting (not counting the one on the wire)."""
-        return len(self._queue)
+        return self._depth_at(self.link.sim.now)
+
+    def _depth_at(self, now: float) -> int:
+        """The one depth reading: forget slots started by ``now``, count the rest."""
+        waiting = self._waiting
+        while waiting and waiting[0] <= now:
+            waiting.popleft()
+        return len(waiting)
 
     # ------------------------------------------------------------------
-
-    def _start_next(self) -> None:
-        """Put the head frame on the wire (the queue must be non-empty)."""
-        self._transmitting = True
-        frame = self._queue.popleft()
-        size = frame.wire_size
-        link = self.link
-        tx_delay = link._tx_delays.get(size)
-        if tx_delay is None:
-            tx_delay = link.serialization_delay(size)
-        link.sim.schedule(tx_delay, self._transmit_complete, frame, size)
-
-    def _transmit_complete(self, frame: EthernetFrame, size: int) -> None:
-        self.tx_frames += 1
-        self.tx_bytes += size
-        link = self.link
-        delay = link.propagation_delay
-        impairment = link.impairment
-        if impairment is not None:
-            delay += impairment.extra_delay
-        link.sim.schedule(delay, self._deliver, frame, size)
-        if self._queue:
-            self._start_next()
-        else:
-            self._transmitting = False
 
     def _deliver(self, frame: EthernetFrame, size: int) -> None:
         peer = self.peer
@@ -283,7 +283,7 @@ class LinkPort:
             peer.device.receive_frame(frame, peer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<LinkPort {self.name} q={len(self._queue)}/{self.queue_capacity}>"
+        return f"<LinkPort {self.name} q={self.queue_depth}/{self.queue_capacity}>"
 
 
 class Link:

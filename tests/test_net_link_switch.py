@@ -122,7 +122,7 @@ class TestLink:
 
 class TestSerializerExactness:
     """The per-size delay memo and the wire size carried through the
-    transmit/deliver events reproduce the per-frame computation exactly."""
+    delivery event reproduce the per-frame computation exactly."""
 
     # UDP payload sizes giving wire sizes 64 (padded), 1518, 64.
     PAYLOADS = (0, 1472, 0)
@@ -212,6 +212,87 @@ class TestSerializerExactness:
         assert "wire_size" not in repr(frame)
         assert repr(frame) == repr(twin)
         assert frame != make_frame(payload_size=101)
+
+
+class TestVirtualTimeSerializer:
+    """``send`` books each frame's wire slot; one kernel event per hop."""
+
+    def test_one_frame_over_one_link_is_one_kernel_event(self, sim):
+        link = Link(sim)
+        sink = Sink(sim)
+        link.port_b.attach(sink)
+        link.port_a.send(make_frame())
+        sim.run()
+        assert len(sink.frames) == 1
+        assert sim.events_executed == 1
+
+    def test_capacity_sends_at_one_instant_fill_the_queue(self, sim):
+        link = Link(sim, queue_capacity=4)
+        link.port_b.attach(Sink(sim))
+        port = link.port_a
+        assert port.send(make_frame())  # straight onto the wire
+        assert port.queue_depth == 0
+        assert all(port.send(make_frame()) for _ in range(port.queue_capacity))
+        assert port.queue_depth == port.queue_capacity
+        assert not port.send(make_frame())
+        assert port.dropped_frames == 1
+
+    def test_send_at_a_waiting_slots_start_is_accepted(self, sim):
+        link = Link(sim, queue_capacity=1, propagation_delay=1e-6)
+        sink = Sink(sim)
+        link.port_b.attach(sink)
+        port = link.port_a
+        frames = [make_frame(payload_size=0) for _ in range(3)]
+        assert port.send(frames[0]) and port.send(frames[1])
+        assert not port.send(make_frame(payload_size=0))
+        tx = link.serialization_delay(64)
+        accepted = []
+        # frames[1] leaves the queue for the wire at exactly tx.
+        sim.schedule_at(tx, lambda: accepted.append(port.send(frames[2])))
+        sim.run()
+        assert accepted == [True]
+        assert port.dropped_frames == 1
+        assert [frame for _, frame in sink.frames] == frames
+        end = 0.0
+        expected = []
+        for _ in frames:
+            end += tx
+            expected.append(end + link.propagation_delay)
+        assert [when for when, _ in sink.frames] == expected
+
+    def test_queue_depth_and_gauge_drain_without_a_further_send(self, sim):
+        sim.metrics = MetricsRegistry()
+        link = Link(sim)
+        link.port_b.attach(Sink(sim))
+        port = link.port_a
+        for _ in range(4):
+            port.send(make_frame())
+        gauge = sim.metrics.get("link_queue_depth", port=port.name)
+        assert port.queue_depth == 3
+        assert gauge.read() == 3
+        sim.run(until=10 * link.serialization_delay(make_frame().wire_size))
+        # The gauge first: reading queue_depth must not be what refreshes it.
+        assert gauge.read() == 0
+        assert port.queue_depth == 0
+
+    def test_peer_never_receives_more_than_was_sent(self, sim):
+        link = Link(sim, queue_capacity=8)
+        port, peer = link.port_a, link.port_b
+        seen = []
+
+        class Counting:
+            def receive_frame(self, frame, at):
+                seen.append((peer.rx_frames, port.tx_frames))
+
+        peer.attach(Counting())
+        for index in range(12):
+            sim.schedule(index * 1e-6, port.send, make_frame(payload_size=index * 100))
+        sim.run()
+        assert port.dropped_frames > 0
+        assert all(rx <= tx for rx, tx in seen)
+        # Booked frames count as sent before they arrive.
+        assert any(rx < tx for rx, tx in seen)
+        assert peer.rx_frames == port.tx_frames == len(seen) == 12 - port.dropped_frames
 
 
 class TestImpairmentDropAccounting:
