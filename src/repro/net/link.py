@@ -11,12 +11,16 @@ Devices (NICs, switches) attach to a port and must implement
 ``receive_frame(frame, port)``.
 
 Per-hop cost: one kernel event.  :meth:`LinkPort.send` books the frame's
-wire slot in virtual time (from when the wire is next free) and schedules
-only its delivery, carrying the wire size read at booking for the byte
-counters and trace spans.  Each :class:`Link` memoises the serialization
-delay per wire size exactly as :func:`repro.sim.units.transmission_delay`
-computes it, and a queued slot starts at the previous slot's end, so event
-times are bit-identical to an event per transmit completion.
+wire slot in virtual time (from when the wire is next free, and no
+earlier than the sender's ``earliest`` start) and schedules only its
+delivery, carrying the wire size read at booking for the byte counters
+and trace spans.  Each :class:`Link` memoises the serialization delay per
+wire size exactly as :func:`repro.sim.units.transmission_delay` computes
+it, and a queued slot starts at the previous slot's end, so event times
+are bit-identical to an event per transmit completion.  A device with a
+fixed latency in front of the port (the switch fabric, the standard
+NIC's pipeline) passes ``earliest = now + latency`` instead of scheduling
+an event to hand the frame over later.
 """
 
 from __future__ import annotations
@@ -132,11 +136,19 @@ class LinkPort:
 
     Transmission model: :meth:`send` books each frame a wire slot of its
     wire time (preamble and inter-frame gap included) starting when the
-    wire is next free, and the frame reaches the far end's device after
-    the propagation delay.  A frame whose slot has not started is
-    waiting; frames offered while ``queue_capacity`` wait are dropped
-    and counted.  ``tx_frames``/``tx_bytes`` count a frame when its slot
-    is booked, and :attr:`LinkImpairment.extra_delay` is read then too.
+    wire is next free, but no earlier than the ``earliest`` start the
+    sender gives, and the frame reaches the far end's device after the
+    propagation delay.  A sender books at most one latency ahead, in
+    nondecreasing ``earliest`` order (a standard NIC's ARP frames take
+    its pipeline latency too), so the slots stay FIFO.
+
+    Queue depth at time ``t`` counts the frames that have left the
+    sender (``earliest <= t``) and whose slot has not started; a frame
+    still inside the sender's fixed latency is not queued yet.  A frame
+    is dropped and counted when, as of its own ``earliest``,
+    ``queue_capacity`` frames wait.  Egress state is read at booking,
+    not at ``earliest``: the :class:`LinkImpairment` (including its
+    loss draw and ``extra_delay``) and ``tx_frames``/``tx_bytes``.
     """
 
     #: Wall-clock profiling bucket for delivery events.
@@ -150,8 +162,11 @@ class LinkPort:
         self.device: Optional[FrameSink] = None
         #: Virtual time the wire is next free.
         self._busy_until = 0.0
-        #: Slot start times of the waiting frames, in FIFO order.
+        #: Slot start times of the booked frames that wait for the wire
+        #: (slot start after ``earliest``) and have not started, in FIFO order.
         self._waiting: Deque[float] = deque()
+        #: ``earliest`` of the waiting frames still inside the sender.
+        self._entering: Deque[float] = deque()
         # Counters
         self.tx_frames = 0
         self.tx_bytes = 0
@@ -189,8 +204,9 @@ class LinkPort:
             raise RuntimeError(f"port {self.name} already has a device attached")
         self.device = device
 
-    def send(self, frame: EthernetFrame) -> bool:
-        """Book a wire slot for ``frame`` and schedule its delivery.
+    def send(self, frame: EthernetFrame, earliest: float = 0.0) -> bool:
+        """Book a wire slot for ``frame`` starting no earlier than
+        ``earliest`` (default: now) and schedule its delivery.
         Returns False (and counts a drop) if the transmit queue is full."""
         link = self.link
         impairment = link.impairment
@@ -200,13 +216,19 @@ class LinkPort:
             return False
         sim = link.sim
         now = sim.now
+        if earliest < now:
+            earliest = now
+        waiting = self._waiting
+        while waiting and waiting[0] <= now:
+            waiting.popleft()
         tracer = sim.tracer
-        if self._depth_at(now) >= self.queue_capacity:
+        capacity = self.queue_capacity
+        if len(waiting) >= capacity and self._waiting_after(earliest) >= capacity:
             self.dropped_frames += 1
             if tracer.hot:
                 packet = frame.ip
                 tracer.event(
-                    now, self.name, "drop-queue-full",
+                    earliest, self.name, "drop-queue-full",
                     getattr(packet, "trace_ctx", None) if packet is not None else None,
                     bytes=frame.wire_size,
                 )
@@ -220,17 +242,23 @@ class LinkPort:
                 # copy's span later parents under this captured id — not
                 # under whatever a sibling branch made of the shared
                 # context head in the meantime.
-                frame.trace_t0 = now
+                frame.trace_t0 = earliest
                 frame.trace_parent = getattr(packet, "trace_parent", None)
         size = frame.wire_size
         tx_delay = link._tx_delays.get(size)
         if tx_delay is None:
             tx_delay = link.serialization_delay(size)
         start = self._busy_until
-        if start > now:
-            self._waiting.append(start)
+        if start > earliest:
+            # Only a frame that finds the wire busy ever waits.
+            waiting.append(start)
+            if earliest > now:
+                entering = self._entering
+                while entering and entering[0] <= now:
+                    entering.popleft()
+                entering.append(earliest)
         else:
-            start = now
+            start = earliest
         end = self._busy_until = start + tx_delay
         self.tx_frames += 1
         self.tx_bytes += size
@@ -242,15 +270,28 @@ class LinkPort:
 
     @property
     def queue_depth(self) -> int:
-        """Frames currently waiting (not counting the one on the wire)."""
-        return self._depth_at(self.link.sim.now)
-
-    def _depth_at(self, now: float) -> int:
-        """The one depth reading: forget slots started by ``now``, count the rest."""
+        """Frames currently waiting (not counting the one on the wire, nor
+        frames still inside the sender's latency)."""
+        now = self.link.sim.now
         waiting = self._waiting
         while waiting and waiting[0] <= now:
             waiting.popleft()
-        return len(waiting)
+        entering = self._entering
+        while entering and entering[0] <= now:
+            entering.popleft()
+        return len(waiting) - len(entering)
+
+    def _waiting_after(self, t: float) -> int:
+        """Booked frames whose slot starts after ``t``.  For the capacity
+        check at a frame's ``earliest``, every earlier booking has left
+        its sender by ``t``, so this is the depth as of ``t``.  Slots
+        already started by ``now`` must have been dropped first."""
+        started = 0
+        for start in self._waiting:
+            if start > t:
+                break
+            started += 1
+        return len(self._waiting) - started
 
     # ------------------------------------------------------------------
 

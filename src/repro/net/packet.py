@@ -53,6 +53,14 @@ class TcpFlags(IntFlag):
     URG = 0x20
 
 
+# Flag tests read these plain-int bits off ``int(flags)``: ``&`` between
+# two IntFlag values builds a new enum member on every call (~1 us).
+_FIN = int(TcpFlags.FIN)
+_SYN = int(TcpFlags.SYN)
+_RST = int(TcpFlags.RST)
+_ACK = int(TcpFlags.ACK)
+
+
 @dataclass
 class RawPayload:
     """An opaque payload of a given size (optionally with real bytes)."""
@@ -144,22 +152,22 @@ class TcpSegment:
     @property
     def syn(self) -> bool:
         """True when the SYN flag is set."""
-        return bool(self.flags & TcpFlags.SYN)
+        return bool(int(self.flags) & _SYN)
 
     @property
     def ack_flag(self) -> bool:
         """True when the ACK flag is set (named to avoid clashing with ``ack``)."""
-        return bool(self.flags & TcpFlags.ACK)
+        return bool(int(self.flags) & _ACK)
 
     @property
     def fin(self) -> bool:
         """True when the FIN flag is set."""
-        return bool(self.flags & TcpFlags.FIN)
+        return bool(int(self.flags) & _FIN)
 
     @property
     def rst(self) -> bool:
         """True when the RST flag is set."""
-        return bool(self.flags & TcpFlags.RST)
+        return bool(int(self.flags) & _RST)
 
     def to_bytes(self) -> bytes:
         """Wire representation (checksum field zero; see Ipv4Packet.to_bytes)."""

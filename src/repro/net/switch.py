@@ -16,12 +16,29 @@ microseconds and its fabric is non-blocking.
 
 Forwarding is **learned-table dispatch**: the learning table maps a MAC
 straight to its egress port, so the per-frame hot path is one dict probe
-on ingress (learn, writing only when the binding changes) and one dict
-probe on egress.  Last-seen timestamps are maintained in a side table
-only when an ageing time is configured — the default no-ageing
+to learn the source (writing only when the binding changes) and one to
+look the destination up.  Last-seen timestamps are maintained in a side
+table only when an ageing time is configured — the default no-ageing
 configuration pays no per-frame timestamp write or tuple allocation,
 which is what keeps 200+-host fabrics tractable
 (see :class:`~repro.net.topology.FabricTopology`).
+
+Per-hop cost: no kernel event of its own.  The lookup runs at ingress,
+as in a real switch, and books the egress slot at once with
+``earliest = now + forwarding_latency``
+(:meth:`~repro.net.link.LinkPort.send`), so every slot and arrival time
+is the one a forwarding event after the latency would have produced.
+Egress state — the learned binding of the destination, quarantine,
+port failure, the link's impairment, MAC ageing — is therefore read at
+the lookup.  (A binding could move inside the latency only if frames
+from one MAC reached the switch on two ports; every NIC sends from its
+host's own MAC and the fabric is a tree, so that needs an explicit
+:meth:`EthernetSwitch.learn`.)  Two cases keep that event:
+
+* an unknown unicast waits out the latency before it floods, because
+  its destination may be learned meanwhile and turn it into a unicast;
+* while any such frame is inside the switch, every later frame waits
+  too, so no frame books an egress slot ahead of an earlier one.
 """
 
 from __future__ import annotations
@@ -31,6 +48,7 @@ from typing import Dict, List, Optional
 from repro.net.addresses import MacAddress
 from repro.net.link import LinkPort
 from repro.net.packet import EthernetFrame
+from repro.obs.profiling import core as _profiling
 from repro.sim import units
 from repro.sim.engine import Simulator
 
@@ -51,7 +69,8 @@ class EthernetSwitch:
         ``None`` disables ageing, which suits short experiments.
     """
 
-    #: Wall-clock profiling bucket for the forwarding events.
+    #: Wall-clock profiling bucket: the scope :meth:`receive_frame` opens
+    #: inside the link's delivery event, and the deferred forwarding events.
     profile_category = "switch"
 
     def __init__(
@@ -83,6 +102,8 @@ class EthernetSwitch:
         #: clobber each other's bookkeeping: releasing a quarantine does
         #: not heal a failed port, and vice versa.
         self._failed: set = set()
+        #: Fabric exit time of the last deferred frame (see :meth:`receive_frame`).
+        self._deferred_until = float("-inf")
         # Counters
         self.forwarded_frames = 0
         self.flooded_frames = 0
@@ -173,7 +194,18 @@ class EthernetSwitch:
     # ------------------------------------------------------------------
 
     def receive_frame(self, frame: EthernetFrame, port: LinkPort) -> None:
-        """Learn the source and forward after the fabric latency."""
+        """Learn the source, look the destination up and book the egress
+        slot from the end of the fabric latency."""
+        profiler = _profiling.ACTIVE
+        if profiler is None:
+            return self._receive_frame(frame, port)
+        profiler.enter(self.profile_category)
+        try:
+            return self._receive_frame(frame, port)
+        finally:
+            profiler.exit()
+
+    def _receive_frame(self, frame: EthernetFrame, port: LinkPort) -> None:
         if self._quarantined and port in self._quarantined:
             self.quarantined_frames += 1
             return
@@ -184,53 +216,79 @@ class EthernetSwitch:
         table = self._mac_to_port
         if table.get(src) is not port:
             table[src] = port
+        now = self.sim.now
         seen = self._mac_seen
         if seen is not None:
-            seen[src] = self.sim.now
-        self.sim.schedule(self.forwarding_latency, self._forward, frame, port)
+            seen[src] = now
+        earliest = now + self.forwarding_latency
+        if now > self._deferred_until:
+            dst = frame.dst_mac
+            # The I/G (group) bit: set for multicast, and for broadcast.
+            if dst._value & (1 << 40):
+                self._dispatch(frame, port, None, earliest)
+                return
+            egress = self._lookup(dst, port)
+            if egress is not None:
+                self._dispatch(frame, port, egress, earliest)
+                return
+        # An unknown unicast waits out the latency (its destination may be
+        # learned meanwhile), and so does every frame behind it, to keep
+        # each egress port's bookings in arrival order.
+        self._deferred_until = earliest
+        self.sim.schedule_at(earliest, self._forward, frame, port, earliest)
 
     # ------------------------------------------------------------------
 
-    def _forward(self, frame: EthernetFrame, ingress: LinkPort) -> None:
+    def _lookup(self, dst: MacAddress, ingress: LinkPort) -> Optional[LinkPort]:
+        """The learned egress port for unicast ``dst``, or None (flood)."""
+        egress = self._mac_to_port.get(dst)
+        if egress is not None and egress is not ingress:
+            seen = self._mac_seen
+            if seen is not None and (self.sim.now - seen[dst]) > self.mac_ageing_time:
+                return None
+        return egress
+
+    def _forward(self, frame: EthernetFrame, ingress: LinkPort, earliest: float) -> None:
+        """The deferred lookup, a forwarding latency after ingress."""
+        dst = frame.dst_mac
+        egress = None if dst._value & (1 << 40) else self._lookup(dst, ingress)
+        self._dispatch(frame, ingress, egress, earliest)
+
+    def _dispatch(
+        self,
+        frame: EthernetFrame,
+        ingress: LinkPort,
+        egress: Optional[LinkPort],
+        earliest: float,
+    ) -> None:
+        """Send ``frame`` out of ``egress`` (flood if None), its egress
+        slots starting at ``earliest``."""
         tracer = self.sim.tracer
         if tracer.active:
             packet = frame.ip
             ctx = getattr(packet, "trace_ctx", None) if packet is not None else None
             if ctx is not None:
-                now = self.sim.now
                 record = tracer.span(
                     ctx, "switch.forward", self.name,
-                    now - self.forwarding_latency, now,
+                    earliest - self.forwarding_latency, earliest,
                     parent=getattr(packet, "trace_parent", None),
                 )
                 packet.trace_parent = record.span_id
-        dst = frame.dst_mac
-        # The I/G (group) bit: set for multicast, and for broadcast.
-        if dst._value & (1 << 40):
-            self._flood(frame, ingress)
-            return
-        egress = self._mac_to_port.get(dst)
-        if egress is not None:
-            seen = self._mac_seen
-            if seen is None or (self.sim.now - seen[dst]) <= self.mac_ageing_time:
-                if egress is ingress:
-                    # Destination is on the ingress segment; do not forward.
-                    return
-                if self._quarantined and egress in self._quarantined:
-                    self.quarantined_frames += 1
-                    return
-                if self._failed and egress in self._failed:
-                    self.blackholed_frames += 1
-                    return
-                self.forwarded_frames += 1
-                if not egress.send(frame):
-                    self.dropped_frames += 1
-                return
-            if egress is ingress:
-                return
-        self._flood(frame, ingress)
+        if egress is None:
+            self._flood(frame, ingress, earliest)
+        elif egress is ingress:
+            # Destination is on the ingress segment; do not forward.
+            pass
+        elif self._quarantined and egress in self._quarantined:
+            self.quarantined_frames += 1
+        elif self._failed and egress in self._failed:
+            self.blackholed_frames += 1
+        else:
+            self.forwarded_frames += 1
+            if not egress.send(frame, earliest):
+                self.dropped_frames += 1
 
-    def _flood(self, frame: EthernetFrame, ingress: LinkPort) -> None:
+    def _flood(self, frame: EthernetFrame, ingress: LinkPort, earliest: float) -> None:
         self.flooded_frames += 1
         quarantined = self._quarantined
         failed = self._failed
@@ -243,7 +301,7 @@ class EthernetSwitch:
             if failed and port in failed:
                 self.blackholed_frames += 1
                 continue
-            if not port.send(frame):
+            if not port.send(frame, earliest):
                 self.dropped_frames += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

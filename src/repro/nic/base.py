@@ -94,18 +94,24 @@ class BaseNic:
     def _process_egress(self, packet: Ipv4Packet, dst_mac: MacAddress) -> None:
         raise NotImplementedError
 
-    def _transmit_frame(self, packet: Ipv4Packet, dst_mac: MacAddress) -> None:
-        """Frame the packet and hand it to the link."""
-        if self.port is None:
-            raise RuntimeError(f"NIC {self.name} not attached to a link")
+    def _transmit_frame(
+        self, packet: Ipv4Packet, dst_mac: MacAddress, earliest: float = 0.0
+    ) -> None:
+        """Frame the packet and hand it to the link, its wire slot starting
+        no earlier than ``earliest``."""
         frame = EthernetFrame(
             src_mac=self.host.mac,
             dst_mac=dst_mac,
             payload=packet,
             frame_id=next(self._frame_ids),
         )
+        self._send_frame(frame, earliest)
+
+    def _send_frame(self, frame: EthernetFrame, earliest: float) -> None:
+        if self.port is None:
+            raise RuntimeError(f"NIC {self.name} not attached to a link")
         self.frames_sent += 1
-        self.port.send(frame)
+        self.port.send(frame, earliest)
 
     # ------------------------------------------------------------------
     # Ingress (wire -> host)
@@ -154,10 +160,7 @@ class BaseNic:
 
     def send_arp_frame(self, frame: EthernetFrame) -> None:
         """Transmit an ARP frame, bypassing the policy engine."""
-        if self.port is None:
-            raise RuntimeError(f"NIC {self.name} not attached to a link")
-        self.frames_sent += 1
-        self.port.send(frame)
+        self._send_frame(frame, self.sim.now)
 
     def _process_ingress(self, frame: EthernetFrame, packet: Ipv4Packet) -> None:
         raise NotImplementedError

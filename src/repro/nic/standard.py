@@ -12,6 +12,7 @@ from repro import calibration
 from repro.net.addresses import MacAddress
 from repro.net.packet import EthernetFrame, Ipv4Packet
 from repro.nic.base import BaseNic
+from repro.obs.profiling import core as _profiling
 from repro.sim.engine import Simulator
 
 
@@ -20,48 +21,64 @@ class StandardNic(BaseNic):
 
     The per-packet cost is far below the wire's per-frame time, so the
     device is never the bottleneck; it is modelled as a fixed pipeline
-    latency rather than a contended queue.
+    latency rather than a contended queue: the
+    :data:`~repro.calibration.STANDARD_NIC_COST_MODEL` fixed term, which
+    has no per-byte or per-rule part.  Egress frames the packet at once
+    and books its wire slot from ``now + latency``
+    (:meth:`LinkPort.send`'s ``earliest``) instead of scheduling the
+    hand-off: one fixed latency keeps frames in order, so the slot is the
+    one a later hand-off would have booked.  ARP frames take the same
+    pipeline, so this NIC books its port in nondecreasing ``earliest``
+    order.  ``frames_sent`` counts, and the link's egress state is read,
+    as the host hands the frame down.
     """
 
     profile_category = "nic.standard"
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "eepro100",
-        cost_model: calibration.NicCostModel = calibration.STANDARD_NIC_COST_MODEL,
-    ):
+    def __init__(self, sim: Simulator, name: str = "eepro100"):
         super().__init__(sim, name)
-        self.cost_model = cost_model
+        #: Fixed pipeline latency, both directions.
+        self.latency = calibration.STANDARD_NIC_COST_MODEL.c0
+
+    def send_arp_frame(self, frame: EthernetFrame) -> None:
+        """Transmit an ARP frame after the same latency as an IP frame."""
+        self._send_frame(frame, self.sim.now + self.latency)
 
     def _process_egress(self, packet: Ipv4Packet, dst_mac: MacAddress) -> None:
-        delay = self.cost_model.service_time(frame_bytes=packet.size, rules_traversed=0)
+        profiler = _profiling.ACTIVE
+        if profiler is None:
+            return self._egress(packet, dst_mac)
+        # Egress runs inside the host's call, so it opens its own scope
+        # (the counterpart of BaseNic.receive_frame's "nic.standard.rx").
+        profiler.enter("nic.standard.tx")
+        try:
+            return self._egress(packet, dst_mac)
+        finally:
+            profiler.exit()
+
+    def _egress(self, packet: Ipv4Packet, dst_mac: MacAddress) -> None:
+        now = self.sim.now
+        handover = now + self.latency
         tracer = self.sim.tracer
         if tracer.active:
             ctx = getattr(packet, "trace_ctx", None)
             if ctx is not None:
-                # Fixed pipeline latency: the span's whole extent is known
-                # up front, so it can be emitted immediately.
-                now = self.sim.now
                 record = tracer.span(
-                    ctx, "nic.tx", self.name, now, now + delay,
+                    ctx, "nic.tx", self.name, now, handover,
                     parent=getattr(packet, "trace_parent", None),
                 )
                 packet.trace_parent = record.span_id
-        self.sim.schedule(delay, self._transmit_frame, packet, dst_mac)
+        self._transmit_frame(packet, dst_mac, handover)
 
     def _process_ingress(self, frame: EthernetFrame, packet: Ipv4Packet) -> None:
-        delay = self.cost_model.service_time(
-            frame_bytes=frame.wire_size, rules_traversed=0
-        )
         tracer = self.sim.tracer
         if tracer.active:
             ctx = getattr(packet, "trace_ctx", None)
             if ctx is not None:
                 now = self.sim.now
                 record = tracer.span(
-                    ctx, "nic.rx", self.name, now, now + delay,
+                    ctx, "nic.rx", self.name, now, now + self.latency,
                     parent=getattr(packet, "trace_parent", None),
                 )
                 packet.trace_parent = record.span_id
-        self.sim.schedule(delay, self._deliver_to_host, packet)
+        self.sim.schedule(self.latency, self._deliver_to_host, packet)

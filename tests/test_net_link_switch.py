@@ -320,20 +320,22 @@ class TestImpairmentDropAccounting:
         assert series("queue_full") == 5
 
 
-class TestSwitch:
-    def _wire(self, sim, count=3):
-        switch = EthernetSwitch(sim)
-        sinks = []
-        for index in range(count):
-            link = Link(sim, name=f"l{index}")
-            switch.attach_port(link.port_a)
-            sink = Sink(sim)
-            link.port_b.attach(sink)
-            sinks.append((link, sink))
-        return switch, sinks
+def wire_switch(sim, count=3):
+    """A switch with ``count`` ports, each linked to a :class:`Sink`."""
+    switch = EthernetSwitch(sim)
+    sinks = []
+    for index in range(count):
+        link = Link(sim, name=f"l{index}")
+        switch.attach_port(link.port_a)
+        sink = Sink(sim)
+        link.port_b.attach(sink)
+        sinks.append((link, sink))
+    return switch, sinks
 
+
+class TestSwitch:
     def test_unknown_destination_floods(self, sim):
-        switch, sinks = self._wire(sim)
+        switch, sinks = wire_switch(sim)
         sinks[0][0].port_b.send(make_frame(src_index=1, dst_index=9))
         sim.run()
         assert len(sinks[1][1].frames) == 1
@@ -342,7 +344,7 @@ class TestSwitch:
         assert switch.flooded_frames == 1
 
     def test_learned_destination_is_unicast(self, sim):
-        switch, sinks = self._wire(sim)
+        switch, sinks = wire_switch(sim)
         # Host 2 speaks first so the switch learns its port.
         sinks[1][0].port_b.send(make_frame(src_index=2, dst_index=1))
         sim.run()
@@ -353,7 +355,7 @@ class TestSwitch:
         assert switch.forwarded_frames == 1
 
     def test_broadcast_floods_all_but_ingress(self, sim):
-        switch, sinks = self._wire(sim)
+        switch, sinks = wire_switch(sim)
         packet = Ipv4Packet(
             src=Ipv4Address("10.0.0.1"),
             dst=Ipv4Address("255.255.255.255"),
@@ -368,7 +370,7 @@ class TestSwitch:
         assert len(sinks[2][1].frames) == 1
 
     def test_frame_to_ingress_segment_not_forwarded(self, sim):
-        switch, sinks = self._wire(sim)
+        switch, sinks = wire_switch(sim)
         # Learn both hosts on port 0's segment (hub-like scenario).
         sinks[0][0].port_b.send(make_frame(src_index=1, dst_index=9))
         sim.run()
@@ -419,11 +421,102 @@ class TestSwitch:
         assert len(sink.frames) < 60
 
     def test_mac_table_snapshot(self, sim):
-        switch, sinks = self._wire(sim)
+        switch, sinks = wire_switch(sim)
         sinks[0][0].port_b.send(make_frame(src_index=1, dst_index=2))
         sim.run()
         table = switch.mac_table()
         assert MacAddress.from_index(1) in table
+
+
+class TestSwitchFold:
+    """The switch books the egress slot at its ingress lookup.
+
+    Every literal below was recorded with the switch that scheduled a
+    forwarding event per frame, ``forwarding_latency`` after arrival.
+    """
+
+    def _fast_into_slow(self, sim, queue_capacity=128):
+        """A 1 Gbps ingress port and a 100 Mbps egress port that knows host 3."""
+        switch = EthernetSwitch(sim)
+        fast = Link(sim, name="in", bandwidth_bps=units.mbps(1000))
+        out = Link(sim, name="out", queue_capacity=queue_capacity)
+        switch.attach_port(fast.port_a)
+        switch.attach_port(out.port_a)
+        sink = Sink(sim)
+        out.port_b.attach(sink)
+        switch.learn(MacAddress.from_index(3), out.port_a)
+        return switch, fast, out, sink
+
+    def test_known_unicast_hop_runs_no_forwarding_event(self, sim):
+        switch, sinks = wire_switch(sim)
+        switch.learn(MacAddress.from_index(2), sinks[1][0].port_a)
+        for _ in range(2):
+            sinks[0][0].port_b.send(make_frame(src_index=1, dst_index=2))
+        sim.run()
+        assert [when for when, _ in sinks[1][1].frames] == [3.256e-05, 4.584e-05]
+        # Two link deliveries per frame; the forwarding events were two more.
+        assert sim.events_executed == 4
+
+    def test_destination_learned_inside_the_latency_is_unicast(self, sim):
+        switch, sinks = wire_switch(sim)
+        half = switch.forwarding_latency / 2
+        sinks[0][0].port_b.send(make_frame(src_index=1, dst_index=2))
+        # Host 2's frame reaches the switch half a latency after host 1's.
+        sim.schedule_at(half, sinks[1][0].port_b.send, make_frame(src_index=2, dst_index=1))
+        sim.run()
+        host_1, host_2 = int(MacAddress.from_index(1)), int(MacAddress.from_index(2))
+        assert [(when, int(f.src_mac)) for when, f in sinks[1][1].frames] == [
+            (3.256e-05, host_1)
+        ]
+        assert [(when, int(f.src_mac)) for when, f in sinks[0][1].frames] == [
+            (3.506e-05, host_2)
+        ]
+        assert sinks[2][1].frames == []
+        assert switch.flooded_frames == 0
+        assert switch.forwarded_frames == 2
+
+    def test_known_unicast_behind_a_deferred_flood_keeps_arrival_order(self, sim):
+        switch, sinks = wire_switch(sim)
+        switch.learn(MacAddress.from_index(2), sinks[1][0].port_a)
+        half = switch.forwarding_latency / 2
+        sinks[0][0].port_b.send(make_frame(src_index=1, dst_index=9))
+        sim.schedule_at(half, sinks[2][0].port_b.send, make_frame(src_index=3, dst_index=2))
+        sim.run()
+        assert [(when, int(f.src_mac)) for when, f in sinks[1][1].frames] == [
+            (3.256e-05, int(MacAddress.from_index(1))),
+            (4.584e-05, int(MacAddress.from_index(3))),
+        ]
+        assert switch.flooded_frames == 1
+        assert switch.forwarded_frames == 1
+
+    def test_burst_into_a_full_egress_queue_drops_as_before(self, sim):
+        # The second frame is checked against a queue whose head starts
+        # its slot before the second frame leaves the fabric: accepted.
+        switch, fast, out, sink = self._fast_into_slow(sim, queue_capacity=1)
+        frames = [make_frame(src_index=1, dst_index=3, payload_size=0) for _ in range(4)]
+        for frame in frames:
+            fast.port_b.send(frame)
+        sim.run()
+        assert switch.dropped_frames == out.port_a.dropped_frames == 2
+        assert [when for when, _ in sink.frames] == [1.3392e-05, 2.0112e-05]
+        assert [id(frame) for _, frame in sink.frames] == [id(frames[0]), id(frames[1])]
+
+    def test_queue_depth_excludes_frames_inside_the_fabric(self, sim):
+        switch, fast, out, _ = self._fast_into_slow(sim)
+        for _ in range(3):
+            fast.port_b.send(make_frame(src_index=1, dst_index=3, payload_size=0))
+        tx = fast.serialization_delay(64)
+        first = tx + fast.propagation_delay
+        third = 3 * tx + fast.propagation_delay
+        latency = switch.forwarding_latency
+        depths = []
+        for probe in (third, first + latency + tx / 2, third + latency + tx / 2):
+            sim.schedule_at(probe, lambda: depths.append(out.port_a.queue_depth))
+        sim.run(until=third)
+        # All three are booked already, but none has left the fabric.
+        assert out.port_a.tx_frames == 3
+        sim.run()
+        assert depths == [0, 0, 2]
 
 
 class TestTopology:

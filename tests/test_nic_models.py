@@ -9,7 +9,7 @@ from repro.firewall.rules import Action, PortRange, Rule, VpgRule
 from repro.firewall.ruleset import RuleSet
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.packet import IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram
+from repro.net.packet import ETHERTYPE_ARP, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram
 from repro.net.topology import FabricTopology
 from repro.nic.adf import AdfNic
 from repro.nic.efw import EfwNic
@@ -61,6 +61,50 @@ class TestStandardNic:
         )
         bob.nic.receive_frame(frame, None)
         assert bob.packets_delivered == 0
+
+
+class TestStandardNicFixedLatency:
+    def test_egress_books_the_wire_slot_without_an_event(self, sim):
+        alice, bob = build_pair(sim, lambda: StandardNic(sim))
+        arrivals = []
+        bob.udp.bind(7000, lambda *args: arrivals.append(sim.now))
+        udp_to(alice, bob, 7000)
+        udp_to(alice, bob, 7000)
+        # Framed and counted as the host hands the packet down.
+        assert alice.nic.frames_sent == 2
+        sim.run(until=0.1)
+        # Recorded when the NIC scheduled its hand-off a latency later.
+        assert arrivals == [2.144e-05, 2.816e-05]
+        # Per packet: two link deliveries, the switch's deferred flood
+        # (bob has not spoken yet) and bob's host delivery.
+        assert sim.events_executed == 2 * 4
+
+    def test_arp_frame_takes_the_same_pipeline_as_ip(self, sim):
+        alice, bob = build_pair(sim, lambda: StandardNic(sim))
+        alice.enable_arp()
+        port = alice.nic.port
+        switch = port.peer.device
+        arrivals = []
+        receive = switch.receive_frame
+
+        def record(frame, ingress):
+            if ingress is port.peer:
+                arrivals.append((sim.now, frame.ethertype == ETHERTYPE_ARP))
+            receive(frame, ingress)
+
+        switch.receive_frame = record
+        udp_to(alice, bob, 7000)
+        # Unresolved destination: an ARP request while the UDP frame is
+        # still inside the NIC.
+        alice.ip_layer.send_packet(
+            Ipv4Packet(src=alice.ip, dst=Ipv4Address("10.0.0.9"), payload=UdpDatagram(4000, 7000))
+        )
+        assert port.queue_depth == 0
+        sim.run(until=0.001)
+        # The request books behind the UDP frame from now + latency
+        # (before it skipped the latency and left first, at 7.22 us).
+        assert [is_arp for _t, is_arp in arrivals] == [False, True]
+        assert [t for t, _is_arp in arrivals] == pytest.approx([8.22e-06, 1.494e-05], abs=1e-12)
 
 
 class TestEmbeddedPolicyEnforcement:

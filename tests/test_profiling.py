@@ -446,6 +446,36 @@ class TestCoverageAcceptance:
         assert any(name.startswith("nic.") for name in names)
 
 
+class TestForwardingAttribution:
+    def test_fig3a_point_charges_switch_and_standard_nic_egress(self):
+        """Switch forwarding and standard-NIC egress run inside other
+        components' events, under scopes of their own."""
+        from repro.core.methodology import MeasurementSettings
+        from repro.core.testbed import DeviceKind
+        from repro.experiments.fig3a_flood import _flood_point
+
+        collector = ProfileCollector(ProfileConfig(stacks=True))
+        spec = SweepPointSpec(
+            label="fig3a: No Firewall flood=2,000 pps",
+            fn=_flood_point,
+            kwargs={
+                "device": DeviceKind.STANDARD,
+                "rate": 2000.0,
+                "vpg_count": 0,
+                "settings": MeasurementSettings(duration=0.05, flood_lead=0.02),
+            },
+        )
+        SweepExecutor(jobs=1, probes=(collector,)).run([spec])
+        aggregated = collector.aggregate()
+        entries = {entry.name: entry for entry in aggregated.entries}
+        for name in ("switch", "nic.standard", "nic.standard.tx"):
+            assert entries[name].self_ns > 0, name
+        paths = {tuple(stack.path): stack.calls for stack in aggregated.stacks}
+        # The switch forwards inside the link's delivery event.
+        assert paths[("sim.run", "link", "switch")] > 0
+        assert paths[("sim.run", "app.flood", "nic.standard.tx")] > 0
+
+
 class _WheelTarget:
     profile_category = "defense.wheel-target"
 
