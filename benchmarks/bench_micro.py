@@ -8,7 +8,7 @@ performance regressions that would make the experiment sweeps impractical.
 
 from __future__ import annotations
 
-from repro.crypto.feistel import FeistelCipher
+from repro.crypto.cipher import KeystreamCipher
 from repro.firewall.builders import padded_ruleset, service_rule
 from repro.firewall.rules import Action, Direction
 from repro.net.addresses import Ipv4Address
@@ -87,9 +87,9 @@ def test_ruleset_evaluation_cached(benchmark):
     assert result.rules_traversed == 64
 
 
-def test_feistel_cbc_encrypt(benchmark):
-    """CBC encryption of a 64-byte header blob (the VPG seal path)."""
-    cipher = FeistelCipher(b"0123456789abcdef01234567")
+def test_keystream_encrypt(benchmark):
+    """Keystream encryption of a 64-byte header blob (the VPG seal path)."""
+    cipher = KeystreamCipher(b"0123456789abcdef01234567")
     blob = bytes(range(64))
 
     ciphertext = benchmark(cipher.encrypt, blob, 1)

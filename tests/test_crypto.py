@@ -1,9 +1,12 @@
-"""Tests for the crypto substrate: Feistel cipher, MAC, VPG encapsulation."""
+"""Tests for the crypto substrate: keystream cipher, MAC, VPG encapsulation."""
+
+import hashlib
+import hmac
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.feistel import BLOCK_SIZE, FeistelCipher
+from repro.crypto.cipher import BLOCK_SIZE, KeystreamCipher
 from repro.crypto.keys import KEY_SIZE, VpgKeyStore
 from repro.crypto.mac import TAG_SIZE, compute_tag, verify_tag
 from repro.crypto.vpg import (
@@ -26,49 +29,33 @@ from repro.net.packet import (
 SRC = Ipv4Address("10.0.0.2")
 DST = Ipv4Address("10.0.0.3")
 KEY = b"0123456789abcdef01234567"
+KNOWN_ANSWER_HEX = "db31d161d33d5309a74f10f88066e5a788f2c8614f4c3583"
 
 
-class TestFeistelCipher:
-    def test_block_roundtrip(self):
-        cipher = FeistelCipher(KEY)
-        block = b"\x01\x02\x03\x04\x05\x06\x07\x08"
-        assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
-
-    def test_block_encryption_changes_bytes(self):
-        cipher = FeistelCipher(KEY)
-        block = b"\x00" * BLOCK_SIZE
-        assert cipher.encrypt_block(block) != block
-
-    def test_wrong_block_size_rejected(self):
-        cipher = FeistelCipher(KEY)
-        with pytest.raises(ValueError):
-            cipher.encrypt_block(b"short")
-        with pytest.raises(ValueError):
-            cipher.decrypt_block(b"toolongtoolong")
-
+class TestKeystreamCipher:
     def test_cbc_roundtrip(self):
-        cipher = FeistelCipher(KEY)
+        cipher = KeystreamCipher(KEY)
         plaintext = b"The quick brown fox jumps over the lazy dog"
         assert cipher.decrypt(cipher.encrypt(plaintext)) == plaintext
 
     def test_cbc_output_is_block_aligned(self):
-        cipher = FeistelCipher(KEY)
+        cipher = KeystreamCipher(KEY)
         assert len(cipher.encrypt(b"x")) % BLOCK_SIZE == 0
 
     def test_different_keys_give_different_ciphertexts(self):
         plaintext = b"same plaintext bytes"
-        a = FeistelCipher(b"key-a").encrypt(plaintext)
-        b = FeistelCipher(b"key-b").encrypt(plaintext)
+        a = KeystreamCipher(b"key-a").encrypt(plaintext)
+        b = KeystreamCipher(b"key-b").encrypt(plaintext)
         assert a != b
 
     def test_sequence_binds_iv(self):
-        cipher = FeistelCipher(KEY)
+        cipher = KeystreamCipher(KEY)
         plaintext = b"identical plaintext"
-        assert cipher.encrypt(plaintext, sequence=1) != cipher.encrypt(plaintext, sequence=2)
+        assert cipher.encrypt(plaintext, 1) != cipher.encrypt(plaintext, 2)
 
     def test_wrong_key_fails_to_decrypt(self):
-        ciphertext = FeistelCipher(b"key-a").encrypt(b"secret payload here!")
-        wrong = FeistelCipher(b"key-b")
+        ciphertext = KeystreamCipher(b"key-a").encrypt(b"secret payload here!")
+        wrong = KeystreamCipher(b"key-b")
         try:
             recovered = wrong.decrypt(ciphertext)
         except ValueError:
@@ -76,7 +63,7 @@ class TestFeistelCipher:
         assert recovered != b"secret payload here!"
 
     def test_bad_ciphertext_length_rejected(self):
-        cipher = FeistelCipher(KEY)
+        cipher = KeystreamCipher(KEY)
         with pytest.raises(ValueError):
             cipher.decrypt(b"12345")
         with pytest.raises(ValueError):
@@ -84,12 +71,25 @@ class TestFeistelCipher:
 
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
-            FeistelCipher(b"")
+            KeystreamCipher(b"")
 
-    @given(st.binary(max_size=512), st.integers(0, 2**32 - 1))
-    def test_roundtrip_property(self, plaintext, sequence):
-        cipher = FeistelCipher(KEY)
-        assert cipher.decrypt(cipher.encrypt(plaintext, sequence), sequence) == plaintext
+    @given(st.binary(max_size=512), st.integers(0, 2**64 - 1))
+    def test_roundtrip_property(self, plaintext, nonce):
+        cipher = KeystreamCipher(KEY)
+        assert cipher.decrypt(cipher.encrypt(plaintext, nonce), nonce) == plaintext
+
+    def test_known_answer(self):
+        cipher = KeystreamCipher(KEY)
+        ciphertext = cipher.encrypt(b"VPG known-answer", 0x0A00000200000001)
+        assert ciphertext.hex() == KNOWN_ANSWER_HEX
+
+    def test_ciphertext_length_is_the_padded_block_length(self):
+        # The wire-size contract: a ciphertext is exactly as long as an
+        # 8-byte-block cipher with PKCS#7 padding would make it.
+        cipher = KeystreamCipher(KEY)
+        for length in range(65):
+            plaintext = bytes(range(length))
+            assert len(cipher.encrypt(plaintext)) == (length // BLOCK_SIZE + 1) * BLOCK_SIZE
 
 
 class TestMac:
@@ -118,6 +118,10 @@ class TestMac:
     @given(st.binary(max_size=256))
     def test_tag_is_deterministic(self, data):
         assert compute_tag(KEY, data) == compute_tag(KEY, data)
+
+    @given(st.binary(min_size=1, max_size=64), st.binary(max_size=256))
+    def test_tag_is_truncated_hmac_sha256(self, key, data):
+        assert compute_tag(key, data) == hmac.new(key, data, hashlib.sha256).digest()[:TAG_SIZE]
 
 
 class TestVpgContext:
@@ -224,6 +228,26 @@ class TestVpgContext:
         second = sealer.seal(inner, SRC, DST)
         assert second.payload.sequence == first.payload.sequence + 1
         assert first.payload.ciphertext != second.payload.ciphertext
+
+    def test_keystream_is_bound_to_the_sender(self):
+        # Every member numbers its packets from 1 under the shared group
+        # key; two senders' first packets must still use different
+        # keystreams, or their XOR would leak the XOR of the plaintexts.
+        store = VpgKeyStore()
+        first, second = store.context_for(7), store.context_for(7)
+        inner = Ipv4Packet(src=SRC, dst=DST, payload=UdpDatagram(1, 2, payload_size=32))
+        a = first.seal(inner, SRC, DST).payload
+        b = second.seal(inner, DST, SRC).payload
+        assert a.sequence == b.sequence == 1
+        assert a.ciphertext != b.ciphertext
+
+    def test_rewritten_source_rejected(self):
+        sealer, opener = self._context_pair()
+        inner = Ipv4Packet(src=SRC, dst=DST, payload=UdpDatagram(1, 2, payload_size=32))
+        outer = sealer.seal(inner, SRC, DST)
+        outer.src = Ipv4Address("10.0.0.9")
+        with pytest.raises(VpgDecodeError):
+            opener.open(outer)
 
     @given(
         payload_size=st.integers(0, 1460),

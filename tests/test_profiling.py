@@ -476,6 +476,35 @@ class TestForwardingAttribution:
         assert paths[("sim.run", "app.flood", "nic.standard.tx")] > 0
 
 
+class TestCryptoAttribution:
+    def test_table1_vpg_point_charges_crypto_inside_the_adf_processor(self):
+        """VPG seal/open run inside the ADF's processor event, under a
+        scope of their own."""
+        from repro.core.methodology import MeasurementSettings
+        from repro.core.testbed import DeviceKind
+        from repro.experiments.table1_http import _http_point
+
+        collector = ProfileCollector(ProfileConfig(stacks=True))
+        spec = SweepPointSpec(
+            label="table1: ADF VPG count=1",
+            fn=_http_point,
+            kwargs={
+                "device": DeviceKind.ADF,
+                "depth": 1,
+                "vpg_count": 1,
+                "settings": MeasurementSettings(http_duration=0.05),
+            },
+        )
+        SweepExecutor(jobs=1, probes=(collector,)).run([spec])
+        aggregated = collector.aggregate()
+        entries = {entry.name: entry for entry in aggregated.entries}
+        assert entries["crypto.vpg"].self_ns > 0
+        paths = [tuple(stack.path) for stack in aggregated.stacks]
+        assert any(
+            path[-2:] == ("nic.adf.proc", "crypto.vpg") for path in paths
+        ), paths
+
+
 class _WheelTarget:
     profile_category = "defense.wheel-target"
 
