@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation bench-mitigation-smoke chaos-smoke experiments experiments-quick examples timings clean
+.PHONY: install test test-slow test-all bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation bench-mitigation-smoke experiments experiments-quick examples timings clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -54,12 +54,6 @@ quick-digests:
 	rm -rf quick_digests_output
 	PYTHONHASHSEED=0 $(PYTHON) -m repro.experiments all --quick --jobs 2 --invariants fail-fast --json quick_digests_output --no-progress > /dev/null
 	cd quick_digests_output && sha256sum -c ../benchmarks/quick_digests.sha256
-
-# Chaos smoke: the trimmed scenario grid under fail-fast invariants —
-# every fault injects and clears on schedule and no invariant is
-# violated on any point (CI runs this).
-chaos-smoke:
-	$(PYTHON) -m repro.experiments chaos --preset quick --invariants fail-fast --no-progress
 
 # Fleet-scale kernel benchmark: 4/32/128/256-host flood scenarios on the
 # multi-switch fabric, plus the gated (>=3x at >=128 hosts) timer-wheel

@@ -9,31 +9,17 @@ The paper surfaces a genuine conflict (§4.3):
   (a denied flood never reaches the host, halving the card's load) —
   and an attacker can spoof around source-based denies anyway.
 
-This example quantifies both sides on the simulated testbed, using the
-3Com-recommended Oracle protection policy (31+ rules) as the realistic
-workload, and runs the rule-set anomaly analyzer over a deliberately
-broken variant.
+This example quantifies both sides on the simulated testbed, then shows
+why a realistic policy cannot stay short: the 3Com-recommended Oracle
+protection policy alone takes 31+ rule entries.
 
 Run:  python examples/policy_tuning.py
 """
 
 from repro import DeviceKind, FloodToleranceValidator, MeasurementSettings
 from repro.core.reports import format_table
-from repro.firewall import (
-    Action,
-    PortRange,
-    Rule,
-    RuleSet,
-    analyze,
-    improvement,
-    optimize,
-    oracle_ruleset,
-    padded_ruleset,
-    padding_rule,
-    profile_ruleset,
-)
+from repro.firewall import oracle_ruleset
 from repro.net.addresses import Ipv4Address
-from repro.net.packet import IpProtocol, Ipv4Packet, TcpSegment
 
 def service_rule_at_depth(validator, depth):
     measurement = validator.available_bandwidth(depth=depth)
@@ -78,58 +64,6 @@ def main() -> None:
     for rule in oracle.rules[:5]:
         print(f"  {rule.describe()}")
 
-    print("\n== Traffic-aware reordering (semantics-preserving) ==")
-    action = Rule(
-        action=Action.ALLOW,
-        protocol=IpProtocol.TCP,
-        dst_ports=PortRange.single(5001),
-        symmetric=True,
-        name="iperf",
-    )
-    badly_ordered = RuleSet(
-        [padding_rule(index, action=Action.ALLOW) for index in range(63)] + [action]
-    )
-    sample = [
-        Ipv4Packet(
-            src=Ipv4Address("10.0.0.2"),
-            dst=Ipv4Address("10.0.0.3"),
-            payload=TcpSegment(src_port=40000, dst_port=5001),
-        )
-        for _ in range(100)
-    ]
-    profile = profile_ruleset(badly_ordered, sample)
-    optimized = optimize(badly_ordered, profile)
-    before_cost, after_cost = improvement(badly_ordered, optimized, profile)
-    print(f"  expected entries traversed per packet: {before_cost:.1f} -> {after_cost:.1f}")
-    before_bw = FloodToleranceValidator(DeviceKind.EFW, settings)
-    bed_slow = before_bw.available_bandwidth(depth=64).mbps
-    # Re-measure with the optimized ordering installed directly.
-    from repro.apps.iperf import IperfClient, IperfServer
-    from repro.core.testbed import Testbed
-
-    bed = Testbed(device=DeviceKind.EFW)
-    bed.install_target_policy(optimized)
-    IperfServer(bed.target)
-    session = IperfClient(bed.client).start_tcp(bed.target.ip, duration=0.8)
-    bed.run(0.85)
-    print(f"  EFW bandwidth: {bed_slow:.1f} Mbps (hot rule at 64) -> "
-          f"{session.result().mbps:.1f} Mbps (optimized)")
-
-    print("\n== Anomaly analysis catches broken orderings ==")
-    broken = padded_ruleset(4, action_rule=Rule(action=Action.DENY, name="deny-web",
-                                                protocol=IpProtocol.TCP,
-                                                dst_ports=PortRange.single(80)))
-    # An allow placed *after* the covering deny can never fire:
-    broken.append(
-        Rule(
-            action=Action.ALLOW,
-            protocol=IpProtocol.TCP,
-            dst_ports=PortRange.single(80),
-            name="allow-web (dead)",
-        )
-    )
-    for anomaly in analyze(broken):
-        print(f"  {anomaly.describe()}")
 
 if __name__ == "__main__":
     main()

@@ -97,9 +97,6 @@ class InvariantMonitor:
     mode:
         ``"warn"`` collects violations; ``"fail-fast"`` raises on the
         first one.
-    injector:
-        Optional :class:`~repro.chaos.schedule.ChaosInjector` whose
-        active faults suppress the convergence check mid-fault.
     liveness_window:
         Seconds of sustained over-threshold ingress the detector is
         allowed before defense liveness is violated.
@@ -112,7 +109,6 @@ class InvariantMonitor:
         bed,
         mode: str = "warn",
         check_interval: float = 0.05,
-        injector=None,
         liveness_window: float = 0.5,
     ):
         if mode not in MODES:
@@ -120,7 +116,6 @@ class InvariantMonitor:
         self.bed = bed
         self.mode = mode
         self.check_interval = check_interval
-        self.injector = injector
         self.liveness_window = liveness_window
         self.violations: List[InvariantViolation] = []
         self.checks_run = 0
@@ -318,7 +313,8 @@ class InvariantMonitor:
             return
         if getattr(server, "_awaiting_ack", None):
             return  # pushes in flight — convergence not yet due
-        if self.injector is not None and self.injector.active:
+        injector = getattr(self.bed, "chaos", None)
+        if injector is not None and injector.active:
             return  # an active fault legitimately suspends convergence
         for host_name, outcome in getattr(server, "_push_state", {}).items():
             if outcome.status != ACKED:

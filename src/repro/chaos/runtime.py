@@ -74,25 +74,22 @@ class ChaosConfig:
 
 
 class _ChaosSession:
-    """Injectors and monitors armed while one point runs in this process."""
+    """Testbeds and monitors attached while one point runs in this process."""
 
     def __init__(self, config: ChaosConfig):
         self.config = config
-        self.injectors: List[ChaosInjector] = []
+        self.beds: List = []
         self.monitors: List[InvariantMonitor] = []
 
     def attach_simulator(self, sim) -> None:
         pass
 
     def attach_testbed(self, bed) -> None:
-        injector: Optional[ChaosInjector] = None
+        self.beds.append(bed)
         if self.config.scenario is not None:
-            injector = ChaosInjector(bed, build_scenario(self.config.scenario))
-            injector.arm()
-            self.injectors.append(injector)
-            bed.chaos = injector
+            ChaosInjector(bed, build_scenario(self.config.scenario)).arm()
         if self.config.invariants is not None:
-            monitor = InvariantMonitor(bed, mode=self.config.invariants, injector=injector)
+            monitor = InvariantMonitor(bed, mode=self.config.invariants)
             self.monitors.append(monitor)
             bed.invariant_monitor = monitor
 
@@ -105,9 +102,12 @@ class _ChaosSession:
         snapshot = ChaosSnapshot(
             scenario=self.config.scenario, invariants=self.config.invariants
         )
-        for injector in self.injectors:
-            snapshot.faults_injected += injector.injected
-            snapshot.faults_cleared += injector.cleared
+        for bed in self.beds:
+            # The point may arm its own injector; it registers the same way.
+            injector = getattr(bed, "chaos", None)
+            if injector is not None:
+                snapshot.faults_injected += injector.injected
+                snapshot.faults_cleared += injector.cleared
         error = None
         for monitor in self.monitors:
             try:

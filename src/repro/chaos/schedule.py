@@ -100,7 +100,8 @@ class ChaosInjector:
     The injector owns the timers and the bookkeeping: which faults are
     currently active (invariant monitors consult this to suppress
     convergence checks mid-fault), when the last one cleared, and the
-    full transition log.
+    full transition log.  Arming registers it as ``bed.chaos``, where
+    the chaos probe and the monitors find it, whoever armed it.
     """
 
     def __init__(self, bed, schedule: ChaosSchedule):
@@ -124,6 +125,7 @@ class ChaosInjector:
         if self._armed:
             raise RuntimeError("chaos injector already armed")
         self._armed = True
+        self.bed.chaos = self
         sim = self.bed.sim
         for fault in self.schedule.faults:
             timer = Timer(sim, self._inject, fault)

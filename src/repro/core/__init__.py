@@ -8,9 +8,8 @@ Public API:
 * :class:`~repro.core.methodology.FloodToleranceValidator` — the
   measurement methodology (bandwidth vs. depth, bandwidth under flood,
   minimum DoS flood rate, HTTP impact, deployability verdict),
-* :mod:`~repro.core.metrics` — DoS criteria and statistics,
-* :mod:`~repro.core.sweeps` and :mod:`~repro.core.reports` — experiment
-  plumbing,
+* :mod:`~repro.core.metrics` — DoS criteria,
+* :mod:`~repro.core.reports` — text tables and ASCII plots,
 * :mod:`~repro.core.parallel` — process-pool execution of independent
   sweep points (``--jobs``/``REPRO_JOBS``),
 * ``repro.core.calibration`` — re-export of the cost-model constants.
@@ -40,7 +39,6 @@ from repro.core.parallel import (
     derive_seed,
     resolve_jobs,
 )
-from repro.core.sweeps import Sweep, SweepPoint
 from repro.core.throughput import ThroughputResult, ThroughputTester, TrialResult
 from repro.core.testbed import STATIONS, DeviceKind, Testbed
 
@@ -58,11 +56,9 @@ __all__ = [
     "MinimumFloodResult",
     "PointFailure",
     "STATIONS",
-    "Sweep",
     "SweepCheckpoint",
     "SweepError",
     "SweepExecutor",
-    "SweepPoint",
     "SweepPointSpec",
     "SweepStats",
     "Testbed",

@@ -9,9 +9,7 @@ explicit threshold.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 #: Measured bandwidth below this is "approximately 0 Mbps" (a successful
 #: denial of service).
@@ -20,20 +18,6 @@ DOS_BANDWIDTH_THRESHOLD_MBPS = 1.0
 #: Bandwidth loss below this fraction of the baseline counts as "no
 #: significant performance loss" (paper §4.1 phrasing).
 SIGNIFICANT_LOSS_FRACTION = 0.10
-
-
-@dataclass(frozen=True)
-class BandwidthSample:
-    """One bandwidth measurement under stated conditions."""
-
-    mbps: float
-    rule_depth: int = 0
-    flood_rate_pps: float = 0.0
-
-    @property
-    def is_dos(self) -> bool:
-        """True if this sample constitutes a successful denial of service."""
-        return self.mbps < DOS_BANDWIDTH_THRESHOLD_MBPS
 
 
 def is_denial_of_service(mbps: float) -> bool:
@@ -63,46 +47,3 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         return float("nan")
     return sum(values) / len(values)
-
-
-def stdev(values: Sequence[float]) -> float:
-    """Sample standard deviation; NaN for fewer than two values."""
-    if len(values) < 2:
-        return float("nan")
-    centre = mean(values)
-    return math.sqrt(sum((value - centre) ** 2 for value in values) / (len(values) - 1))
-
-
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Linear-interpolated percentile (``fraction`` in [0, 1])."""
-    if not values:
-        return float("nan")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = fraction * (len(ordered) - 1)
-    lower = int(math.floor(position))
-    upper = int(math.ceil(position))
-    if lower == upper:
-        return ordered[lower]
-    weight = position - lower
-    return ordered[lower] * (1 - weight) + ordered[upper] * weight
-
-
-def summarize(values: Sequence[float]) -> dict:
-    """Mean / stdev / min / median / max of a sample."""
-    return {
-        "mean": mean(values),
-        "stdev": stdev(values),
-        "min": min(values) if values else float("nan"),
-        "median": percentile(values, 0.5),
-        "max": max(values) if values else float("nan"),
-        "count": len(values),
-    }
-
-
-def averaged_bandwidth(samples: List[BandwidthSample]) -> float:
-    """Mean bandwidth of repeated samples (the paper averaged three)."""
-    return mean([sample.mbps for sample in samples])

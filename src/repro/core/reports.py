@@ -1,4 +1,4 @@
-"""Result presentation: aligned text tables and figure-style series.
+"""Result presentation: aligned text tables and ASCII plots.
 
 The experiment runners print the same rows/series the paper reports;
 these helpers keep the formatting in one place and make the output easy
@@ -29,31 +29,6 @@ def format_table(
     lines.append("-+-".join("-" * width for width in widths))
     for row in cells:
         lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def format_markdown_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-) -> str:
-    """Render a GitHub-flavoured markdown table."""
-    lines = ["| " + " | ".join(headers) + " |"]
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(_fmt(value) for value in row) + " |")
-    return "\n".join(lines)
-
-
-def format_series(
-    name: str,
-    points: Sequence[Tuple[Any, Any]],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render one figure series as labelled (x, y) pairs."""
-    lines = [f"series {name!r} ({x_label} -> {y_label}):"]
-    for x, y in points:
-        lines.append(f"  {_fmt(x):>10} -> {_fmt(y)}")
     return "\n".join(lines)
 
 

@@ -1,4 +1,5 @@
-"""Packet-filter engine: rules, rule-sets, builders, iptables model.
+"""Packet-filter engine: rules, rule-sets, the compiled classifier,
+builders, the iptables model and conntrack.
 
 The NIC-resident firewalls (:mod:`repro.nic`) and the host-resident
 iptables model both evaluate :class:`~repro.firewall.ruleset.RuleSet`
@@ -6,7 +7,6 @@ objects; what differs between them is *where* the evaluation happens and
 what it costs — the central subject of the paper.
 """
 
-from repro.firewall.anomalies import Anomaly, AnomalyKind, analyze, shadowed_rules
 from repro.firewall.compiled import ClassifierStats, CompiledClassifier
 from repro.firewall.builders import (
     allow_all,
@@ -25,13 +25,6 @@ from repro.firewall.conntrack import (
     flow_key,
 )
 from repro.firewall.iptables import IptablesFilter
-from repro.firewall.optimizer import (
-    TrafficProfile,
-    expected_traversal_cost,
-    improvement,
-    optimize,
-    profile_ruleset,
-)
 from repro.firewall.rules import (
     Action,
     AddressPattern,
@@ -45,8 +38,6 @@ from repro.firewall.ruleset import MatchResult, RuleSet, RuleSetMutation
 __all__ = [
     "Action",
     "AddressPattern",
-    "Anomaly",
-    "AnomalyKind",
     "ClassifierStats",
     "CompiledClassifier",
     "ConnState",
@@ -61,19 +52,12 @@ __all__ = [
     "RuleSetMutation",
     "VpgRule",
     "allow_all",
-    "analyze",
     "deny_all",
     "oracle_ruleset",
     "padded_ruleset",
     "padding_rule",
     "service_rule",
-    "TrafficProfile",
-    "expected_traversal_cost",
-    "improvement",
     "flow_key",
-    "optimize",
-    "profile_ruleset",
-    "shadowed_rules",
     "vpg_padding_rule",
     "vpg_ruleset",
 ]

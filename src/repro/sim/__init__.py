@@ -19,13 +19,12 @@ on.  The design is deliberately small:
 * tracing lives in :mod:`repro.obs.tracing`; every kernel carries a
   :class:`~repro.obs.tracing.PacketTracer` at ``sim.tracer``.
 
-All simulation times are ``float`` seconds.  Determinism is guaranteed by a
-monotonically increasing sequence number that breaks ties between events
-scheduled for the same instant (FIFO order).
+All simulation times are ``float`` seconds.  Determinism is guaranteed by
+the kernel's per-instant FIFO buckets: events scheduled for the same
+instant run in the order they were scheduled.
 """
 
 from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.sim.timer import PeriodicTimer, Timer
 from repro.obs.tracing.tracer import PacketTracer as Tracer, TraceRecord
@@ -33,7 +32,6 @@ from repro.obs.tracing.tracer import PacketTracer as Tracer, TraceRecord
 __all__ = [
     "Event",
     "PeriodicTimer",
-    "Process",
     "RngRegistry",
     "SimulationError",
     "Simulator",

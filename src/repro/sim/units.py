@@ -37,16 +37,6 @@ def nanoseconds(value: float) -> float:
     return float(value) * 1e-9
 
 
-def to_milliseconds(value_seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return float(value_seconds) * 1e3
-
-
-def to_microseconds(value_seconds: float) -> float:
-    """Convert seconds to microseconds."""
-    return float(value_seconds) * 1e6
-
-
 # ---------------------------------------------------------------------------
 # Bandwidth conversions
 # ---------------------------------------------------------------------------
@@ -55,11 +45,6 @@ def to_microseconds(value_seconds: float) -> float:
 def mbps(value: float) -> float:
     """Convert megabits-per-second to bits-per-second."""
     return float(value) * 1e6
-
-
-def kbps(value: float) -> float:
-    """Convert kilobits-per-second to bits-per-second."""
-    return float(value) * 1e3
 
 
 def gbps(value: float) -> float:

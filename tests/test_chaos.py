@@ -22,7 +22,6 @@ from repro.core import probe
 from repro.core.fleet import FleetSpec, FleetTestbed
 from repro.core.methodology import MeasurementSettings
 from repro.core.parallel import SweepExecutor, SweepPointSpec
-from repro.core.sweeps import Sweep
 from repro.core.testbed import DeviceKind, Testbed
 from repro.firewall.builders import allow_all
 from repro.policy.audit import AuditEventKind
@@ -261,9 +260,7 @@ class TestInvariants:
         bed = _efw_bed()
         injector = ChaosInjector(bed, build_scenario("link-flap", start=0.0, duration=5.0))
         injector.arm()
-        monitor = InvariantMonitor(
-            bed, mode="fail-fast", check_interval=0.02, injector=injector
-        )
+        monitor = InvariantMonitor(bed, mode="fail-fast", check_interval=0.02)
         bed.target.nic.clear_policy()
         bed.run(0.05)  # does not raise: the fault window suspends the check
         injector.disarm()
@@ -381,12 +378,6 @@ def _violating_at_finish_point():
     return "ran"
 
 
-def _monitored_point(seed):
-    """True when the testbed built inside the point got a monitor."""
-    bed = Testbed(device=DeviceKind.EFW, seed=seed, efw_lockup_enabled=False)
-    return getattr(bed, "invariant_monitor", None) is not None
-
-
 class TestExecutorWiring:
     def _specs(self):
         return [
@@ -431,11 +422,6 @@ class TestExecutorWiring:
         assert results[1:] == SweepExecutor(jobs=1).run(specs[1:])
         assert executor.stats.worker_deaths == 0
         assert [len(point.snapshots) for point in collector.points] == [0, 1, 1, 1]
-
-    def test_sweep_forwards_chaos_probes(self):
-        sweep = Sweep(_monitored_point, jobs=1, probes=(ChaosCollector(invariants="warn"),))
-        points = sweep.run({"seed": [1, 2]})
-        assert [point.result for point in points] == [True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +492,28 @@ class TestChaosExperiment:
         first = chaos_faults.run(RunConfig(preset=preset, jobs=1, checkpoint=path))
         resumed = chaos_faults.run(RunConfig(preset=preset, jobs=1, checkpoint=path))
         assert results.to_json(resumed) == results.to_json(first)
+
+    def test_collector_counts_the_points_own_faults(self):
+        from repro.experiments.chaos_faults import _chaos_point
+
+        spec = SweepPointSpec(
+            label="chaos: link-flap efw",
+            fn=_chaos_point,
+            kwargs={
+                "scenario": "link-flap",
+                "device": DeviceKind.EFW,
+                "defended": False,
+                "settings": MeasurementSettings(duration=0.08),
+                "recovery_slices": 2,
+            },
+        )
+        collector = ChaosCollector(invariants="warn")
+        [point] = SweepExecutor(jobs=1, probes=(collector,)).run([spec])
+        [snapshot] = collector.snapshots()
+        assert point.faults_injected == point.faults_cleared == 1
+        assert snapshot.faults_injected == point.faults_injected
+        assert snapshot.faults_cleared == point.faults_cleared
+        assert "faults injected=1 cleared=1" in collector.summary()
 
     def test_quick_preset_passes_fail_fast_invariants(self):
         from repro.experiments import chaos_faults

@@ -1,4 +1,4 @@
-"""Tests for metrics, statistics helpers, report formatting and sweeps."""
+"""Tests for the DoS metrics and report formatting."""
 
 import math
 
@@ -6,17 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import metrics, reports
-from repro.core.sweeps import Sweep
 
 
 class TestDosCriteria:
     def test_threshold(self):
         assert metrics.is_denial_of_service(0.5)
         assert not metrics.is_denial_of_service(5.0)
-
-    def test_bandwidth_sample(self):
-        sample = metrics.BandwidthSample(mbps=0.2, rule_depth=64, flood_rate_pps=5000)
-        assert sample.is_dos
 
     def test_loss_fraction(self):
         assert metrics.loss_fraction(100, 50) == pytest.approx(0.5)
@@ -35,42 +30,6 @@ class TestStatistics:
     def test_mean(self):
         assert metrics.mean([1, 2, 3]) == 2
         assert math.isnan(metrics.mean([]))
-
-    def test_stdev(self):
-        assert metrics.stdev([2, 4, 4, 4, 5, 5, 7, 9]) == pytest.approx(2.138, abs=0.01)
-        assert math.isnan(metrics.stdev([1]))
-
-    def test_percentile(self):
-        values = [1, 2, 3, 4, 5]
-        assert metrics.percentile(values, 0.0) == 1
-        assert metrics.percentile(values, 0.5) == 3
-        assert metrics.percentile(values, 1.0) == 5
-        assert metrics.percentile(values, 0.25) == 2
-
-    def test_percentile_interpolates(self):
-        assert metrics.percentile([0, 10], 0.75) == pytest.approx(7.5)
-
-    def test_percentile_bounds(self):
-        with pytest.raises(ValueError):
-            metrics.percentile([1], 1.5)
-        assert math.isnan(metrics.percentile([], 0.5))
-
-    def test_summarize(self):
-        summary = metrics.summarize([1.0, 2.0, 3.0])
-        assert summary["mean"] == 2.0
-        assert summary["min"] == 1.0
-        assert summary["max"] == 3.0
-        assert summary["count"] == 3
-
-    def test_averaged_bandwidth(self):
-        samples = [metrics.BandwidthSample(mbps=m) for m in (10, 20, 30)]
-        assert metrics.averaged_bandwidth(samples) == 20
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
-    def test_percentile_monotone_property(self, values):
-        p25 = metrics.percentile(values, 0.25)
-        p75 = metrics.percentile(values, 0.75)
-        assert p25 <= p75
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
     def test_mean_within_bounds_property(self, values):
@@ -93,16 +52,6 @@ class TestReports:
         assert "n/a" in text
         assert "12,346" in text
 
-    def test_markdown_table(self):
-        text = reports.format_markdown_table(["a", "b"], [[1, 2]])
-        assert text.splitlines()[0] == "| a | b |"
-        assert "---" in text.splitlines()[1]
-
-    def test_format_series(self):
-        text = reports.format_series("efw", [(1, 94.9), (64, 47.5)], "depth", "mbps")
-        assert "'efw'" in text
-        assert "94.90" in text
-
     def test_ascii_plot_renders_marks(self):
         plot = reports.ascii_plot(
             [("efw", [(0, 0), (10, 10)]), ("adf", [(5, 5)])],
@@ -117,31 +66,3 @@ class TestReports:
     def test_ascii_plot_empty(self):
         assert reports.ascii_plot([]) == "(no data)"
 
-
-class TestSweep:
-    def test_cross_product_order(self):
-        sweep = Sweep(lambda a, b: (a, b))
-        points = sweep.run({"a": [1, 2], "b": ["x", "y"]})
-        assert [point.result for point in points] == [
-            (1, "x"), (1, "y"), (2, "x"), (2, "y"),
-        ]
-
-    def test_param_accessor(self):
-        sweep = Sweep(lambda a: a * 10)
-        points = sweep.run({"a": [3]})
-        assert points[0].param("a") == 3
-        with pytest.raises(KeyError):
-            points[0].param("missing")
-
-    def test_series_extraction_with_filter(self):
-        sweep = Sweep(lambda device, depth: depth * (2 if device == "adf" else 1))
-        sweep.run({"device": ["efw", "adf"], "depth": [1, 2]})
-        series = sweep.series("depth", float, where={"device": "adf"})
-        assert series == [(1, 2.0), (2, 4.0)]
-
-    def test_progress_callback(self):
-        lines = []
-        sweep = Sweep(lambda a: a, progress=lines.append)
-        sweep.run({"a": [1, 2]})
-        assert len(lines) == 2
-        assert "[1/2]" in lines[0]

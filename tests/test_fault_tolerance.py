@@ -27,7 +27,6 @@ from repro.core.parallel import (
     SweepExecutor,
     SweepPointSpec,
 )
-from repro.core.sweeps import Sweep
 from repro.core.testbed import DeviceKind, Testbed
 from repro.experiments.results import serialize, to_json
 from repro.firewall.builders import allow_all
@@ -449,20 +448,11 @@ class TestUnpicklableMidGrid:
 
 
 # ----------------------------------------------------------------------
-# Sweep wrapper regressions (satellite fixes)
+# Probe collection across --jobs
 # ----------------------------------------------------------------------
 
 
-class TestSweepWrapper:
-    def test_rerun_replaces_points_instead_of_appending(self):
-        sweep = Sweep(_square, jobs=1)
-        first = sweep.run({"x": [1, 2, 3]})
-        assert len(first) == 3
-        second = sweep.run({"x": [4, 5]})
-        assert len(second) == 2  # not 5: old points are discarded
-        assert [point.result for point in second] == [16, 25]
-        assert sweep.points is second or sweep.points == second
-
+class TestProbeCollection:
     def test_all_four_probes_collect_identically_for_any_jobs(self):
         serial_probes = _four_probes()
         serial = SweepExecutor(jobs=1, probes=serial_probes).run(_bed_specs())
@@ -474,18 +464,6 @@ class TestSweepWrapper:
             parallel_probes, profile_times=False
         )
         assert all(len(probe.points) == 3 for probe in serial_probes)
-
-    def test_metrics_collector_is_forwarded(self):
-        collector = MetricsCollector(interval=0.5)
-        sweep = Sweep(_square, jobs=1, probes=(collector,))
-        sweep.run({"x": [1, 2]})
-        assert len(collector) == 2  # one deposit per point, spec order
-
-    def test_fault_keywords_are_forwarded(self, tmp_path):
-        marker = str(tmp_path / "flaky")
-        sweep = Sweep(_fail_once, jobs=1, retries=1)
-        points = sweep.run({"x": [3], "marker": [marker]})
-        assert [point.result for point in points] == [9]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Tests for rule-set builders and anomaly analysis."""
+"""Tests for the rule-set builders."""
 
 import pytest
 
-from repro.firewall.anomalies import AnomalyKind, analyze, shadowed_rules
 from repro.firewall.builders import (
     allow_all,
     deny_all,
@@ -12,15 +11,7 @@ from repro.firewall.builders import (
     service_rule,
     vpg_ruleset,
 )
-from repro.firewall.rules import (
-    Action,
-    AddressPattern,
-    Direction,
-    PortRange,
-    Rule,
-    VpgRule,
-)
-from repro.firewall.ruleset import RuleSet
+from repro.firewall.rules import Action, Direction, PortRange, VpgRule
 from repro.net.addresses import Ipv4Address
 from repro.net.packet import IpProtocol, Ipv4Packet, TcpSegment
 
@@ -58,11 +49,6 @@ class TestBuilders:
             rule = padding_rule(index)
             assert not rule.matches(tcp_packet(), Direction.INBOUND)
             assert not rule.matches(tcp_packet(), Direction.OUTBOUND)
-
-    def test_padding_never_shadows_action_rule(self):
-        ruleset = padded_ruleset(64, action_rule=service_rule(Action.ALLOW, IpProtocol.TCP, 5001))
-        shadowed = shadowed_rules(ruleset)
-        assert ruleset.rules[-1] not in shadowed
 
     def test_padded_depth_must_fit_action_rule(self):
         vpg = VpgRule(action=Action.ALLOW, vpg_id=1)
@@ -105,50 +91,3 @@ class TestBuilders:
         result = ruleset.evaluate(tcp_packet(dport=2222), Direction.INBOUND)
         assert not result.allowed
 
-
-class TestAnomalies:
-    def test_shadowing_detected(self):
-        wide_deny = Rule(action=Action.DENY, protocol=IpProtocol.TCP)
-        narrow_allow = Rule(
-            action=Action.ALLOW, protocol=IpProtocol.TCP, dst_ports=PortRange.single(80)
-        )
-        findings = analyze(RuleSet([wide_deny, narrow_allow]))
-        kinds = {finding.kind for finding in findings}
-        assert AnomalyKind.SHADOWED in kinds
-        assert shadowed_rules(RuleSet([wide_deny, narrow_allow])) == [narrow_allow]
-
-    def test_redundancy_detected(self):
-        wide_allow = Rule(action=Action.ALLOW, protocol=IpProtocol.TCP)
-        narrow_allow = Rule(
-            action=Action.ALLOW, protocol=IpProtocol.TCP, dst_ports=PortRange.single(80)
-        )
-        findings = analyze(RuleSet([wide_allow, narrow_allow]))
-        assert any(finding.kind == AnomalyKind.REDUNDANT for finding in findings)
-
-    def test_correlation_detected(self):
-        allow_from_net = Rule(
-            action=Action.ALLOW,
-            src=AddressPattern(Ipv4Address("10.0.0.0"), 8),
-            dst_ports=PortRange(0, 100),
-        )
-        deny_to_port = Rule(action=Action.DENY, dst_ports=PortRange(80, 200))
-        findings = analyze(RuleSet([allow_from_net, deny_to_port]))
-        assert any(finding.kind == AnomalyKind.CORRELATED for finding in findings)
-
-    def test_disjoint_rules_report_nothing(self):
-        rule_a = Rule(action=Action.ALLOW, protocol=IpProtocol.TCP, dst_ports=PortRange.single(80))
-        rule_b = Rule(action=Action.DENY, protocol=IpProtocol.TCP, dst_ports=PortRange.single(443))
-        assert analyze(RuleSet([rule_a, rule_b])) == []
-
-    def test_direction_separated_rules_do_not_conflict(self):
-        inbound = Rule(action=Action.DENY, direction=Direction.INBOUND)
-        outbound = Rule(action=Action.ALLOW, direction=Direction.OUTBOUND)
-        findings = analyze(RuleSet([inbound, outbound]))
-        assert all(finding.kind != AnomalyKind.SHADOWED for finding in findings)
-
-    def test_describe_mentions_rule_positions(self):
-        wide = Rule(action=Action.DENY)
-        narrow = Rule(action=Action.ALLOW, protocol=IpProtocol.TCP)
-        findings = analyze(RuleSet([wide, narrow]))
-        assert findings
-        assert "rule 2" in findings[0].describe()

@@ -21,15 +21,10 @@ from repro.core.parallel import (
     derive_seed,
     resolve_jobs,
 )
-from repro.core.sweeps import Sweep
 
 
 def _square(x):
     return x * x
-
-
-def _mul(a, b):
-    return a * b
 
 
 def _fail(message):
@@ -186,15 +181,3 @@ class TestSweepExecutor:
     def test_single_spec_runs_inline(self):
         assert SweepExecutor(jobs=8).run(_specs([5])) == [25]
 
-
-class TestSweepJobs:
-    def test_parallel_sweep_matches_serial(self):
-        grid = {"a": [1, 2, 3], "b": [10, 20]}
-        serial = Sweep(_mul, jobs=1).run(grid)
-        parallel = Sweep(_mul, jobs=4).run(grid)
-        assert [point.result for point in parallel] == [point.result for point in serial]
-        assert [point.params for point in parallel] == [point.params for point in serial]
-
-    def test_lambda_sweep_still_works_with_jobs(self):
-        points = Sweep(lambda a: a * 10, jobs=4).run({"a": [3, 4]})
-        assert [point.result for point in points] == [30, 40]

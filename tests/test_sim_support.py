@@ -1,4 +1,4 @@
-"""Tests for RNG registry, tracer, processes and unit helpers."""
+"""Tests for RNG registry, tracer and unit helpers."""
 
 import math
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import units
-from repro.sim.process import Process, Waiter
 from repro.sim.rng import RngRegistry
 from repro.obs.tracing import PacketTracer as Tracer
 
@@ -85,102 +84,14 @@ class TestTracer:
         assert "nic drop count=3" in str(tracer.records()[0])
 
 
-class TestProcess:
-    def test_yield_delays_advance_time(self, sim):
-        marks = []
-
-        def logic():
-            marks.append(sim.now)
-            yield 1.0
-            marks.append(sim.now)
-            yield 2.5
-            marks.append(sim.now)
-
-        Process.spawn(sim, logic())
-        sim.run()
-        assert marks == [0.0, 1.0, 3.5]
-
-    def test_waiter_blocks_until_woken(self, sim):
-        waiter = Waiter()
-        results = []
-
-        def logic():
-            value = yield waiter
-            results.append((sim.now, value))
-
-        Process.spawn(sim, logic())
-        sim.schedule(4.0, waiter.wake, "payload")
-        sim.run()
-        assert results == [(4.0, "payload")]
-
-    def test_already_completed_waiter_resumes_immediately(self, sim):
-        waiter = Waiter()
-        waiter.wake("early")
-        results = []
-
-        def logic():
-            value = yield waiter
-            results.append(value)
-
-        Process.spawn(sim, logic())
-        sim.run()
-        assert results == ["early"]
-
-    def test_stop_terminates_process(self, sim):
-        marks = []
-
-        def logic():
-            while True:
-                marks.append(sim.now)
-                yield 1.0
-
-        process = Process.spawn(sim, logic())
-        sim.schedule(2.5, process.stop)
-        sim.run(until=10.0)
-        assert marks == [0.0, 1.0, 2.0]
-        assert process.finished
-
-    def test_negative_yield_rejected(self, sim):
-        def logic():
-            yield -1.0
-
-        Process.spawn(sim, logic())
-        with pytest.raises(ValueError):
-            sim.run()
-
-    def test_finishes_when_generator_returns(self, sim):
-        def logic():
-            yield 1.0
-
-        process = Process.spawn(sim, logic())
-        sim.run()
-        assert process.finished
-
-    def test_wake_is_idempotent(self, sim):
-        waiter = Waiter()
-        results = []
-
-        def logic():
-            results.append((yield waiter))
-
-        Process.spawn(sim, logic())
-        sim.schedule(1.0, waiter.wake, "first")
-        sim.schedule(2.0, waiter.wake, "second")
-        sim.run()
-        assert results == ["first"]
-
-
 class TestUnits:
     def test_time_conversions(self):
         assert units.milliseconds(5) == pytest.approx(0.005)
         assert units.microseconds(5) == pytest.approx(5e-6)
         assert units.nanoseconds(5) == pytest.approx(5e-9)
-        assert units.to_milliseconds(0.25) == pytest.approx(250)
-        assert units.to_microseconds(1e-3) == pytest.approx(1000)
 
     def test_bandwidth_conversions(self):
         assert units.mbps(100) == pytest.approx(100e6)
-        assert units.kbps(100) == pytest.approx(1e5)
         assert units.gbps(1) == pytest.approx(1e9)
         assert units.to_mbps(5e7) == pytest.approx(50)
 
