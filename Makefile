@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation bench-mitigation-smoke experiments experiments-quick examples timings clean
+.PHONY: install test test-slow test-all bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation experiments experiments-quick examples timings clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -17,8 +17,9 @@ test-slow:
 test-all:
 	$(PYTHON) -m pytest tests/ -m "slow or not slow"
 
+# Hot-path microbenchmarks (pytest-benchmark).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/bench_micro.py --benchmark-only
 
 # Serial-vs-parallel wall-clock for every quick preset plus the four
 # fig2 overhead legs (metrics, trace, profile, invariants) and their gates
@@ -47,12 +48,16 @@ bench-digests:
 
 # Quick-preset result pins: all nine experiments at --quick --jobs 2
 # under fail-fast invariants (packet conservation, bounded queues, ...),
-# each JSON envelope checked against benchmarks/quick_digests.sha256
-# (CI runs this; about 110-155 s on 2 vCPUs).  A change that alters results
-# on purpose regenerates the pins from that directory and says so.
+# then the paper's claims table (repro.experiments.claims) on the
+# envelopes, then each JSON envelope checked against
+# benchmarks/quick_digests.sha256 (CI runs this; about 110-155 s on
+# 2 vCPUs).  The claims run first so a change that declares new digests
+# still sees whether the paper is reproduced; such a change regenerates
+# the pins from that directory and says so.
 quick-digests:
 	rm -rf quick_digests_output
 	PYTHONHASHSEED=0 $(PYTHON) -m repro.experiments all --quick --jobs 2 --invariants fail-fast --json quick_digests_output --no-progress > /dev/null
+	$(PYTHON) -m repro.experiments.claims quick_digests_output
 	cd quick_digests_output && sha256sum -c ../benchmarks/quick_digests.sha256
 
 # Fleet-scale kernel benchmark: 4/32/128/256-host flood scenarios on the
@@ -65,14 +70,10 @@ bench-fleet-smoke:
 	$(PYTHON) benchmarks/fleet_bench.py --smoke
 
 # Closed-loop flood defense: recovery fraction + detection/mitigation
-# latency per (device, defense mode), gated on the undefended-EFW
-# collapse and >=80% recovery for rate-limit/quarantine -> merged into
-# BENCH_parallel.json (CI runs the smoke variant).
+# latency per (device, defense mode) -> merged into BENCH_parallel.json.
+# The recovery claims themselves are rows of repro.experiments.claims.
 bench-mitigation:
 	$(PYTHON) benchmarks/mitigation_bench.py
-
-bench-mitigation-smoke:
-	$(PYTHON) benchmarks/mitigation_bench.py --smoke
 
 experiments:
 	$(PYTHON) -m repro.experiments all

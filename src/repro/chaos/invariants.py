@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.chaos.schedule import armed_injectors
 from repro.obs.tracing.watchdog import Incident
 from repro.policy.push import ACKED
 from repro.sim.timer import PeriodicTimer
@@ -313,8 +314,7 @@ class InvariantMonitor:
             return
         if getattr(server, "_awaiting_ack", None):
             return  # pushes in flight — convergence not yet due
-        injector = getattr(self.bed, "chaos", None)
-        if injector is not None and injector.active:
+        if any(injector.active for injector in armed_injectors(self.bed)):
             return  # an active fault legitimately suspends convergence
         for host_name, outcome in getattr(server, "_push_state", {}).items():
             if outcome.status != ACKED:

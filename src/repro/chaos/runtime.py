@@ -19,7 +19,7 @@ from repro.chaos.invariants import (
     InvariantViolation,
     InvariantViolationError,
 )
-from repro.chaos.schedule import SCENARIOS, ChaosInjector, build_scenario
+from repro.chaos.schedule import SCENARIOS, ChaosInjector, armed_injectors, build_scenario
 
 
 @dataclass
@@ -103,9 +103,8 @@ class _ChaosSession:
             scenario=self.config.scenario, invariants=self.config.invariants
         )
         for bed in self.beds:
-            # The point may arm its own injector; it registers the same way.
-            injector = getattr(bed, "chaos", None)
-            if injector is not None:
+            # The point may arm injectors of its own beside this probe's.
+            for injector in armed_injectors(bed):
                 snapshot.faults_injected += injector.injected
                 snapshot.faults_cleared += injector.cleared
         error = None

@@ -94,14 +94,20 @@ class FaultTransition:
     subject: str
 
 
+def armed_injectors(bed) -> List["ChaosInjector"]:
+    """Every injector armed on ``bed``, in arming order."""
+    return getattr(bed, "chaos", [])
+
+
 class ChaosInjector:
     """Arms a schedule's faults against one live testbed.
 
     The injector owns the timers and the bookkeeping: which faults are
     currently active (invariant monitors consult this to suppress
     convergence checks mid-fault), when the last one cleared, and the
-    full transition log.  Arming registers it as ``bed.chaos``, where
-    the chaos probe and the monitors find it, whoever armed it.
+    full transition log.  Arming appends it to ``bed.chaos``, the list of
+    every injector armed on that bed, where the chaos probe and the
+    monitors find it, whoever armed it.
     """
 
     def __init__(self, bed, schedule: ChaosSchedule):
@@ -125,7 +131,7 @@ class ChaosInjector:
         if self._armed:
             raise RuntimeError("chaos injector already armed")
         self._armed = True
-        self.bed.chaos = self
+        self.bed.chaos = armed_injectors(self.bed) + [self]
         sim = self.bed.sim
         for fault in self.schedule.faults:
             timer = Timer(sim, self._inject, fault)

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
 from repro.apps.iperf import IperfServer
-from repro.chaos.schedule import ChaosInjector, build_scenario
+from repro.chaos.schedule import ChaosInjector, armed_injectors, build_scenario
 from repro.core.methodology import MeasurementSettings
 from repro.core.parallel import SweepPointSpec
 from repro.core.reports import format_table
@@ -221,10 +221,16 @@ def _chaos_point(
     bed.run(MITIGATION_SETTLE)
 
     # The reference instant recovery is measured from: the last fault
-    # clearing, or injection for never-clearing faults, or flood onset
-    # for the clean-flood control.
-    if injector.last_cleared_at is not None:
-        fault_reference = injector.last_cleared_at
+    # on the bed clearing (a --chaos probe may have armed its own), or
+    # injection for never-clearing faults, or flood onset for the
+    # clean-flood control.
+    cleared = [
+        armed.last_cleared_at
+        for armed in armed_injectors(bed)
+        if armed.last_cleared_at is not None
+    ]
+    if cleared:
+        fault_reference = max(cleared)
     elif injector.log:
         fault_reference = injector.log[0].time
     else:

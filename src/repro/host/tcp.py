@@ -649,13 +649,15 @@ class TcpConnection:
             data = self.send_buffer.slice(offset, offset + burst)
             self.segments_retransmitted += 1
             self._retx_high = start + burst
-            self.sim.tracer.emit(
-                self.sim.now,
-                f"tcp:{self.local_port}",
-                "retransmit",
-                seq=start,
-                bytes=burst,
-            )
+            tracer = self.sim.tracer
+            if tracer.hot:
+                tracer.event(
+                    self.sim.now,
+                    f"tcp:{self.local_port}",
+                    "retransmit",
+                    seq=start,
+                    bytes=burst,
+                )
             self._emit(TcpFlags.ACK, seq=start, payload_size=burst, data=data)
         elif self.fin_sent and self.fin_seq is not None and self.snd_una == self.fin_seq:
             self.segments_retransmitted += 1
@@ -853,7 +855,7 @@ class TcpManager:
         #: When False, segments to closed ports are silently dropped
         #: instead of answered with RST.  Ablation knob: the paper's
         #: allow-vs-deny flood-tolerance factor comes from this response
-        #: traffic (see benchmarks/bench_ablations.py).
+        #: traffic (the ``response-traffic`` ablation).
         self.generate_resets = True
         # Counters
         self.rst_sent = 0

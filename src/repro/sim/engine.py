@@ -167,8 +167,8 @@ class Simulator:
         self.events_cancelled = 0
         #: Packet-lifecycle tracer shared by every component built on
         #: this kernel (see :mod:`repro.obs.tracing`).  Cold by default;
-        #: flip ``tracer.enabled`` (or arm via the collection plumbing)
-        #: to record.
+        #: ``tracer.configure(spans=True)`` (or the collection plumbing)
+        #: arms it.
         self.tracer = PacketTracer()
         #: Metrics registry shared by every component built on this
         #: kernel.  The null default discards registrations, so component

@@ -515,6 +515,27 @@ class TestChaosExperiment:
         assert snapshot.faults_cleared == point.faults_cleared
         assert "faults injected=1 cleared=1" in collector.summary()
 
+    def test_collector_counts_a_probe_scenario_beside_the_points_own(self):
+        from repro.experiments.chaos_faults import _chaos_point
+
+        spec = SweepPointSpec(
+            label="chaos: none efw",
+            fn=_chaos_point,
+            kwargs={
+                "scenario": "none",
+                "device": DeviceKind.EFW,
+                "defended": False,
+                "settings": MeasurementSettings(duration=0.08),
+                "recovery_slices": 2,
+            },
+        )
+        # The probe arms a link flap first; the point's own (empty)
+        # injector must not hide it.
+        collector = ChaosCollector(scenario="link-flap", invariants="warn")
+        SweepExecutor(jobs=1, probes=(collector,)).run([spec])
+        [snapshot] = collector.snapshots()
+        assert snapshot.faults_injected == 1
+
     def test_quick_preset_passes_fail_fast_invariants(self):
         from repro.experiments import chaos_faults
         from repro.experiments.config import RunConfig

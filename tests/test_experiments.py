@@ -1,4 +1,9 @@
-"""Tests for the experiment modules (reduced grids so they stay fast)."""
+"""Tests for the experiment modules (reduced grids so they stay fast).
+
+The paper-shape checks live in :mod:`repro.experiments.claims`, which
+evaluates them on the quick-preset envelopes; these tests check that
+each experiment runs, renders and registers.
+"""
 
 import pytest
 
@@ -37,16 +42,9 @@ class TestRegistry:
 
 
 class TestFig2:
-    def test_reduced_run_shapes(self):
+    def test_reduced_run_series(self):
         result = fig2_bandwidth.run(RunConfig(preset=tiny(depths=(1, 64), vpg_counts=(1,))))
         assert set(result.series) == {"EFW", "ADF", "iptables", "ADF (VPG)"}
-        efw = dict(result.series["EFW"])
-        adf = dict(result.series["ADF"])
-        iptables = dict(result.series["iptables"])
-        # The paper's orderings at 64 rules: iptables > EFW > ADF.
-        assert iptables[64] > efw[64] > adf[64]
-        # And everyone is near line rate at one rule.
-        assert efw[1] > 85 and adf[1] > 85
 
     def test_table_rendering(self):
         result = fig2_bandwidth.run(RunConfig(preset=tiny(depths=(1,), vpg_counts=(1,))))
@@ -56,14 +54,6 @@ class TestFig2:
 
 
 class TestFig3a:
-    def test_reduced_run_shapes(self):
-        result = fig3a_flood.run(RunConfig(preset=tiny(flood_rates=(0, 50000), repetitions=1)))
-        efw = dict(result.series["EFW"])
-        none = dict(result.series["No Firewall"])
-        # The flood kills the EFW but not the bare NIC.
-        assert efw[50000] < 2
-        assert none[50000] > 10 * max(efw[50000], 0.1)
-
     def test_table_rendering(self):
         result = fig3a_flood.run(RunConfig(preset=tiny(flood_rates=(0,), repetitions=1)))
         assert "Figure 3a" in result.table()
@@ -72,38 +62,20 @@ class TestFig3a:
 class TestFig3b:
     def test_reduced_run_reports_lockup_for_efw_deny(self):
         result = fig3b_minflood.run(RunConfig(preset=tiny(depths=(64,), probe_duration=0.3)))
-        efw_deny = dict(result.series["EFW (Deny)"])[64]
-        assert efw_deny.lockup
-        efw_allow = dict(result.series["EFW (Allow)"])[64]
-        assert efw_allow.measurable
-        table = result.table()
-        assert "LOCKUP" in table
-
-    def test_deny_exceeds_allow_for_adf(self):
-        result = fig3b_minflood.run(RunConfig(preset=tiny(depths=(64,), probe_duration=0.3)))
-        allow = dict(result.series["ADF (Allow)"])[64]
-        deny = dict(result.series["ADF (Deny)"])[64]
-        assert deny.rate_pps > allow.rate_pps
+        assert "LOCKUP" in result.table()
 
 
 class TestTable1:
-    def test_reduced_run_shapes(self):
+    def test_reduced_run_renders(self):
         result = table1_http.run(RunConfig(preset=tiny(depths=(1, 64), vpg_counts=(1,))))
         assert result.standard_nic.fetches_per_second > 0
-        by_depth = {m.rule_depth: m for m in result.adf_standard}
-        assert by_depth[64].fetches_per_second < by_depth[1].fetches_per_second
-        assert by_depth[64].fetches_per_second < result.standard_nic.fetches_per_second
         table = result.table()
         assert "HTTP Fetches/s" in table and "ms/connect" in table
 
 
 class TestAblations:
-    def test_lazy_decrypt_ablation_shows_the_effect(self):
+    def test_lazy_decrypt_ablation_renders(self):
         result = ablations.lazy_decrypt(settings=TINY, vpg_counts=(1, 8))
-        lazy_8 = result.outcomes["lazy, 8 VPG(s)"]
-        eager_8 = result.outcomes["eager, 8 VPG(s)"]
-        # Eager decryption pays crypto per traversed VPG: markedly slower.
-        assert eager_8 < lazy_8 * 0.75
         assert "Ablation" in result.table()
 
     def test_ring_size_ablation_runs(self):
@@ -112,16 +84,8 @@ class TestAblations:
 
 
 class TestFleet:
-    def test_flooded_share_is_denied_and_the_rest_survives(self):
+    def test_fleet_run_renders(self):
         result = fleet_flood.run(
             RunConfig(preset=tiny(fleet_sizes=(4,), flood_shares=(0.0, 0.5)))
         )
-        by_share = {p.flood_share: p for p in result.points}
-        calm, attacked = by_share[0.0], by_share[0.5]
-        # Exactly the attacked half of the fleet is denied service, and
-        # the fleet aggregate drops accordingly.
-        assert calm.dos_fraction == 0.0
-        assert attacked.dos_fraction == pytest.approx(0.5)
-        assert attacked.aggregate_goodput_mbps < calm.aggregate_goodput_mbps
-        assert attacked.policy_pushes_failed == 0
         assert "Fleet flood tolerance" in result.table()

@@ -44,43 +44,51 @@ class TestRngRegistry:
         assert registry.names() == ["alpha", "zeta"]
 
 
+def _armed_tracer(**kwargs) -> Tracer:
+    """A tracer with full tracing on, so events land in its record ring."""
+    tracer = Tracer(**kwargs)
+    tracer.configure(spans=True)
+    return tracer
+
+
 class TestTracer:
     def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(1.0, "src", "event")
-        assert len(tracer) == 0
+        tracer = Tracer()
+        tracer.event(1.0, "src", "event")
+        assert tracer.records() == []
 
     def test_records_and_filters(self):
-        tracer = Tracer(enabled=True)
-        tracer.emit(1.0, "nic", "drop", reason="full")
-        tracer.emit(2.0, "tcp", "retransmit")
+        tracer = _armed_tracer()
+        tracer.event(1.0, "nic", "drop", reason="full")
+        tracer.event(2.0, "tcp", "retransmit")
         assert len(tracer.records(source="nic")) == 1
         assert len(tracer.records(event="retransmit")) == 1
         assert tracer.records(source="nic")[0].fields["reason"] == "full"
 
     def test_ring_bound(self):
-        tracer = Tracer(enabled=True, max_records=3)
+        tracer = _armed_tracer(max_records=3)
         for index in range(10):
-            tracer.emit(float(index), "s", "e")
-        assert len(tracer) == 3
+            tracer.event(float(index), "s", "e")
+        assert len(tracer.records()) == 3
         assert tracer.records()[0].time == 7.0
 
-    def test_sink_receives_records(self):
-        tracer = Tracer(enabled=True)
+    def test_listener_receives_records(self):
+        tracer = Tracer()
         seen = []
-        tracer.add_sink(seen.append)
-        tracer.emit(1.0, "s", "e")
+        tracer.add_listener(seen.append)
+        assert tracer.hot
+        tracer.event(1.0, "s", "e")
         assert len(seen) == 1
 
     def test_clear(self):
-        tracer = Tracer(enabled=True)
-        tracer.emit(1.0, "s", "e")
+        tracer = _armed_tracer()
+        tracer.event(1.0, "s", "e")
         tracer.clear()
-        assert len(tracer) == 0
+        assert tracer.records() == []
 
     def test_str_rendering(self):
-        tracer = Tracer(enabled=True)
-        tracer.emit(1.5, "nic", "drop", count=3)
+        tracer = _armed_tracer()
+        tracer.event(1.5, "nic", "drop", count=3)
         assert "nic drop count=3" in str(tracer.records()[0])
 
 

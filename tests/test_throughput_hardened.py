@@ -37,18 +37,13 @@ class TestTrial:
 
 
 class TestSearch:
-    def test_efw_64b_matches_cost_model(self):
-        tester = ThroughputTester(DeviceKind.EFW, frame_bytes=64, rule_depth=1)
+    @pytest.mark.parametrize("depth", [1, 16, 64])
+    def test_efw_64b_matches_cost_model(self, depth):
+        tester = ThroughputTester(DeviceKind.EFW, frame_bytes=64, rule_depth=depth)
         result = tester.search()
-        predicted = calibration.EFW_COST_MODEL.capacity_pps(64, 1)
+        predicted = calibration.EFW_COST_MODEL.capacity_pps(64, depth)
         assert result.rate_pps == pytest.approx(predicted, rel=0.07)
         assert not result.wire_limited
-
-    def test_efw_64b_depth64_matches_cost_model(self):
-        tester = ThroughputTester(DeviceKind.EFW, frame_bytes=64, rule_depth=64)
-        result = tester.search()
-        predicted = calibration.EFW_COST_MODEL.capacity_pps(64, 64)
-        assert result.rate_pps == pytest.approx(predicted, rel=0.07)
 
     def test_efw_full_frames_one_rule_is_wire_limited(self):
         # The paper: with one rule the EFW supports full bandwidth.

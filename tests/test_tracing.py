@@ -12,11 +12,11 @@ class TestTracing:
         flood = FloodGenerator(bed.attacker, FloodSpec(kind=FloodKind.UDP, dst_port=9))
         flood.start(bed.target.ip, rate_pps=500, duration=0.1)
         bed.run(0.2)
-        assert len(bed.sim.tracer) == 0
+        assert bed.sim.tracer.records() == []
 
     def test_rx_deny_traced(self):
         bed = Testbed(device=DeviceKind.EFW, efw_lockup_enabled=False)
-        bed.sim.tracer.enabled = True
+        bed.sim.tracer.configure(spans=True)
         bed.install_target_policy(deny_all())
         flood = FloodGenerator(bed.attacker, FloodSpec(kind=FloodKind.UDP, dst_port=9))
         flood.start(bed.target.ip, rate_pps=500, duration=0.1)
@@ -28,7 +28,7 @@ class TestTracing:
 
     def test_ring_drops_traced(self):
         bed = Testbed(device=DeviceKind.EFW, ring_size=4, efw_lockup_enabled=False)
-        bed.sim.tracer.enabled = True
+        bed.sim.tracer.configure(spans=True)
         bed.install_target_policy(deny_all())
         flood = FloodGenerator(bed.attacker, FloodSpec(kind=FloodKind.UDP, dst_port=9))
         flood.start(bed.target.ip, rate_pps=120_000, duration=0.1)
@@ -39,7 +39,7 @@ class TestTracing:
 
     def test_lockup_pause_traced(self):
         bed = Testbed(device=DeviceKind.EFW)
-        bed.sim.tracer.enabled = True
+        bed.sim.tracer.configure(spans=True)
         bed.install_target_policy(deny_all())
         flood = FloodGenerator(bed.attacker, FloodSpec(kind=FloodKind.UDP, dst_port=9))
         flood.start(bed.target.ip, rate_pps=2000, duration=1.0)
@@ -51,7 +51,7 @@ class TestTracing:
     def test_tcp_retransmits_traced(self, mininet):
         from tests.test_tcp_recovery import FrameDropper
 
-        mininet.sim.tracer.enabled = True
+        mininet.sim.tracer.configure(spans=True)
         alice, bob = mininet["alice"], mininet["bob"]
         bob.tcp.listen(5001, lambda conn: None)
         FrameDropper(bob.nic, {5})
