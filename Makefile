@@ -53,12 +53,16 @@ bench-digests:
 # benchmarks/quick_digests.sha256 (CI runs this; about 110-155 s on
 # 2 vCPUs).  The claims run first so a change that declares new digests
 # still sees whether the paper is reproduced; such a change regenerates
-# the pins from that directory and says so.
+# the pins from that directory and says so.  Last, mitigation and chaos
+# run again with the flight recorder armed and must match the same
+# pins: instrumentation must not change results (about 12 s).
 quick-digests:
-	rm -rf quick_digests_output
+	rm -rf quick_digests_output quick_digests_flight
 	PYTHONHASHSEED=0 $(PYTHON) -m repro.experiments all --quick --jobs 2 --invariants fail-fast --json quick_digests_output --no-progress > /dev/null
 	$(PYTHON) -m repro.experiments.claims quick_digests_output
 	cd quick_digests_output && sha256sum -c ../benchmarks/quick_digests.sha256
+	PYTHONHASHSEED=0 $(PYTHON) -m repro.experiments mitigation chaos --quick --jobs 2 --flight-recorder --invariants fail-fast --json quick_digests_flight --no-progress > /dev/null
+	cd quick_digests_flight && grep -E ' (mitigation|chaos)\.json$$' ../benchmarks/quick_digests.sha256 | sha256sum -c -
 
 # Fleet-scale kernel benchmark: 4/32/128/256-host flood scenarios on the
 # multi-switch fabric, plus the gated (>=3x at >=128 hosts) timer-wheel

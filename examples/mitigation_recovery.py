@@ -87,10 +87,11 @@ def incident(label, actions) -> None:
         report = controller.report()
         detect = report.time_to_detect(flood.started_at)
         mitigate = report.time_to_mitigate(flood.started_at)
+        first = report.detections[0].detail
+        reason, top_source = first["reason"], first["top_source"]
         print(
             f"          detected in {detect * 1e3:.0f} ms "
-            f"({report.detections[0].reason}, top source "
-            f"{report.detections[0].top_source}), mitigated in "
+            f"({reason}, top source {top_source}), mitigated in "
             f"{mitigate * 1e3:.0f} ms, {report.agent_restarts} agent restart(s)"
         )
         for event in bed.policy_server.audit.events(

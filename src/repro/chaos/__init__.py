@@ -8,11 +8,12 @@ The subsystem has three parts:
   surfaces real failures would hit,
 * :mod:`repro.chaos.schedule` — named scenarios and the
   :class:`ChaosInjector` that fires them at scheduled virtual times,
-  audited and traced,
+  audited, and logged as one incident per fault,
 * :mod:`repro.chaos.invariants` — the :class:`InvariantMonitor` suite
   (packet conservation, bounded queues, clock monotonicity, defense
   liveness, policy convergence) that runs alongside any experiment in
-  ``warn`` or ``fail-fast`` mode.
+  ``warn`` or ``fail-fast`` mode and files each violation as an
+  incident.
 
 :mod:`repro.chaos.runtime` wires both into the sweep machinery as a
 probe: ``RunConfig(probes=(ChaosCollector("compound", "fail-fast"),))``
@@ -30,7 +31,6 @@ from repro.chaos.faults import (
 )
 from repro.chaos.invariants import (
     InvariantMonitor,
-    InvariantViolation,
     InvariantViolationError,
     note_flood,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "ChaosSchedule",
     "ChaosSnapshot",
     "InvariantMonitor",
-    "InvariantViolation",
     "InvariantViolationError",
     "LinkFlap",
     "PacketCorruption",

@@ -20,9 +20,12 @@ every tick:
   legitimately suspends convergence, but it must hold again once the
   dust settles).
 
-Each failed check files a structured :class:`InvariantViolation`; in
-``"warn"`` mode violations accumulate (and become trace incidents when
-tracing is armed), in ``"fail-fast"`` mode the first one raises
+Each failed check files one
+:class:`~repro.obs.tracing.watchdog.Incident` whose ``kind`` is the
+invariant's name and whose ``source`` is the subject, in
+:attr:`InvariantMonitor.violations` and on the simulator's tracer (kept
+there when the tracer is hot).  In ``"warn"`` mode violations
+accumulate; in ``"fail-fast"`` mode the first one raises
 :class:`InvariantViolationError` out of the simulation run.
 
 All inequalities are *sound*: frames in flight, packets queued, and
@@ -33,7 +36,6 @@ state — no false positives on healthy runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.schedule import armed_injectors
@@ -45,24 +47,10 @@ from repro.sim.timer import PeriodicTimer
 MODES = ("warn", "fail-fast")
 
 
-@dataclass(frozen=True)
-class InvariantViolation:
-    """One failed invariant check, with enough context to debug it."""
-
-    invariant: str
-    subject: str
-    time: float
-    detail: Dict[str, Any] = field(default_factory=dict)
-
-    def describe(self) -> str:
-        extras = " ".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
-        return f"[{self.time:.6f}] {self.invariant} {self.subject} {extras}".rstrip()
-
-
 class InvariantViolationError(AssertionError):
     """Raised in fail-fast mode on the first violated invariant."""
 
-    def __init__(self, violation: InvariantViolation):
+    def __init__(self, violation: Incident):
         super().__init__(violation.describe())
         self.violation = violation
 
@@ -118,7 +106,7 @@ class InvariantMonitor:
         self.mode = mode
         self.check_interval = check_interval
         self.liveness_window = liveness_window
-        self.violations: List[InvariantViolation] = []
+        self.violations: List[Incident] = []
         self.checks_run = 0
         self._last_now = bed.sim.now
         self._flood_noted_at: Optional[float] = None
@@ -134,7 +122,7 @@ class InvariantMonitor:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def finalize(self, strict: bool = True) -> List[InvariantViolation]:
+    def finalize(self, strict: bool = True) -> List[Incident]:
         """Stop the monitor, run one last sweep, return all violations.
 
         With ``strict`` False the final sweep is skipped (used when the
@@ -171,23 +159,9 @@ class InvariantMonitor:
         self._check_convergence()
 
     def _violate(self, invariant: str, subject: str, **detail: Any) -> None:
-        violation = InvariantViolation(
-            invariant=invariant,
-            subject=subject,
-            time=self.bed.sim.now,
-            detail=detail,
-        )
+        violation = Incident(invariant, subject, self.bed.sim.now, detail)
         self.violations.append(violation)
-        tracer = self.bed.sim.tracer
-        if tracer.active or tracer.hot:
-            tracer.record_incident(
-                Incident(
-                    kind="invariant-violation",
-                    source=subject,
-                    time=violation.time,
-                    detail={"invariant": invariant, **detail},
-                )
-            )
+        self.bed.sim.tracer.record_incident(violation)
         if self.mode == "fail-fast":
             raise InvariantViolationError(violation)
 

@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.chaos.invariants import (
-    MODES,
-    InvariantMonitor,
-    InvariantViolation,
-    InvariantViolationError,
-)
+from repro.chaos.invariants import MODES, InvariantMonitor, InvariantViolationError
 from repro.chaos.schedule import SCENARIOS, ChaosInjector, armed_injectors, build_scenario
+from repro.obs.tracing.watchdog import Incident
 
 
 @dataclass
@@ -30,7 +26,7 @@ class ChaosSnapshot:
     invariants: Optional[str] = None
     faults_injected: int = 0
     faults_cleared: int = 0
-    violations: List[InvariantViolation] = field(default_factory=list)
+    violations: List[Incident] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -139,7 +135,7 @@ class ChaosCollector:
         """Every point's snapshot, in spec order."""
         return [snap for point in self.points for snap in point.snapshots]
 
-    def violations(self) -> List[InvariantViolation]:
+    def violations(self) -> List[Incident]:
         """Every violation collected so far, in collection order."""
         return [v for snap in self.snapshots() for v in snap.violations]
 

@@ -2,10 +2,10 @@
 
 A :class:`ChaosSchedule` is a frozen, typed list of faults with start
 offsets; :class:`ChaosInjector` arms it against a live testbed, firing
-each fault's inject/clear at the scheduled virtual times and recording
-every transition in the policy server's audit trail
-(``chaos-fault-injected`` / ``chaos-fault-cleared``) and — when tracing
-is armed — as trace incidents.
+each fault's inject/clear at the scheduled virtual times, auditing both
+(``chaos-fault-injected`` / ``chaos-fault-cleared``), and logging each
+fault as one :class:`~repro.obs.tracing.watchdog.Incident`, recovered
+when it clears, that the simulator's tracer also files.
 
 :func:`build_scenario` materialises the named scenarios the CLI's
 ``--chaos`` flag and the chaos experiment share; ``"compound"`` is the
@@ -15,8 +15,8 @@ during a flood).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.faults import (
     AgentCrash,
@@ -84,16 +84,6 @@ def build_scenario(
     return ChaosSchedule(name=name, faults=faults)
 
 
-@dataclass
-class FaultTransition:
-    """One injector action, for the episode log."""
-
-    time: float
-    action: str  # "inject" | "clear"
-    kind: str
-    subject: str
-
-
 def armed_injectors(bed) -> List["ChaosInjector"]:
     """Every injector armed on ``bed``, in arming order."""
     return getattr(bed, "chaos", [])
@@ -105,16 +95,17 @@ class ChaosInjector:
     The injector owns the timers and the bookkeeping: which faults are
     currently active (invariant monitors consult this to suppress
     convergence checks mid-fault), when the last one cleared, and the
-    full transition log.  Arming appends it to ``bed.chaos``, the list of
-    every injector armed on that bed, where the chaos probe and the
-    monitors find it, whoever armed it.
+    log: one incident per fault.  Arming appends it to ``bed.chaos``,
+    the list of every injector armed on that bed, where the chaos probe
+    and the monitors find it, whoever armed it.
     """
 
     def __init__(self, bed, schedule: ChaosSchedule):
         self.bed = bed
         self.schedule = schedule
         self.active: List[Any] = []
-        self.log: List[FaultTransition] = []
+        self.log: List[Incident] = []
+        self._open: Dict[int, Incident] = {}
         self.injected = 0
         self.cleared = 0
         self.last_cleared_at: Optional[float] = None
@@ -152,9 +143,11 @@ class ChaosInjector:
         fault.inject(self.bed)
         self.active.append(fault)
         self.injected += 1
-        now = self.bed.sim.now
-        self.log.append(FaultTransition(now, "inject", fault.kind, fault.subject))
-        self._record(AuditEventKind.CHAOS_FAULT_INJECTED, fault)
+        self._audit(AuditEventKind.CHAOS_FAULT_INJECTED, fault)
+        incident = Incident(fault.kind, fault.subject, self.bed.sim.now, fault.detail())
+        self.log.append(incident)
+        self._open[id(fault)] = incident
+        self.bed.sim.tracer.record_incident(incident)
         if fault.duration is not None:
             timer = Timer(self.bed.sim, self._clear, fault)
             timer.start(fault.duration)
@@ -166,23 +159,13 @@ class ChaosInjector:
         self.cleared += 1
         now = self.bed.sim.now
         self.last_cleared_at = now
-        self.log.append(FaultTransition(now, "clear", fault.kind, fault.subject))
-        self._record(AuditEventKind.CHAOS_FAULT_CLEARED, fault)
+        self._open.pop(id(fault)).recovered_at = now
+        self._audit(AuditEventKind.CHAOS_FAULT_CLEARED, fault)
 
-    def _record(self, event_kind: AuditEventKind, fault) -> None:
-        now = self.bed.sim.now
+    def _audit(self, event_kind: AuditEventKind, fault) -> None:
         server = getattr(self.bed, "policy_server", None)
         if server is not None:
             server.audit.record(
-                now, event_kind, fault.subject, fault=fault.kind, **fault.detail()
-            )
-        tracer = self.bed.sim.tracer
-        if tracer.active or tracer.hot:
-            tracer.record_incident(
-                Incident(
-                    kind=event_kind.value,
-                    source=fault.subject,
-                    time=now,
-                    detail={"fault": fault.kind, **fault.detail()},
-                )
+                self.bed.sim.now, event_kind, fault.subject,
+                fault=fault.kind, **fault.detail(),
             )

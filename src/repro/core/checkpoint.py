@@ -35,7 +35,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: Version of the per-line checkpoint record; bump on incompatible
 #: layout changes so older files are re-run rather than misread.
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 def _results():

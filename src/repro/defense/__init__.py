@@ -14,7 +14,7 @@ can *measure*:
   agent-restart sweep,
 * :mod:`repro.defense.controller` — the policy-server-side controller
   that applies actions on detection and accounts for every step
-  (audit events, trace incidents, :class:`DefenseReport`).
+  (audit events, incidents, :class:`DefenseReport`).
 
 ``Testbed.enable_defense`` (inherited by ``FleetTestbed``) wires a
 :class:`DefenseConfig` into a running testbed, watching every target;
@@ -32,23 +32,16 @@ from repro.defense.controller import (
     DefenseConfig,
     DefenseReport,
     MitigationController,
-    MitigationRecord,
 )
-from repro.defense.detector import (
-    DetectorConfig,
-    FloodDetection,
-    FloodDetector,
-)
+from repro.defense.detector import DetectorConfig, FloodDetector
 
 __all__ = [
     "DefenseConfig",
     "DefenseReport",
     "DetectorConfig",
     "EnableRateLimiter",
-    "FloodDetection",
     "FloodDetector",
     "MitigationController",
-    "MitigationRecord",
     "QuarantinePort",
     "RestartAgent",
     "TargetedDenyRule",

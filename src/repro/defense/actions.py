@@ -2,9 +2,11 @@
 
 Each action is a frozen dataclass describing *what* the controller does
 when a flood is detected; :meth:`apply` performs it against one
-:class:`~repro.defense.detector.FloodDetection` and returns a detail
-dict for the audit trail.  The catalogue mirrors the responses available
-to an EFW operator, ordered roughly by how surgical they are:
+``flood-detected`` :class:`~repro.obs.tracing.watchdog.Incident` (the
+protected host is its ``source``, the top talker
+``detail["top_source"]``) and returns a detail dict for the audit trail.
+The catalogue mirrors the responses available to an EFW operator,
+ordered roughly by how surgical they are:
 
 * :class:`TargetedDenyRule` — push a policy update that denies the
   identified flooder at rule 1.  On the ADF this is decisive (the flood
@@ -51,22 +53,23 @@ class TargetedDenyRule:
     push_ack_timeout: float = 0.05
 
     def apply(self, controller, detection) -> Dict[str, Any]:
-        if detection.top_source is None:
+        top_source = detection.detail["top_source"]
+        if top_source is None:
             return {"skipped": "no identified source"}
         server = controller.server
-        host = detection.host
-        flooder = Ipv4Address(detection.top_source)
+        host = detection.source
+        flooder = Ipv4Address(top_source)
         current_name = server.assignment_for(host)
         current = server.policy(current_name)
         deny = Rule(
             action=Action.DENY,
             src=AddressPattern.host(flooder),
-            name=f"deny-{detection.top_source}",
+            name=f"deny-{top_source}",
         )
         hardened = RuleSet(
             [deny] + current.rules,
             default_action=current.default_action,
-            name=f"{current_name}+deny-{detection.top_source}",
+            name=f"{current_name}+deny-{top_source}",
         )
         server.define_policy(hardened.name, hardened)
         server.assign(host, hardened.name)
@@ -78,7 +81,7 @@ class TargetedDenyRule:
         )
         controller.record_push(outcome)
         return {
-            "source": detection.top_source,
+            "source": top_source,
             "policy": hardened.name,
             "transport": outcome.transport,
         }
@@ -101,12 +104,13 @@ class EnableRateLimiter:
     scope_to_source: bool = True
 
     def apply(self, controller, detection) -> Dict[str, Any]:
-        nic = controller.nic_for(detection.host)
+        nic = controller.nic_for(detection.source)
         if not hasattr(nic, "install_ingress_limiter"):
             return {"skipped": f"{nic.name} has no ingress limiter stage"}
+        top_source = detection.detail["top_source"]
         src: Optional[Ipv4Address] = None
-        if self.scope_to_source and detection.top_source is not None:
-            src = Ipv4Address(detection.top_source)
+        if self.scope_to_source and top_source is not None:
+            src = Ipv4Address(top_source)
         limiter = IngressRateLimiter(
             controller.sim, nic.name, self.rate_pps, burst=self.burst, src=src
         )
@@ -126,13 +130,14 @@ class QuarantinePort:
     kind = "quarantine"
 
     def apply(self, controller, detection) -> Dict[str, Any]:
-        if detection.top_source is None:
+        top_source = detection.detail["top_source"]
+        if top_source is None:
             return {"skipped": "no identified source"}
-        station = controller.station_for_ip(detection.top_source)
+        station = controller.station_for_ip(top_source)
         if station is None:
-            return {"skipped": f"no station owns {detection.top_source}"}
+            return {"skipped": f"no station owns {top_source}"}
         controller.quarantine_station(station)
-        return {"source": detection.top_source, "station": station}
+        return {"source": top_source, "station": station}
 
 
 @dataclass(frozen=True)
@@ -150,5 +155,5 @@ class RestartAgent:
     check_interval: float = 0.05
 
     def apply(self, controller, detection) -> Dict[str, Any]:
-        started = controller.start_restart_sweep(detection.host, self.check_interval)
+        started = controller.start_restart_sweep(detection.source, self.check_interval)
         return {"sweep": "started" if started else "already running"}

@@ -5,8 +5,11 @@ is the automation an EFW administrator would script against the central
 console).  It wires a :class:`~repro.defense.detector.FloodDetector`'s
 onset callback to a configured tuple of actions
 (:mod:`repro.defense.actions`), records every step — audit events,
-trace incidents, metrics — and summarises the episode as a
-:class:`DefenseReport` the experiments turn into recovery numbers.
+metrics, and one :class:`~repro.obs.tracing.watchdog.Incident` per
+applied action (``kind`` is the action's kind, ``source`` the host,
+``detail`` what the action returned), filed on the tracer too — and
+summarises the episode as a :class:`DefenseReport` the experiments turn
+into recovery numbers.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.defense.actions import EnableRateLimiter, RestartAgent
-from repro.defense.detector import DetectorConfig, FloodDetection, FloodDetector
+from repro.defense.detector import DetectorConfig, FloodDetector
 from repro.obs.tracing.watchdog import Incident
 from repro.policy.audit import AuditEventKind
 from repro.sim.timer import PeriodicTimer
@@ -42,25 +45,11 @@ class DefenseConfig:
 
 
 @dataclass
-class MitigationRecord:
-    """One action applied in response to one detection."""
-
-    host: str
-    action: str
-    time: float
-    detail: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def skipped(self) -> bool:
-        return "skipped" in self.detail
-
-
-@dataclass
 class DefenseReport:
     """What the closed loop saw and did, for recovery accounting."""
 
-    detections: List[FloodDetection] = field(default_factory=list)
-    mitigations: List[MitigationRecord] = field(default_factory=list)
+    detections: List[Incident] = field(default_factory=list)
+    mitigations: List[Incident] = field(default_factory=list)
     agent_restarts: int = 0
 
     @property
@@ -69,7 +58,9 @@ class DefenseReport:
 
     @property
     def first_mitigation_at(self) -> Optional[float]:
-        applied = [record.time for record in self.mitigations if not record.skipped]
+        applied = [
+            record.time for record in self.mitigations if "skipped" not in record.detail
+        ]
         return min(applied) if applied else None
 
     def time_to_detect(self, flood_started_at: float) -> Optional[float]:
@@ -122,7 +113,7 @@ class MitigationController:
         self.actions = tuple(actions)
         self._station_for_ip = station_for_ip
         self._quarantine = quarantine
-        self.mitigations: List[MitigationRecord] = []
+        self.mitigations: List[Incident] = []
         self.agent_restarts = 0
         self.push_outcomes: List[Any] = []
         self._restart_sweeps: Dict[str, PeriodicTimer] = {}
@@ -131,7 +122,9 @@ class MitigationController:
         detector.on_clear = self._flood_cleared
         sim.metrics.counter_fn(
             "defense_mitigations",
-            lambda: sum(1 for record in self.mitigations if not record.skipped),
+            lambda: sum(
+                1 for record in self.mitigations if "skipped" not in record.detail
+            ),
             component="controller",
         )
         sim.metrics.counter_fn(
@@ -190,57 +183,33 @@ class MitigationController:
     # Detector callbacks
     # ------------------------------------------------------------------
 
-    def _flood_detected(self, detection: FloodDetection) -> None:
-        now = self.sim.now
+    def _flood_detected(self, detection: Incident) -> None:
+        host = detection.source
+        detail = detection.detail
         self.server.audit.record(
-            now,
+            self.sim.now,
             AuditEventKind.FLOOD_DETECTED,
-            detection.host,
-            reason=detection.reason,
-            ingress_pps=round(detection.ingress_pps, 1),
-            deny_pps=round(detection.deny_pps, 1),
-            top_source=detection.top_source,
+            host,
+            reason=detail["reason"],
+            ingress_pps=detail["ingress_pps"],
+            deny_pps=detail["deny_pps"],
+            top_source=detail["top_source"],
         )
-        tracer = self.sim.tracer
-        if tracer.active or tracer.hot:
-            tracer.record_incident(
-                Incident(
-                    kind="flood-detected",
-                    source=detection.nic,
-                    time=now,
-                    detail={
-                        "host": detection.host,
-                        "reason": detection.reason,
-                        "top_source": detection.top_source,
-                    },
-                )
-            )
         for action in self.actions:
-            detail = action.apply(self, detection)
-            record = MitigationRecord(
-                host=detection.host, action=action.kind,
-                time=self.sim.now, detail=detail,
-            )
-            self.mitigations.append(record)
+            applied = action.apply(self, detection)
             self.server.audit.record(
                 self.sim.now,
                 AuditEventKind.MITIGATION_APPLIED,
-                detection.host,
+                host,
                 action=action.kind,
-                **detail,
+                **applied,
             )
-            if tracer.active or tracer.hot:
-                tracer.record_incident(
-                    Incident(
-                        kind="mitigation-applied",
-                        source=detection.nic,
-                        time=self.sim.now,
-                        detail={"host": detection.host, "action": action.kind, **detail},
-                    )
-                )
+            record = Incident(action.kind, host, self.sim.now, applied)
+            self.mitigations.append(record)
+            self.sim.tracer.record_incident(record)
 
-    def _flood_cleared(self, detection: FloodDetection) -> None:
-        self.stop_restart_sweep(detection.host)
+    def _flood_cleared(self, detection: Incident) -> None:
+        self.stop_restart_sweep(detection.source)
 
     # ------------------------------------------------------------------
 

@@ -5,8 +5,11 @@ card and restarting its agent by hand; this module is the sensor half of
 closing that loop.  :class:`FloodDetector` watches each protected NIC's
 existing counters — frames received and packets denied — through
 virtual-time EWMAs (:class:`~repro.obs.ewma.RateEwma`), plus the policy
-server's heartbeat-silence signal, and raises a :class:`FloodDetection`
-when any of them crosses its onset threshold.
+server's heartbeat-silence signal, and raises a ``flood-detected``
+:class:`~repro.obs.tracing.watchdog.Incident` (source: the protected
+host; detail: the NIC, the ``REASON_*`` that crossed first, the EWMA
+rates, the heartbeat signal, and the top talker or None) when any of
+them crosses its onset threshold; ``recovered_at`` marks the clearance.
 
 Detection is hysteretic: the onset thresholds (``on_*``) sit well above
 the clear thresholds (``off_*``), and an episode only clears after
@@ -22,10 +25,11 @@ worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.obs.ewma import RateEwma
+from repro.obs.tracing.watchdog import Incident
 from repro.sim.timer import PeriodicTimer
 
 #: Detection-trigger reasons, in the priority order they are reported.
@@ -71,29 +75,6 @@ class DetectorConfig:
             raise ValueError(f"clear_checks must be >= 1, got {self.clear_checks}")
 
 
-@dataclass
-class FloodDetection:
-    """One detected flood episode against one protected host."""
-
-    host: str
-    nic: str
-    time: float
-    #: What crossed first: ``heartbeat-silence``, ``deny-rate``, or
-    #: ``ingress-rate``.
-    reason: str
-    ingress_pps: float
-    deny_pps: float
-    heartbeat_silent: bool
-    #: The busiest ingress source over the last check window (string
-    #: form of the address), or ``None`` if no source stood out.
-    top_source: Optional[str] = None
-    cleared_at: Optional[float] = None
-
-    @property
-    def active(self) -> bool:
-        return self.cleared_at is None
-
-
 class _WatchedHost:
     """Per-host detector state."""
 
@@ -115,7 +96,8 @@ class _WatchedHost:
         #: Source -> cumulative count at the previous check (for the
         #: per-window top-talker delta).
         self.source_snapshot: Dict = {}
-        self.detection: Optional[FloodDetection] = None
+        #: The open ``flood-detected`` incident, or None.
+        self.detection: Optional[Incident] = None
         self.healthy_checks = 0
 
 
@@ -133,7 +115,7 @@ class FloodDetector:
     config:
         Thresholds and cadence.
     on_flood, on_clear:
-        Callbacks invoked with the :class:`FloodDetection` at episode
+        Callbacks invoked with the ``flood-detected`` incident at episode
         onset and clearance (the mitigation controller hooks these).
     """
 
@@ -144,8 +126,8 @@ class FloodDetector:
         sim,
         server=None,
         config: Optional[DetectorConfig] = None,
-        on_flood: Optional[Callable[[FloodDetection], None]] = None,
-        on_clear: Optional[Callable[[FloodDetection], None]] = None,
+        on_flood: Optional[Callable[[Incident], None]] = None,
+        on_clear: Optional[Callable[[Incident], None]] = None,
     ):
         self.sim = sim
         self.server = server
@@ -154,7 +136,7 @@ class FloodDetector:
         self.on_clear = on_clear
         self._watched: Dict[str, _WatchedHost] = {}
         #: Every episode ever raised, in detection order.
-        self.detections: List[FloodDetection] = []
+        self.detections: List[Incident] = []
         self._timer: Optional[PeriodicTimer] = None
         sim.metrics.counter_fn(
             "defense_detections", lambda: len(self.detections), component="detector"
@@ -194,12 +176,10 @@ class FloodDetector:
             self._timer.stop()
             self._timer = None
 
-    def active_detection(self, host_name: str) -> Optional[FloodDetection]:
+    def active_detection(self, host_name: str) -> Optional[Incident]:
         """The in-progress episode for ``host_name``, if any."""
         state = self._watched.get(host_name)
-        if state is None or state.detection is None or not state.detection.active:
-            return None
-        return state.detection
+        return None if state is None else state.detection
 
     # ------------------------------------------------------------------
 
@@ -237,7 +217,7 @@ class FloodDetector:
             ingress_pps = state.ingress_ewma.update(now, nic.frames_received)
             deny_pps = state.deny_ewma.update(now, getattr(nic, "rx_denied", 0))
             silent = self._heartbeat_silent(state.host)
-            if state.detection is None or not state.detection.active:
+            if state.detection is None:
                 self._check_onset(state, now, ingress_pps, deny_pps, silent)
             else:
                 self._check_clearance(state, now, ingress_pps, deny_pps, silent)
@@ -256,19 +236,18 @@ class FloodDetector:
             reason = REASON_INGRESS_RATE
         else:
             return
-        detection = FloodDetection(
-            host=state.host,
-            nic=state.nic.name,
-            time=now,
-            reason=reason,
-            ingress_pps=ingress_pps,
-            deny_pps=deny_pps,
-            heartbeat_silent=silent,
-            top_source=self._top_source(state),
-        )
+        detection = Incident("flood-detected", state.host, now, {
+            "nic": state.nic.name,
+            "reason": reason,
+            "ingress_pps": round(ingress_pps, 1),
+            "deny_pps": round(deny_pps, 1),
+            "heartbeat_silent": silent,
+            "top_source": self._top_source(state),
+        })
         state.detection = detection
         state.healthy_checks = 0
         self.detections.append(detection)
+        self.sim.tracer.record_incident(detection)
         if self.on_flood is not None:
             self.on_flood(detection)
 
@@ -289,7 +268,8 @@ class FloodDetector:
         if state.healthy_checks < config.clear_checks:
             return
         detection = state.detection
-        detection.cleared_at = now
+        detection.recovered_at = now
+        state.detection = None
         state.healthy_checks = 0
         if self.on_clear is not None:
             self.on_clear(detection)

@@ -361,8 +361,9 @@ def main(argv=None) -> int:
                 )
         if chaos is not None:
             print(f"  {chaos.summary()}", file=sys.stderr)
-            for violation in chaos.violations():
-                print(f"  !! {violation.describe()}", file=sys.stderr)
+            if tracer is None:  # an armed tracer already printed them above
+                for violation in chaos.violations():
+                    print(f"  !! {violation.describe()}", file=sys.stderr)
         if profiler is not None:
             profile = profiler.experiment(experiment_id)
             json_path = os.path.join(args.profile, f"{experiment_id}_profile.json")

@@ -284,7 +284,7 @@ def _mitigation_point(
         point.time_to_mitigate = report.time_to_mitigate(flood.started_at)
         point.detections = len(report.detections)
         point.mitigations = sum(
-            1 for record in report.mitigations if not record.skipped
+            1 for record in report.mitigations if "skipped" not in record.detail
         )
         point.agent_restarts = report.agent_restarts
     return point
@@ -347,7 +347,7 @@ def _fleet_mitigation_point(
         point.time_to_mitigate = defense.time_to_mitigate(flood_started_at)
         point.detections = len(defense.detections)
         point.mitigations = sum(
-            1 for record in defense.mitigations if not record.skipped
+            1 for record in defense.mitigations if "skipped" not in record.detail
         )
         point.agent_restarts = defense.agent_restarts
     return point

@@ -312,7 +312,9 @@ class PacketTracer:
     # ------------------------------------------------------------------
 
     def record_incident(self, incident) -> None:
-        """File an incident; the flight recorder dumps once, on onset."""
+        """File an incident (cold tracer: a no-op); the flight recorder dumps on onset."""
+        if not self.hot:
+            return
         flight = self.flight
         if flight is not None:
             incident.dump = flight.dump()

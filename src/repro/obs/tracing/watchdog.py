@@ -23,6 +23,15 @@ Saturation and thrash fire once per source per run — the incident marks
 the onset; the flight-recorder dump attached to it holds the build-up.
 Incidents land in ``tracer.incidents`` and travel back in the result
 envelope (see :mod:`repro.obs.tracing.collect`).
+
+:class:`Incident` is also the one record every other producer of "what
+went wrong at virtual time t" keeps: the invariant monitor's violations
+(:mod:`repro.chaos.invariants`), the chaos injector's fault log
+(:mod:`repro.chaos.schedule`), the flood detector's episodes
+(:mod:`repro.defense.detector`) and the mitigation controller's actions
+(:mod:`repro.defense.controller`).  Each keeps its incidents in its own
+list and files the same objects on the tracer, which keeps them only
+while it is hot.
 """
 
 from __future__ import annotations
@@ -51,6 +60,13 @@ class Incident:
         line = f"{self.kind} on {self.source} at t={self.time:.3f}s"
         if self.recovered_at is not None:
             line += f" (recovered t={self.recovered_at:.3f}s)"
+        extras = " ".join(
+            f"{key}={value}"
+            for key, value in sorted(self.detail.items())
+            if key != "last_stage"
+        )
+        if extras:
+            line += f": {extras}"
         last_stage = self.detail.get("last_stage")
         if last_stage:
             line += f"; last span before silence: {last_stage}"

@@ -1,5 +1,7 @@
 """Tests for the chaos subsystem: faults, schedules, invariants, runtime."""
 
+import json
+
 import pytest
 
 from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
@@ -19,11 +21,13 @@ from repro.chaos import (
 from repro.chaos.runtime import ChaosCollector, ChaosConfig
 from repro.chaos.faults import resolve_station
 from repro.core import probe
+from repro.core.checkpoint import SweepCheckpoint
 from repro.core.fleet import FleetSpec, FleetTestbed
 from repro.core.methodology import MeasurementSettings
 from repro.core.parallel import SweepExecutor, SweepPointSpec
 from repro.core.testbed import DeviceKind, Testbed
 from repro.firewall.builders import allow_all
+from repro.obs.tracing.flight import FlightRecorder
 from repro.policy.audit import AuditEventKind
 
 
@@ -181,10 +185,10 @@ class TestInjector:
         bed.run(0.06)
         assert injector.quiescent
         assert (injector.injected, injector.cleared) == (1, 1)
-        assert [(t.action, t.kind) for t in injector.log] == [
-            ("inject", "link-flap"),
-            ("clear", "link-flap"),
-        ]
+        [incident] = injector.log
+        assert (incident.kind, incident.source) == ("link-flap", "client")
+        assert incident.time == pytest.approx(0.02)
+        assert incident.recovered_at == pytest.approx(0.07)
         audit = bed.policy_server.audit
         injected = audit.events(AuditEventKind.CHAOS_FAULT_INJECTED, "client")
         cleared = audit.events(AuditEventKind.CHAOS_FAULT_CLEARED, "client")
@@ -236,8 +240,8 @@ class TestInvariants:
         bed.run(0.05)
         violations = monitor.finalize()
         assert violations
-        assert violations[0].invariant == "packet-conservation"
-        assert violations[0].subject == bed.target.nic.name
+        assert violations[0].kind == "packet-conservation"
+        assert violations[0].source == bed.target.nic.name
 
     def test_fail_fast_raises_out_of_the_run(self):
         bed = _efw_bed()
@@ -245,7 +249,7 @@ class TestInvariants:
         bed.target.nic.packets_delivered += 1000
         with pytest.raises(InvariantViolationError) as excinfo:
             bed.run(0.05)
-        assert excinfo.value.violation.invariant == "packet-conservation"
+        assert excinfo.value.violation.kind == "packet-conservation"
         monitor.finalize(strict=False)
 
     def test_acked_but_uninstalled_policy_violates_convergence(self):
@@ -254,7 +258,7 @@ class TestInvariants:
         bed.target.nic.clear_policy()
         bed.run(0.05)
         violations = monitor.finalize()
-        assert any(v.invariant == "policy-convergence" for v in violations)
+        assert any(v.kind == "policy-convergence" for v in violations)
 
     def test_active_fault_suspends_convergence(self):
         bed = _efw_bed()
@@ -278,9 +282,9 @@ class TestInvariants:
         bed.run(0.6)
         flood.stop()
         violations = monitor.finalize()
-        assert any(v.invariant == "defense-liveness" for v in violations)
+        assert any(v.kind == "defense-liveness" for v in violations)
         # Settled: the violation files once, not once per tick.
-        assert sum(1 for v in violations if v.invariant == "defense-liveness") == 1
+        assert sum(1 for v in violations if v.kind == "defense-liveness") == 1
 
     def test_note_flood_without_monitors_is_a_noop(self):
         bed = _efw_bed()
@@ -565,7 +569,12 @@ def _violating_entry(config):
 
 
 class TestCliFlags:
-    def test_warn_violations_and_fault_counts_reach_stderr(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "extra", [[], ["--flight-recorder"]], ids=["plain", "flight-recorder"]
+    )
+    def test_warn_violations_and_fault_counts_reach_stderr(
+        self, extra, monkeypatch, capsys
+    ):
         from repro.experiments import __main__ as cli
         from repro.experiments import runner
 
@@ -573,14 +582,16 @@ class TestCliFlags:
         monkeypatch.setattr(runner, "REGISTRY", {"stub": spec})
         monkeypatch.setattr(cli, "run_experiment_result", runner.run_experiment_result)
         monkeypatch.setattr(cli, "experiment_ids", runner.experiment_ids)
-        argv = ["stub", "--no-progress", "--jobs", "1", "--invariants", "warn"]
+        argv = ["stub", "--no-progress", "--jobs", "1", "--invariants", "warn"] + extra
         assert cli.main(argv) == 0
         captured = capsys.readouterr()
         assert "STUB-OUTPUT" in captured.out
         assert "chaos: scenario=- invariants=warn faults injected=0 cleared=0" in captured.err
         violations = [line for line in captured.err.splitlines() if "!!" in line]
         assert violations
-        assert all("target" in line for line in violations)
+        # One line per violation, even when the armed tracer files them too.
+        assert f"violations={len(violations)}" in captured.err
+        assert all("packet-conservation on target" in line for line in violations)
         assert "chaos:" not in captured.out
 
     def test_unknown_chaos_scenario_rejected_at_parse_time(self, capsys):
@@ -596,3 +607,86 @@ class TestCliFlags:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["fig2", "--quick", "--preset", "full"])
         assert excinfo.value.code == 2
+
+
+class TestCheckpointSchema:
+    def test_schema_2_record_is_ignored_and_the_point_reruns(self, tmp_path):
+        path = str(tmp_path / "ckpt.jsonl")
+        specs = [SweepPointSpec(label="p", fn=_violating_point)]
+
+        def run(resume):
+            collector = ChaosCollector(invariants="warn")
+            with SweepCheckpoint(path, resume=resume) as checkpoint:
+                executor = SweepExecutor(
+                    jobs=1, probes=(collector,), checkpoint=checkpoint
+                )
+                executor.run(specs)
+            return executor.stats.resumed, collector.violations()
+
+        _, violations = run(resume=False)
+        resumed, restored = run(resume=True)
+        assert resumed == 1
+        assert [v.describe() for v in restored] == [v.describe() for v in violations]
+        # Schema 2 stored violations as a record type that no longer
+        # exists; such a record must re-run, not come back as a dict.
+        with open(path, encoding="utf-8") as stream:
+            records = [json.loads(line) for line in stream]
+        with open(path, "w", encoding="utf-8") as stream:
+            for record in records:
+                stream.write(json.dumps(dict(record, schema_version=2)) + "\n")
+        resumed, rerun = run(resume=True)
+        assert resumed == 0
+        assert "packet-conservation" in rerun[0].describe()
+
+
+# ---------------------------------------------------------------------------
+# One incident record: every producer's incidents reach the tracer
+# ---------------------------------------------------------------------------
+
+
+def _incident_producers(flight):
+    """A defended, flapped, flooded and then corrupted EFW bed."""
+    bed = _efw_bed(defended=True)
+    if flight:
+        bed.sim.tracer.configure(spans=False, flight=FlightRecorder(256))
+    injector = ChaosInjector(bed, build_scenario("link-flap", start=0.02, duration=0.05))
+    injector.arm()
+    monitor = InvariantMonitor(bed, mode="warn", check_interval=0.02)
+    flood = FloodGenerator(bed.attacker, FloodSpec(kind=FloodKind.UDP, dst_port=7777))
+    flood.start(bed.target.ip, 20000)
+    bed.run(0.3)
+    flood.stop()
+    bed.target.nic.packets_delivered = bed.target.nic.frames_received + 10
+    bed.run(0.05)
+    monitor.finalize()
+    return bed, {
+        "faults": injector.log,
+        "detections": bed.defense.detector.detections,
+        "mitigations": bed.defense.mitigations,
+        "violations": monitor.violations,
+    }
+
+
+def _digest(produced):
+    return {
+        name: [(i.kind, i.source, i.time, i.recovered_at) for i in incidents]
+        for name, incidents in produced.items()
+    }
+
+
+class TestIncidentsReachTheTracer:
+    def test_hot_tracer_files_every_producer_incident_once(self):
+        bed, produced = _incident_producers(flight=True)
+        filed = bed.sim.tracer.incidents
+        for name, incidents in produced.items():
+            assert incidents, name
+            for incident in incidents:
+                assert sum(1 for other in filed if other is incident) == 1, name
+                assert incident.dump is not None
+        assert len(filed) == sum(len(incidents) for incidents in produced.values())
+
+    def test_cold_tracer_keeps_nothing_and_producers_keep_everything(self):
+        hot_bed, hot = _incident_producers(flight=True)
+        cold_bed, cold = _incident_producers(flight=False)
+        assert cold_bed.sim.tracer.incidents == []
+        assert _digest(cold) == _digest(hot)

@@ -167,8 +167,8 @@ class TestFloodDetector:
             sim.run(until=sim.now + step)
         detection = detector.active_detection("target")
         assert detection is not None
-        assert detection.reason == "ingress-rate"
-        assert detection.top_source == "10.0.0.4"
+        assert detection.detail["reason"] == "ingress-rate"
+        assert detection.detail["top_source"] == "10.0.0.4"
         assert len(detector.detections) == 1  # one episode, not one per check
 
     def test_deny_rate_fires_before_ingress(self):
@@ -183,7 +183,7 @@ class TestFloodDetector:
             sim.run(until=sim.now + step)
         detection = detector.active_detection("target")
         assert detection is not None
-        assert detection.reason == REASON_DENY_RATE
+        assert detection.detail["reason"] == REASON_DENY_RATE
 
     def test_bursty_legitimate_traffic_does_not_flap(self):
         # Table 1's HTTP workload in miniature: short bursts separated by
@@ -213,16 +213,16 @@ class TestFloodDetector:
         assert detection is not None
         # One quiet check is not a recovery...
         sim.run(until=sim.now + step)
-        assert detection.active
+        assert detection.recovered_at is None
         # ...a relapse resets the healthy streak...
         nic.receive(400, src="10.0.0.4")
         sim.run(until=sim.now + step)
-        assert detection.active
+        assert detection.recovered_at is None
         # ...and only clear_checks consecutive quiet checks clear it.
         for _ in range(detector.config.clear_checks + 2):
             sim.run(until=sim.now + step)
-        assert not detection.active
-        assert detection.cleared_at is not None
+        assert detection.recovered_at is not None
+        assert detector.active_detection("target") is None
         assert len(detector.detections) == 1
 
     def test_watch_rejects_duplicates(self):
@@ -271,7 +271,7 @@ class TestClosedLoop:
         bed.run(1.0)
         report = controller.report()
         assert report.detections
-        assert report.detections[0].reason == REASON_HEARTBEAT
+        assert report.detections[0].detail["reason"] == REASON_HEARTBEAT
         assert report.agent_restarts >= 1
 
     def test_quarantine_cuts_the_flood_at_the_switch(self):
