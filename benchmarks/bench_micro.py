@@ -1,8 +1,8 @@
 """Microbenchmarks of the simulator's hot paths.
 
 These are conventional pytest-benchmark measurements (many rounds): the
-event kernel, rule-set evaluation, the embedded-NIC service path, the
-toy cipher, and TCP goodput per wall-second — useful for catching
+event kernel, rule-set evaluation, building a flood frame, the toy
+cipher, and TCP goodput per wall-second — useful for catching
 performance regressions that would make the experiment sweeps impractical.
 """
 
@@ -11,8 +11,8 @@ from __future__ import annotations
 from repro.crypto.cipher import KeystreamCipher
 from repro.firewall.builders import padded_ruleset, service_rule
 from repro.firewall.rules import Action, Direction
-from repro.net.addresses import Ipv4Address
-from repro.net.packet import IpProtocol, Ipv4Packet, TcpSegment
+from repro.net.addresses import Ipv4Address, MacAddress
+from repro.net.packet import EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment
 from repro.sim.engine import Simulator
 
 
@@ -85,6 +85,45 @@ def test_ruleset_evaluation_cached(benchmark):
 
     result = benchmark(ruleset.evaluate, packet, Direction.INBOUND)
     assert result.rules_traversed == 64
+
+
+def test_ruleset_flow_cache_hit(benchmark):
+    """Flow-cache hits for 100 fresh packets of one flow, as a flood's
+    packets arrive: equal flows, but no object shared with the cached
+    key, so every probe hashes and compares the addresses."""
+    ruleset = padded_ruleset(
+        64, action_rule=service_rule(Action.ALLOW, IpProtocol.TCP, 5001)
+    )
+    packets = [
+        Ipv4Packet(
+            src=Ipv4Address(0x0A000002),
+            dst=Ipv4Address(0x0A000003),
+            payload=TcpSegment(src_port=40000, dst_port=5001),
+        )
+        for _ in range(100)
+    ]
+    ruleset.evaluate(packets[0], Direction.INBOUND)  # warm the cache
+
+    def evaluate_all():
+        for packet in packets:
+            result = ruleset.evaluate(packet, Direction.INBOUND)
+        return result
+
+    assert benchmark(evaluate_all).rules_traversed == 64
+    assert ruleset.last_engine == "cache"
+
+
+def test_flood_frame_build(benchmark):
+    """One 64-byte flood frame: the segment, its packet and the frame."""
+    src, dst = Ipv4Address("10.0.0.66"), Ipv4Address("10.0.0.3")
+    src_mac, dst_mac = MacAddress.from_index(3), MacAddress.from_index(2)
+
+    def build():
+        segment = TcpSegment(src_port=4444, dst_port=5001, flags=TcpFlags.ACK, seq=1)
+        packet = Ipv4Packet(src=src, dst=dst, payload=segment)
+        return EthernetFrame(src_mac, dst_mac, packet, frame_id=1)
+
+    assert benchmark(build).wire_size == 64
 
 
 def test_keystream_encrypt(benchmark):

@@ -24,6 +24,11 @@ import json
 import math
 from typing import Any, Dict, Optional, Type
 
+from repro.net.addresses import Ipv4Address, MacAddress
+
+#: Value types that serialize to their text form.
+_ADDRESS_TYPES = (Ipv4Address, MacAddress)
+
 #: Version of the archived-JSON envelope; bump on incompatible layout
 #: changes so :func:`deserialize` can reject archives from the future.
 RESULTS_SCHEMA_VERSION = 1
@@ -35,6 +40,8 @@ def serialize(value: Any) -> Any:
     * dataclasses become dicts (with a ``_type`` tag for readability),
     * enums become their ``value``,
     * NaN/inf floats become None (JSON has no spelling for them),
+    * addresses become their text form (they are ``int`` subclasses, so
+      this is tested before the plain-int branch),
     * dict keys are stringified when not already strings.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -52,6 +59,8 @@ def serialize(value: Any) -> Any:
         if math.isnan(value) or math.isinf(value):
             return None
         return value
+    if isinstance(value, _ADDRESS_TYPES):
+        return str(value)
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     # Objects with their own dict-ish content (e.g. result aggregates

@@ -39,6 +39,11 @@ class Direction(enum.Enum):
     OUTBOUND = "out"
     BOTH = "both"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with equality, and a flow-cache probe hashes the
+    # direction in C instead of calling ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
     def covers(self, other: "Direction") -> bool:
         """True if a rule with this direction applies to ``other`` traffic."""
         return self == Direction.BOTH or self == other

@@ -263,30 +263,27 @@ class RuleSet:
         # inside whatever event needed the verdict (a NIC service-time
         # computation, an iptables softirq), so it opens its own scope to
         # be attributed as "firewall.evaluate" rather than billed to the
-        # caller.  Off costs one module-global read and one branch.
+        # caller.  Off costs one module-global read and two branches.
         profiler = _profiling.ACTIVE
-        if profiler is None:
-            return self._evaluate(packet, direction)
-        profiler.enter("firewall.evaluate")
+        if profiler is not None:
+            profiler.enter("firewall.evaluate")
         try:
-            return self._evaluate(packet, direction)
+            flow = packet.flow()
+            cache_key = (flow, direction)
+            cache = self._flow_cache
+            cached = cache.pop(cache_key, None)
+            if cached is not None:
+                cache[cache_key] = cached  # re-insert at the MRU end
+                self.last_engine = "cache"
+                return cached
+            result = self.compiled_classifier.lookup(flow, direction)
+            self.compiled_stats.hits += 1
+            self.last_engine = "compiled"
+            self._cache_store(cache_key, result)
+            return result
         finally:
-            profiler.exit()
-
-    def _evaluate(self, packet: Ipv4Packet, direction: Direction) -> MatchResult:
-        flow = packet.flow()
-        cache_key = (flow, direction)
-        cache = self._flow_cache
-        cached = cache.pop(cache_key, None)
-        if cached is not None:
-            cache[cache_key] = cached  # re-insert at the MRU end
-            self.last_engine = "cache"
-            return cached
-        result = self.compiled_classifier.lookup(flow, direction)
-        self.compiled_stats.hits += 1
-        self.last_engine = "compiled"
-        self._cache_store(cache_key, result)
-        return result
+            if profiler is not None:
+                profiler.exit()
 
     def _cache_store(self, cache_key, result: MatchResult) -> None:
         """Insert into the flow cache, evicting the LRU entry when full."""
@@ -333,27 +330,24 @@ class RuleSet:
         the matching VPG rule.
         """
         profiler = _profiling.ACTIVE
-        if profiler is None:
-            return self._evaluate_encrypted(spi)
-        profiler.enter("firewall.evaluate")
+        if profiler is not None:
+            profiler.enter("firewall.evaluate")
         try:
-            return self._evaluate_encrypted(spi)
+            cache_key = ("spi", spi)
+            cache = self._flow_cache
+            cached = cache.pop(cache_key, None)
+            if cached is not None:
+                cache[cache_key] = cached  # re-insert at the MRU end
+                self.last_engine = "cache"
+                return cached
+            result = self.compiled_classifier.lookup_encrypted(spi)
+            self.compiled_stats.hits += 1
+            self.last_engine = "compiled"
+            self._cache_store(cache_key, result)
+            return result
         finally:
-            profiler.exit()
-
-    def _evaluate_encrypted(self, spi: int) -> MatchResult:
-        cache_key = ("spi", spi)
-        cache = self._flow_cache
-        cached = cache.pop(cache_key, None)
-        if cached is not None:
-            cache[cache_key] = cached  # re-insert at the MRU end
-            self.last_engine = "cache"
-            return cached
-        result = self.compiled_classifier.lookup_encrypted(spi)
-        self.compiled_stats.hits += 1
-        self.last_engine = "compiled"
-        self._cache_store(cache_key, result)
-        return result
+            if profiler is not None:
+                profiler.exit()
 
     def evaluate_encrypted_linear(self, spi: int) -> MatchResult:
         """Linear reference walk for encrypted VPG packets (uncached)."""

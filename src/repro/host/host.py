@@ -122,25 +122,27 @@ class Host:
         if self.iptables is not None:
             self.iptables.filter_input(packet)
             return
-        self._stack_input(packet)
+        self.packets_delivered += 1
+        if self.sim.tracer.active:
+            self._trace_deliver(packet)
+        self.ip_layer.packet_arrived(packet)
 
     def deliver_filtered(self, packet: Ipv4Packet) -> None:
         """Continue the ingress path after the INPUT filter's verdict."""
-        self._stack_input(packet)
-
-    def _stack_input(self, packet: Ipv4Packet) -> None:
         self.packets_delivered += 1
-        tracer = self.sim.tracer
-        if tracer.active:
-            ctx = getattr(packet, "trace_ctx", None)
-            if ctx is not None:
-                now = self.sim.now
-                tracer.span(
-                    ctx, "app.deliver", self.name, now, now,
-                    parent=getattr(packet, "trace_parent", None),
-                    proto=packet.protocol.name,
-                )
+        if self.sim.tracer.active:
+            self._trace_deliver(packet)
         self.ip_layer.packet_arrived(packet)
+
+    def _trace_deliver(self, packet: Ipv4Packet) -> None:
+        ctx = getattr(packet, "trace_ctx", None)
+        if ctx is not None:
+            now = self.sim.now
+            self.sim.tracer.span(
+                ctx, "app.deliver", self.name, now, now,
+                parent=getattr(packet, "trace_parent", None),
+                proto=packet.protocol.name,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Host {self.name} {self.ip}>"

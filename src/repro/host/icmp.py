@@ -109,8 +109,8 @@ class IcmpLayer:
 
     def message_arrived(self, packet: Ipv4Packet) -> None:
         """Handle an inbound ICMP message."""
-        message = packet.icmp
-        if message is None:
+        message = packet.payload
+        if type(message) is not IcmpMessage:
             return
         if message.icmp_type == IcmpType.ECHO_REQUEST:
             self.echo_requests_received += 1

@@ -31,12 +31,13 @@ class IpLayer:
 
     def send(self, dst_ip: Ipv4Address, payload: L4Payload, ttl: int = 64) -> None:
         """Wrap ``payload`` in an IPv4 packet from this host and transmit."""
+        identification = self._identification = (self._identification + 1) & 0xFFFF
         packet = Ipv4Packet(
             src=self.host.ip,
             dst=dst_ip,
             payload=payload,
             ttl=ttl,
-            identification=self._next_identification(),
+            identification=identification,
         )
         self.send_packet(packet)
 
@@ -95,10 +96,6 @@ class IpLayer:
             if cached is not None:
                 return cached
         return BROADCAST_MAC
-
-    def _next_identification(self) -> int:
-        self._identification = (self._identification + 1) & 0xFFFF
-        return self._identification
 
     # ------------------------------------------------------------------
     # Input

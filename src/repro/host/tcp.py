@@ -902,8 +902,8 @@ class TcpManager:
 
     def segment_arrived(self, packet: Ipv4Packet) -> None:
         """Demultiplex an inbound TCP segment."""
-        segment = packet.tcp
-        if segment is None:
+        segment = packet.payload
+        if type(segment) is not TcpSegment:
             return
         self.segments_received += 1
         key = (segment.dst_port, packet.src, segment.src_port)

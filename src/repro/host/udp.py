@@ -87,8 +87,8 @@ class UdpManager:
 
     def datagram_arrived(self, packet: Ipv4Packet) -> None:
         """Demultiplex an inbound datagram."""
-        datagram = packet.udp
-        if datagram is None:
+        datagram = packet.payload
+        if type(datagram) is not UdpDatagram:
             return
         self.datagrams_received += 1
         socket = self._sockets.get(datagram.dst_port)

@@ -8,7 +8,9 @@ tail-drop, which is what turns an offered overload into loss instead of an
 unbounded event backlog.
 
 Devices (NICs, switches) attach to a port and must implement
-``receive_frame(frame, port)``.
+``receive_frame(frame, port)``.  The delivery event calls it under the
+device's profiling scope (``profile_rx_scope``), so devices need no
+profiler guard of their own.
 
 Per-hop cost: one kernel event.  :meth:`LinkPort.send` books the frame's
 wire slot in virtual time (from when the wire is next free, and no
@@ -21,6 +23,15 @@ are bit-identical to an event per transmit completion.  A device with a
 fixed latency in front of the port (the switch fabric, the standard
 NIC's pipeline) passes ``earliest = now + latency`` instead of scheduling
 an event to hand the frame over later.
+
+A receiving device with a fixed ingress latency (the standard NIC's
+pipeline) declares it as ``rx_latency``, and the delivery event fires
+that much after the frame arrives, at ``(slot_end + delay) +
+rx_latency`` -- the instant a hand-off event scheduled at arrival would
+have fired at -- so the device hands the frame on at once.  Everything
+the delivery does (port counters, taps, the receiving device's work)
+then happens at that later instant; the taps and the ``link.tx`` trace
+span report the arrival, recovered as ``now - rx_latency``.
 """
 
 from __future__ import annotations
@@ -28,7 +39,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Protocol
 
-from repro.net.packet import EthernetFrame
+from repro.net.packet import EthernetFrame, Ipv4Packet
+from repro.obs.profiling import core as _profiling
 from repro.sim import units
 from repro.sim.engine import Simulator
 
@@ -104,18 +116,15 @@ class LinkImpairment:
             sim = port.link.sim
             tracer = sim.tracer
             if tracer.hot:
-                packet = frame.ip
                 tracer.event(
                     sim.now, port.name, "chaos-link-drop",
-                    getattr(packet, "trace_ctx", None) if packet is not None else None,
+                    getattr(frame.payload, "trace_ctx", None),
                     down=self.down, bytes=frame.wire_size,
                 )
             return False
         if self.corrupt:
             packet = frame.ip
             if packet is not None:
-                from repro.net.packet import Ipv4Packet
-
                 raw = bytearray(packet.to_bytes()[: Ipv4Packet.HEADER_SIZE])
                 raw[self.rng.randrange(len(raw))] ^= 1 << self.rng.randrange(8)
                 frame.corrupt_header = bytes(raw)
@@ -160,6 +169,11 @@ class LinkPort:
         self.queue_capacity = queue_capacity
         self.peer: Optional["LinkPort"] = None
         self.device: Optional[FrameSink] = None
+        #: The attached device's fixed ingress latency, added to every
+        #: delivery to this port (see the module docstring).
+        self.rx_latency = 0.0
+        #: Profiling scope the delivery event opens around the device.
+        self._rx_scope = ""
         #: Virtual time the wire is next free.
         self._busy_until = 0.0
         #: Slot start times of the booked frames that wait for the wire
@@ -203,6 +217,10 @@ class LinkPort:
         if self.device is not None:
             raise RuntimeError(f"port {self.name} already has a device attached")
         self.device = device
+        self.rx_latency = float(getattr(device, "rx_latency", 0.0))
+        self._rx_scope = getattr(device, "profile_rx_scope", None) or (
+            _profiling.derive_category(device.receive_frame)
+        )
 
     def send(self, frame: EthernetFrame, earliest: float = 0.0) -> bool:
         """Book a wire slot for ``frame`` starting no earlier than
@@ -226,16 +244,15 @@ class LinkPort:
         if len(waiting) >= capacity and self._waiting_after(earliest) >= capacity:
             self.dropped_frames += 1
             if tracer.hot:
-                packet = frame.ip
                 tracer.event(
                     earliest, self.name, "drop-queue-full",
-                    getattr(packet, "trace_ctx", None) if packet is not None else None,
+                    getattr(frame.payload, "trace_ctx", None),
                     bytes=frame.wire_size,
                 )
             return False
         if tracer.active:
-            packet = frame.ip
-            if packet is not None and getattr(packet, "trace_ctx", None) is not None:
+            packet = frame.payload
+            if getattr(packet, "trace_ctx", None) is not None:
                 # Stamp the hop start and the causal parent.  A switch
                 # flooding the same frame out several ports stamps every
                 # copy here in the same event (same values), and each
@@ -265,7 +282,9 @@ class LinkPort:
         delay = link.propagation_delay
         if impairment is not None:
             delay += impairment.extra_delay
-        sim.schedule_at(end + delay, self._deliver, frame, size)
+        # Arrival first, then the receiver's latency: the association
+        # matches a hand-off event scheduled at arrival.
+        sim.schedule_at(end + delay + self.peer.rx_latency, self._deliver, frame, size)
         return True
 
     @property
@@ -297,31 +316,45 @@ class LinkPort:
 
     def _deliver(self, frame: EthernetFrame, size: int) -> None:
         peer = self.peer
-        if peer is None:
-            return
         peer.rx_frames += 1
         peer.rx_bytes += size
         link = self.link
-        sim = link.sim
-        tracer = sim.tracer
-        if tracer.active:
-            packet = frame.ip
-            ctx = getattr(packet, "trace_ctx", None) if packet is not None else None
-            if ctx is not None:
-                record = tracer.span(
-                    ctx, "link.tx", self.name,
-                    getattr(frame, "trace_t0", sim.now), sim.now,
-                    parent=getattr(frame, "trace_parent", None),
-                    bytes=size,
-                )
-                # Re-stamp before the synchronous hand-off below so the
-                # receiving device captures this hop as its parent.
-                packet.trace_parent = record.span_id
-        if link.taps:
-            for tap in link.taps:
-                tap.observe(sim.now, frame, self, peer)
-        if peer.device is not None:
-            peer.device.receive_frame(frame, peer)
+        if link.taps or link.sim.tracer.active:
+            self._observe(frame, size, peer)
+        device = peer.device
+        if device is None:
+            return
+        profiler = _profiling.ACTIVE
+        if profiler is None:
+            device.receive_frame(frame, peer)
+            return
+        # The device's work runs inside this event, so it gets its own
+        # scope ("switch", "nic.efw.rx", ...).
+        profiler.enter(peer._rx_scope)
+        try:
+            device.receive_frame(frame, peer)
+        finally:
+            profiler.exit()
+
+    def _observe(self, frame: EthernetFrame, size: int, peer: "LinkPort") -> None:
+        """Close the frame's ``link.tx`` span and feed the taps, both at
+        the frame's arrival."""
+        sim = self.link.sim
+        arrival = sim.now - peer.rx_latency
+        packet = frame.payload
+        ctx = getattr(packet, "trace_ctx", None)
+        if ctx is not None and sim.tracer.active:
+            record = sim.tracer.span(
+                ctx, "link.tx", self.name,
+                getattr(frame, "trace_t0", arrival), arrival,
+                parent=getattr(frame, "trace_parent", None),
+                bytes=size,
+            )
+            # Re-stamp before the synchronous hand-off so the receiving
+            # device captures this hop as its parent.
+            packet.trace_parent = record.span_id
+        for tap in self.link.taps:
+            tap.observe(arrival, frame, self, peer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LinkPort {self.name} q={self.queue_depth}/{self.queue_capacity}>"

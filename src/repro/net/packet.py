@@ -8,21 +8,26 @@ Design notes
   modelled size-only (``payload_size`` with ``data=b""``): an iperf stream
   does not need 100 MB of real bytes, only their sizes and timing.  When
   serialized, size-only payload bytes are emitted as zeros.
-* Packets are ordinary mutable dataclasses.  The simulator passes object
-  references, so a packet must never be mutated after transmission; the
-  stack and NIC models copy headers when they rewrite them (only the VPG
+* Packets are slotted dataclasses: no instance ``__dict__``, and an
+  undeclared attribute is an error.  The tracing stamps (``trace_ctx``,
+  ``trace_parent``, ``trace_t0``) are declared slots that stay unset until
+  the tracer writes them, so readers use ``getattr(..., None)``.  The
+  simulator passes object references, so a packet must never be mutated
+  after transmission; the stack and NIC models build new packets with
+  :func:`dataclasses.replace` when they rewrite one (only the VPG
   encapsulation path rewrites anything).
-* ``wire_size`` on :class:`EthernetFrame` includes the 14-byte header, the
-  4-byte FCS, and minimum-frame padding -- it is the number that the link
-  serialization delay and the NIC per-byte cost are computed from.  It is
-  computed once when the frame is built, which is sound because packets
-  are never mutated after transmission (above).
+* ``size`` on :class:`Ipv4Packet` and ``wire_size`` on
+  :class:`EthernetFrame` are computed once at construction, which is
+  sound because packets are never mutated after transmission (above).
+  ``wire_size`` includes the 14-byte header, the 4-byte FCS, and
+  minimum-frame padding -- it is the number that the link serialization
+  delay and the NIC per-byte cost are computed from.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum, IntFlag
 from typing import Optional, Tuple, Union
 
@@ -61,7 +66,26 @@ _RST = int(TcpFlags.RST)
 _ACK = int(TcpFlags.ACK)
 
 
-@dataclass
+def _slotted(*extra: str):
+    """``@dataclass`` with ``__slots__`` on every supported Python
+    (``dataclass(slots=True)`` needs 3.10): the dataclass is rebuilt with
+    one slot per field plus the ``extra`` slots, which are not fields."""
+
+    def wrap(cls):
+        cls = dataclass(cls)
+        names = tuple(f.name for f in fields(cls)) + extra
+        namespace = {
+            key: value
+            for key, value in cls.__dict__.items()
+            if key not in names and key not in ("__dict__", "__weakref__")
+        }
+        namespace["__slots__"] = names
+        return type(cls)(cls.__name__, cls.__bases__, namespace)
+
+    return wrap
+
+
+@_slotted()
 class RawPayload:
     """An opaque payload of a given size (optionally with real bytes)."""
 
@@ -79,7 +103,7 @@ class RawPayload:
         return self.data + b"\x00" * (self.size - len(self.data))
 
 
-@dataclass
+@_slotted()
 class UdpDatagram:
     """A UDP datagram (8-byte header plus payload)."""
 
@@ -91,8 +115,8 @@ class UdpDatagram:
     data: bytes = b""
 
     def __post_init__(self) -> None:
-        _check_port(self.src_port)
-        _check_port(self.dst_port)
+        if not (0 <= self.src_port <= 0xFFFF and 0 <= self.dst_port <= 0xFFFF):
+            raise ValueError(f"port out of range: {self.src_port} -> {self.dst_port}")
         if self.payload_size < 0:
             raise ValueError(f"payload size must be >= 0, got {self.payload_size}")
 
@@ -116,7 +140,7 @@ class UdpDatagram:
         return cls(src_port=src_port, dst_port=dst_port, payload_size=len(payload), data=payload)
 
 
-@dataclass
+@_slotted()
 class TcpSegment:
     """A TCP segment (20-byte header; SACK is the one option modelled).
 
@@ -139,8 +163,8 @@ class TcpSegment:
     sack_blocks: tuple = ()
 
     def __post_init__(self) -> None:
-        _check_port(self.src_port)
-        _check_port(self.dst_port)
+        if not (0 <= self.src_port <= 0xFFFF and 0 <= self.dst_port <= 0xFFFF):
+            raise ValueError(f"port out of range: {self.src_port} -> {self.dst_port}")
         if self.payload_size < 0:
             raise ValueError(f"payload size must be >= 0, got {self.payload_size}")
 
@@ -221,7 +245,7 @@ class IcmpType(IntEnum):
 ICMP_CODE_PORT_UNREACHABLE = 3
 
 
-@dataclass
+@_slotted()
 class IcmpMessage:
     """An ICMP message (8-byte header plus payload)."""
 
@@ -278,7 +302,7 @@ _PROTOCOL_FOR_TYPE = {
 }
 
 
-@dataclass
+@_slotted("trace_ctx", "trace_parent")
 class Ipv4Packet:
     """An IPv4 packet (20-byte header, no options)."""
 
@@ -290,6 +314,10 @@ class Ipv4Packet:
     protocol: Optional[IpProtocol] = None
     ttl: int = 64
     identification: int = 0
+    #: Total packet size in bytes (header + L4 payload).  Computed once
+    #: at construction (:func:`dataclasses.replace` recomputes it): every
+    #: hop and cost model reads it.
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.protocol is None:
@@ -301,11 +329,7 @@ class Ipv4Packet:
             self.protocol = inferred
         if not 0 < self.ttl <= 255:
             raise ValueError(f"ttl out of range: {self.ttl}")
-
-    @property
-    def size(self) -> int:
-        """Total packet size in bytes (header + L4 payload)."""
-        return self.HEADER_SIZE + self.payload.size
+        self.size = self.HEADER_SIZE + self.payload.size
 
     @property
     def tcp(self) -> Optional[TcpSegment]:
@@ -403,6 +427,9 @@ class Ipv4Packet:
         return f"{proto.name} {src}:{sport} -> {dst}:{dport} ({self.size}B)"
 
 
+#: Ethernet header plus FCS, the bytes a frame adds to its payload.
+_FRAME_OVERHEAD = units.ETHERNET_HEADER + units.ETHERNET_FCS
+
 #: EtherType for IPv4.
 ETHERTYPE_IPV4 = 0x0800
 
@@ -417,7 +444,7 @@ class ArpOp(IntEnum):
     REPLY = 2
 
 
-@dataclass
+@_slotted()
 class ArpMessage:
     """An ARP request or reply (RFC 826, Ethernet/IPv4 only)."""
 
@@ -465,7 +492,7 @@ class ArpMessage:
         return f"ARP {self.sender_ip} is-at {self.sender_mac}"
 
 
-@dataclass
+@_slotted("trace_t0", "trace_parent")
 class EthernetFrame:
     """An Ethernet II frame.
 
@@ -494,8 +521,8 @@ class EthernetFrame:
     wire_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        raw = units.ETHERNET_HEADER + self.payload.size + units.ETHERNET_FCS
-        self.wire_size = max(raw, units.ETHERNET_MIN_FRAME)
+        size = self.payload.size + _FRAME_OVERHEAD
+        self.wire_size = size if size > units.ETHERNET_MIN_FRAME else units.ETHERNET_MIN_FRAME
 
     @property
     def ip(self) -> Optional[Ipv4Packet]:
@@ -508,8 +535,3 @@ class EthernetFrame:
             f"raw {self.payload.size}B"
         )
         return f"[{self.src_mac} -> {self.dst_mac}] {inner}"
-
-
-def _check_port(port: int) -> None:
-    if not 0 <= port <= 0xFFFF:
-        raise ValueError(f"port out of range: {port}")

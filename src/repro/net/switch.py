@@ -48,7 +48,6 @@ from typing import Dict, List, Optional
 from repro.net.addresses import MacAddress
 from repro.net.link import LinkPort
 from repro.net.packet import EthernetFrame
-from repro.obs.profiling import core as _profiling
 from repro.sim import units
 from repro.sim.engine import Simulator
 
@@ -69,9 +68,10 @@ class EthernetSwitch:
         ``None`` disables ageing, which suits short experiments.
     """
 
-    #: Wall-clock profiling bucket: the scope :meth:`receive_frame` opens
-    #: inside the link's delivery event, and the deferred forwarding events.
+    #: Wall-clock profiling bucket of the deferred forwarding events, and
+    #: the scope the link's delivery event opens around :meth:`receive_frame`.
     profile_category = "switch"
+    profile_rx_scope = profile_category
 
     def __init__(
         self,
@@ -196,16 +196,6 @@ class EthernetSwitch:
     def receive_frame(self, frame: EthernetFrame, port: LinkPort) -> None:
         """Learn the source, look the destination up and book the egress
         slot from the end of the fabric latency."""
-        profiler = _profiling.ACTIVE
-        if profiler is None:
-            return self._receive_frame(frame, port)
-        profiler.enter(self.profile_category)
-        try:
-            return self._receive_frame(frame, port)
-        finally:
-            profiler.exit()
-
-    def _receive_frame(self, frame: EthernetFrame, port: LinkPort) -> None:
         if self._quarantined and port in self._quarantined:
             self.quarantined_frames += 1
             return
@@ -224,7 +214,7 @@ class EthernetSwitch:
         if now > self._deferred_until:
             dst = frame.dst_mac
             # The I/G (group) bit: set for multicast, and for broadcast.
-            if dst._value & (1 << 40):
+            if dst & (1 << 40):
                 self._dispatch(frame, port, None, earliest)
                 return
             egress = self._lookup(dst, port)
@@ -251,7 +241,7 @@ class EthernetSwitch:
     def _forward(self, frame: EthernetFrame, ingress: LinkPort, earliest: float) -> None:
         """The deferred lookup, a forwarding latency after ingress."""
         dst = frame.dst_mac
-        egress = None if dst._value & (1 << 40) else self._lookup(dst, ingress)
+        egress = None if dst & (1 << 40) else self._lookup(dst, ingress)
         self._dispatch(frame, ingress, egress, earliest)
 
     def _dispatch(
@@ -265,8 +255,8 @@ class EthernetSwitch:
         slots starting at ``earliest``."""
         tracer = self.sim.tracer
         if tracer.active:
-            packet = frame.ip
-            ctx = getattr(packet, "trace_ctx", None) if packet is not None else None
+            packet = frame.payload
+            ctx = getattr(packet, "trace_ctx", None)
             if ctx is not None:
                 record = tracer.span(
                     ctx, "switch.forward", self.name,

@@ -9,7 +9,8 @@ A NIC sits between a :class:`~repro.host.Host` and a
   (device-specific processing) -> ``host.deliver_packet(packet)``.
 
 Subclasses implement the device-specific processing by overriding
-``_process_egress`` and ``_process_ingress``.
+``_process_egress`` and ``_process_ingress``.  The link's delivery event
+opens the NIC's ``profile_rx_scope`` around ``receive_frame``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from repro.net.addresses import MacAddress
 from repro.net.checksum import verify_checksum
 from repro.net.link import LinkPort
 from repro.net.packet import ArpMessage, EthernetFrame, Ipv4Packet
-from repro.obs.profiling import core as _profiling
 from repro.sim.engine import Simulator
+
+#: The I/G (group) bit of a MAC address: set for multicast and broadcast.
+_GROUP_BIT = 1 << 40
 
 
 class BaseNic:
@@ -32,13 +35,20 @@ class BaseNic:
     #: :mod:`repro.obs.profiling`).
     profile_category = "nic"
 
+    #: Fixed pipeline latency, each direction: 0 on the embedded cards,
+    #: whose latency is their processor queue (see
+    #: :class:`~repro.nic.standard.StandardNic`).  ARP frames take it on
+    #: egress like IP frames, and the link folds it into every delivery
+    #: to this NIC as :attr:`rx_latency`.
+    latency = 0.0
+
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        #: Precomputed ingress scope name ("nic.efw.rx", ...): frame
-        #: reception runs synchronously inside the link's delivery event,
-        #: so it opens its own profiling scope to be attributed here.
-        self._profile_rx_scope = f"{self.profile_category}.rx"
+        #: Ingress scope name ("nic.efw.rx", ...): frame reception runs
+        #: synchronously inside the link's delivery event, which opens
+        #: this scope around :meth:`receive_frame`.
+        self.profile_rx_scope = f"{self.profile_category}.rx"
         self.host = None
         self.port: Optional[LinkPort] = None
         self._frame_ids = itertools.count(1)
@@ -58,6 +68,11 @@ class BaseNic:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
+
+    @property
+    def rx_latency(self) -> float:
+        """Ingress latency the link adds to each delivery (read at attach)."""
+        return self.latency
 
     def attach(self, port: LinkPort) -> None:
         """Attach this NIC to a link endpoint."""
@@ -99,19 +114,23 @@ class BaseNic:
     ) -> None:
         """Frame the packet and hand it to the link, its wire slot starting
         no earlier than ``earliest``."""
-        frame = EthernetFrame(
-            src_mac=self.host.mac,
-            dst_mac=dst_mac,
-            payload=packet,
-            frame_id=next(self._frame_ids),
-        )
-        self._send_frame(frame, earliest)
-
-    def _send_frame(self, frame: EthernetFrame, earliest: float) -> None:
-        if self.port is None:
+        port = self.port
+        if port is None:
             raise RuntimeError(f"NIC {self.name} not attached to a link")
         self.frames_sent += 1
-        self.port.send(frame, earliest)
+        port.send(
+            EthernetFrame(self.host.mac, dst_mac, packet, frame_id=next(self._frame_ids)),
+            earliest,
+        )
+
+    def send_arp_frame(self, frame: EthernetFrame) -> None:
+        """Transmit an ARP frame, bypassing the policy engine, after the
+        same fixed latency as an IP frame."""
+        port = self.port
+        if port is None:
+            raise RuntimeError(f"NIC {self.name} not attached to a link")
+        self.frames_sent += 1
+        port.send(frame, self.sim.now + self.latency)
 
     # ------------------------------------------------------------------
     # Ingress (wire -> host)
@@ -119,27 +138,16 @@ class BaseNic:
 
     def receive_frame(self, frame: EthernetFrame, port: LinkPort) -> None:
         """Entry point for frames delivered by the link."""
-        profiler = _profiling.ACTIVE
-        if profiler is None:
-            return self._receive_frame(frame, port)
-        profiler.enter(self._profile_rx_scope)
-        try:
-            return self._receive_frame(frame, port)
-        finally:
-            profiler.exit()
-
-    def _receive_frame(self, frame: EthernetFrame, port: LinkPort) -> None:
         self.frames_received += 1
-        if not self._frame_is_for_us(frame):
+        dst = frame.dst_mac
+        if dst != self.host.mac and not dst & _GROUP_BIT:
             return
-        if isinstance(frame.payload, ArpMessage):
-            # ARP bypasses the firewall engine: the EFW/ADF filter at the
-            # IP layer, and link-layer resolution must always work.
-            if self.host.arp is not None:
-                self.host.arp.message_arrived(frame.payload)
-            return
-        packet = frame.ip
-        if packet is None:
+        packet = frame.payload
+        if type(packet) is not Ipv4Packet:
+            if type(packet) is ArpMessage and self.host.arp is not None:
+                # ARP bypasses the firewall engine: the EFW/ADF filter at
+                # the IP layer, and link-layer resolution must always work.
+                self.host.arp.message_arrived(packet)
             return
         if frame.corrupt_header is not None and not verify_checksum(
             frame.corrupt_header
@@ -158,23 +166,8 @@ class BaseNic:
             return
         self._process_ingress(frame, packet)
 
-    def send_arp_frame(self, frame: EthernetFrame) -> None:
-        """Transmit an ARP frame, bypassing the policy engine."""
-        self._send_frame(frame, self.sim.now)
-
     def _process_ingress(self, frame: EthernetFrame, packet: Ipv4Packet) -> None:
         raise NotImplementedError
-
-    def _deliver_to_host(self, packet: Ipv4Packet) -> None:
-        self.packets_delivered += 1
-        self.host.deliver_packet(packet)
-
-    def _frame_is_for_us(self, frame: EthernetFrame) -> bool:
-        return (
-            frame.dst_mac == self.host.mac
-            or frame.dst_mac.is_broadcast
-            or frame.dst_mac.is_multicast
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

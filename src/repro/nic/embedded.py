@@ -44,13 +44,14 @@ _TX = "tx"
 class _WorkItem:
     """One packet crossing the card's processor.
 
-    The trailing slots (``ctx``, ``t_offer``, ``parent``, ``rules``,
-    ``engine``) are assigned only while tracing is active and read back
-    with ``getattr`` defaults, so the untraced hot path never touches
-    them.
+    The verdict (``allowed``, and the ``vpg_id`` whose crypto applies or
+    None) is filled in when service starts.  The trailing slots
+    (``ctx``, ``t_offer``, ``parent``, ``rules``, ``engine``) are
+    assigned only while tracing is active and read back with ``getattr``
+    defaults, so the untraced hot path never touches them.
     """
 
-    __slots__ = ("kind", "packet", "frame_bytes", "dst_mac", "verdict",
+    __slots__ = ("kind", "packet", "frame_bytes", "dst_mac", "allowed", "vpg_id",
                  "ctx", "t_offer", "parent", "rules", "engine")
 
     def __init__(self, kind: str, packet: Ipv4Packet, frame_bytes: int, dst_mac=None):
@@ -58,7 +59,8 @@ class _WorkItem:
         self.packet = packet
         self.frame_bytes = frame_bytes
         self.dst_mac = dst_mac
-        self.verdict = None  # filled when service starts
+        self.allowed = False
+        self.vpg_id = None
 
 
 class EmbeddedFirewallNic(BaseNic):
@@ -284,7 +286,7 @@ class EmbeddedFirewallNic(BaseNic):
 
     def _service_time(self, item: _WorkItem) -> float:
         if self.policy is None:
-            item.verdict = _Verdict(allowed=True)
+            item.allowed = True
             return self.cost_model.service_time(item.frame_bytes, rules_traversed=0)
         if item.kind == _RX:
             return self._classify_ingress(item)
@@ -296,20 +298,19 @@ class EmbeddedFirewallNic(BaseNic):
             # The firewall agent's channel to the policy server is
             # reserved: it bypasses the rule table (but still costs
             # processor time, so a wedged card silences it).
-            item.verdict = _Verdict(allowed=True)
+            item.allowed = True
             return self.cost_model.service_time(item.frame_bytes, rules_traversed=0)
-        sealed = packet.payload if isinstance(packet.payload, VpgSealedPayload) else None
-        if packet.protocol == IpProtocol.VPG and sealed is not None:
+        sealed = packet.payload
+        if type(sealed) is VpgSealedPayload and packet.protocol == IpProtocol.VPG:
             result = self.policy.evaluate_encrypted(sealed.spi)
             self.rules_evaluated += result.rules_traversed
             if getattr(item, "ctx", None) is not None:
                 item.rules = result.rules_traversed
                 item.engine = self.policy.last_engine
             vpg_matched = result.is_vpg and result.allowed
-            item.verdict = _Verdict(
-                allowed=result.allowed and vpg_matched,
-                vpg_id=result.rule.vpg_id if vpg_matched else None,
-            )
+            item.allowed = vpg_matched
+            if vpg_matched:
+                item.vpg_id = result.rule.vpg_id
             cost = self.cost_model.service_time(
                 item.frame_bytes,
                 rules_traversed=result.rules_traversed,
@@ -332,8 +333,7 @@ class EmbeddedFirewallNic(BaseNic):
         # A plaintext packet matching a VPG rule's selector is spoofed
         # traffic: group members always encrypt, so admission requires a
         # valid VPG encapsulation (sender authentication).
-        allowed = result.allowed and not result.is_vpg
-        item.verdict = _Verdict(allowed=allowed)
+        item.allowed = result.allowed and not result.is_vpg
         return self.cost_model.service_time(
             item.frame_bytes, rules_traversed=result.rules_traversed
         )
@@ -341,7 +341,7 @@ class EmbeddedFirewallNic(BaseNic):
     def _classify_egress(self, item: _WorkItem) -> float:
         packet = item.packet
         if policy_ports.is_control_traffic(packet):
-            item.verdict = _Verdict(allowed=True)
+            item.allowed = True
             return self.cost_model.service_time(item.frame_bytes, rules_traversed=0)
         result = self.policy.evaluate(packet, Direction.OUTBOUND)
         self.rules_evaluated += result.rules_traversed
@@ -349,10 +349,9 @@ class EmbeddedFirewallNic(BaseNic):
             item.rules = result.rules_traversed
             item.engine = self.policy.last_engine
         vpg_matched = result.is_vpg and result.allowed
-        item.verdict = _Verdict(
-            allowed=result.allowed,
-            vpg_id=result.rule.vpg_id if vpg_matched else None,
-        )
+        item.allowed = result.allowed
+        if vpg_matched:
+            item.vpg_id = result.rule.vpg_id
         return self.cost_model.service_time(
             item.frame_bytes,
             rules_traversed=result.rules_traversed,
@@ -381,8 +380,7 @@ class EmbeddedFirewallNic(BaseNic):
             self._finish_egress(item)
 
     def _finish_ingress(self, item: _WorkItem) -> None:
-        verdict = item.verdict
-        if not verdict.allowed:
+        if not item.allowed:
             self.rx_denied += 1
             tracer = self.sim.tracer
             if tracer.hot:
@@ -391,8 +389,8 @@ class EmbeddedFirewallNic(BaseNic):
                 self.fault.record_deny(self.sim.now)
             return
         packet = item.packet
-        if verdict.vpg_id is not None:
-            context = self.vpg_contexts.get(verdict.vpg_id)
+        if item.vpg_id is not None:
+            context = self.vpg_contexts.get(item.vpg_id)
             if context is None:
                 self.rx_denied += 1
                 return
@@ -410,19 +408,19 @@ class EmbeddedFirewallNic(BaseNic):
                 packet.trace_ctx = ctx
             self._trace_stage(item, "nic.rx", "allow", packet)
         self.rx_allowed += 1
-        self._deliver_to_host(packet)
+        self.packets_delivered += 1
+        self.host.deliver_packet(packet)
 
     def _finish_egress(self, item: _WorkItem) -> None:
-        verdict = item.verdict
-        if not verdict.allowed:
+        if not item.allowed:
             self.tx_denied += 1
             tracer = self.sim.tracer
             if tracer.hot:
                 self._trace_verdict(tracer, item, "nic.tx", "tx-deny")
             return
         packet = item.packet
-        if verdict.vpg_id is not None:
-            context = self.vpg_contexts.get(verdict.vpg_id)
+        if item.vpg_id is not None:
+            context = self.vpg_contexts.get(item.vpg_id)
             if context is None:
                 self.tx_denied += 1
                 return
@@ -488,13 +486,3 @@ class EmbeddedFirewallNic(BaseNic):
     def wedged_drops(self) -> int:
         """Frames dropped while the card was locked up."""
         return self.processor.dropped_paused
-
-
-class _Verdict:
-    """Cached classification for a work item."""
-
-    __slots__ = ("allowed", "vpg_id")
-
-    def __init__(self, allowed: bool, vpg_id: Optional[int] = None):
-        self.allowed = allowed
-        self.vpg_id = vpg_id

@@ -4,6 +4,10 @@ The control experiment's hardware: forwards at wire speed in both
 directions with a fixed, tiny per-packet latency and no policy.  The
 paper used it to show that the switch and infrastructure contribute no
 measurable loss — any loss seen with the EFW/ADF is the firewall's.
+
+The model schedules no event of its own: egress books the wire slot
+after the latency, and the ingress latency is folded into the link's
+delivery event (see :class:`StandardNic`).
 """
 
 from __future__ import annotations
@@ -23,14 +27,20 @@ class StandardNic(BaseNic):
     device is never the bottleneck; it is modelled as a fixed pipeline
     latency rather than a contended queue: the
     :data:`~repro.calibration.STANDARD_NIC_COST_MODEL` fixed term, which
-    has no per-byte or per-rule part.  Egress frames the packet at once
-    and books its wire slot from ``now + latency``
-    (:meth:`LinkPort.send`'s ``earliest``) instead of scheduling the
-    hand-off: one fixed latency keeps frames in order, so the slot is the
-    one a later hand-off would have booked.  ARP frames take the same
-    pipeline, so this NIC books its port in nondecreasing ``earliest``
-    order.  ``frames_sent`` counts, and the link's egress state is read,
-    as the host hands the frame down.
+    has no per-byte or per-rule part.  Neither direction schedules an
+    event of its own:
+
+    * egress frames the packet at once and books its wire slot from
+      ``now + latency`` (:meth:`LinkPort.send`'s ``earliest``): one fixed
+      latency keeps frames in order, so the slot is the one a later
+      hand-off would have booked.  ARP frames take the same pipeline, so
+      this NIC books its port in nondecreasing ``earliest`` order.
+      ``frames_sent`` counts, and the link's egress state is read, as
+      the host hands the frame down;
+    * ingress latency is folded into the link's delivery event
+      (:attr:`rx_latency`), which fires ``latency`` after the frame
+      arrives, so the NIC hands the packet to its host at once.
+      ``frames_received`` and the checksum check count at that instant.
     """
 
     profile_category = "nic.standard"
@@ -40,45 +50,40 @@ class StandardNic(BaseNic):
         #: Fixed pipeline latency, both directions.
         self.latency = calibration.STANDARD_NIC_COST_MODEL.c0
 
-    def send_arp_frame(self, frame: EthernetFrame) -> None:
-        """Transmit an ARP frame after the same latency as an IP frame."""
-        self._send_frame(frame, self.sim.now + self.latency)
-
     def _process_egress(self, packet: Ipv4Packet, dst_mac: MacAddress) -> None:
         profiler = _profiling.ACTIVE
-        if profiler is None:
-            return self._egress(packet, dst_mac)
-        # Egress runs inside the host's call, so it opens its own scope
-        # (the counterpart of BaseNic.receive_frame's "nic.standard.rx").
-        profiler.enter("nic.standard.tx")
+        if profiler is not None:
+            # Egress runs inside the host's call, so it opens its own scope
+            # (the counterpart of the link's "nic.standard.rx" around ingress).
+            profiler.enter("nic.standard.tx")
         try:
-            return self._egress(packet, dst_mac)
+            now = self.sim.now
+            handover = now + self.latency
+            tracer = self.sim.tracer
+            if tracer.active:
+                ctx = getattr(packet, "trace_ctx", None)
+                if ctx is not None:
+                    record = tracer.span(
+                        ctx, "nic.tx", self.name, now, handover,
+                        parent=getattr(packet, "trace_parent", None),
+                    )
+                    packet.trace_parent = record.span_id
+            self._transmit_frame(packet, dst_mac, handover)
         finally:
-            profiler.exit()
-
-    def _egress(self, packet: Ipv4Packet, dst_mac: MacAddress) -> None:
-        now = self.sim.now
-        handover = now + self.latency
-        tracer = self.sim.tracer
-        if tracer.active:
-            ctx = getattr(packet, "trace_ctx", None)
-            if ctx is not None:
-                record = tracer.span(
-                    ctx, "nic.tx", self.name, now, handover,
-                    parent=getattr(packet, "trace_parent", None),
-                )
-                packet.trace_parent = record.span_id
-        self._transmit_frame(packet, dst_mac, handover)
+            if profiler is not None:
+                profiler.exit()
 
     def _process_ingress(self, frame: EthernetFrame, packet: Ipv4Packet) -> None:
+        # The link delivered the frame ``latency`` after it arrived.
         tracer = self.sim.tracer
         if tracer.active:
             ctx = getattr(packet, "trace_ctx", None)
             if ctx is not None:
                 now = self.sim.now
                 record = tracer.span(
-                    ctx, "nic.rx", self.name, now, now + self.latency,
+                    ctx, "nic.rx", self.name, now - self.latency, now,
                     parent=getattr(packet, "trace_parent", None),
                 )
                 packet.trace_parent = record.span_id
-        self.sim.schedule(self.latency, self._deliver_to_host, packet)
+        self.packets_delivered += 1
+        self.host.deliver_packet(packet)

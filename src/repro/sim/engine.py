@@ -136,7 +136,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_heap",
         "_buckets",
         "_running",
@@ -150,7 +150,9 @@ class Simulator:
     )
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        #: Current virtual time in seconds.  A plain attribute, read on
+        #: every hop; only the kernel's dispatch loop writes it.
+        self.now = float(start_time)
         #: Min-heap of distinct pending firing times (floats).  Each time
         #: appears at most once; its events live in ``_buckets[time]``.
         self._heap: List[float] = []
@@ -183,15 +185,6 @@ class Simulator:
         self.profiler = NULL_PROFILER
 
     # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
 
@@ -200,8 +193,8 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         # Inlined schedule_at: this is the hottest kernel entry point, and
-        # self._now + delay is already a valid float time.
-        time = self._now + delay
+        # now + delay is already a valid float time.
+        time = self.now + delay
         event = Event(time, callback, args, self)
         bucket = self._buckets.get(time)
         if bucket is None:
@@ -214,9 +207,9 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time} before current time {self.now}"
             )
         if type(time) is not float:
             time = float(time)
@@ -232,7 +225,7 @@ class Simulator:
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.schedule_at(self._now, callback, *args)
+        return self.schedule_at(self.now, callback, *args)
 
     # ------------------------------------------------------------------
     # Execution
@@ -268,7 +261,7 @@ class Simulator:
                 del buckets[time]
             self._pending -= 1
             event._kernel = None
-            self._now = time
+            self.now = time
             self.events_executed += 1
             profiler = self.profiler
             if profiler.enabled:
@@ -337,7 +330,7 @@ class Simulator:
                         continue
                     self._pending -= 1
                     event._kernel = None
-                    self._now = time
+                    self.now = time
                     self.events_executed += 1
                     if profiling:
                         profiler.enter_callback(event.callback)
@@ -362,10 +355,10 @@ class Simulator:
                         else:
                             existing[:0] = rest
                     break
-            if until is not None and until > self._now:
+            if until is not None and until > self.now:
                 next_time = self._next_pending_time()
                 if next_time is None or next_time > until:
-                    self._now = float(until)
+                    self.now = float(until)
         finally:
             self._running = False
             if profiling:
@@ -435,4 +428,4 @@ class Simulator:
                 self._tombstones -= purged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now:.6f} pending={self._pending}>"
+        return f"<Simulator t={self.now:.6f} pending={self._pending}>"

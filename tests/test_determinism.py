@@ -7,6 +7,10 @@ most likely to break it (dict ordering, RNG coupling, floating-point
 accumulation order).
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
@@ -87,3 +91,43 @@ class TestDeterminism:
             return validator.available_bandwidth(vpg_count=2).mbps
 
         assert measure() == pytest.approx(measure(), abs=0.0)
+
+
+#: One short fig3a flood point (randomized-source flood frames through the
+#: flow cache) and one short table1 VPG point (connection and VPG tables),
+#: printed as a result envelope.
+_HASH_SEED_SCRIPT = """
+import sys
+from repro.core.methodology import FloodToleranceValidator, MeasurementSettings
+from repro.core.testbed import DeviceKind
+from repro.experiments import results
+
+flood = FloodToleranceValidator(
+    DeviceKind.EFW, MeasurementSettings(duration=0.05, flood_lead=0.02)
+).bandwidth_under_flood(20000.0)
+http = FloodToleranceValidator(
+    DeviceKind.ADF, MeasurementSettings(http_duration=0.05)
+).http_performance(depth=1, vpg_count=1)
+sys.stdout.write(results.to_json([flood, http]))
+"""
+
+
+def _envelope_under_hash_seed(seed: str) -> str:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return done.stdout
+
+
+class TestHashSeedIndependence:
+    def test_envelopes_do_not_depend_on_pythonhashseed(self):
+        """No result may depend on hash values: string hashes change with
+        ``PYTHONHASHSEED``, so iterating a set of addresses (or of
+        anything hashed by its text) would show here."""
+        first = _envelope_under_hash_seed("0")
+        assert '"_type": "BandwidthMeasurement"' in first
+        assert first == _envelope_under_hash_seed("12345")

@@ -1,11 +1,15 @@
 """Tests for the packet model: sizes, flow tuples, serialization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.checksum import internet_checksum, verify_checksum
 from repro.net.packet import (
+    ArpMessage,
+    ArpOp,
     EthernetFrame,
     IcmpMessage,
     IcmpType,
@@ -63,6 +67,53 @@ class TestSizes:
     def test_raw_payload_data_longer_than_size_rejected(self):
         with pytest.raises(ValueError):
             RawPayload(size=2, data=b"abc")
+
+
+def _one_of_each():
+    """An instance of each of the seven packet and frame classes."""
+    tcp = TcpSegment(src_port=1, dst_port=2)
+    packet = Ipv4Packet(src=SRC, dst=DST, payload=tcp)
+    arp = ArpMessage(
+        op=ArpOp.REQUEST,
+        sender_mac=MacAddress.from_index(1),
+        sender_ip=SRC,
+        target_mac=MacAddress(0),
+        target_ip=DST,
+    )
+    return [
+        RawPayload(size=4),
+        UdpDatagram(src_port=1, dst_port=2),
+        tcp,
+        IcmpMessage(icmp_type=IcmpType.ECHO_REQUEST),
+        packet,
+        arp,
+        EthernetFrame(MacAddress.from_index(1), MacAddress.from_index(2), packet),
+    ]
+
+
+class TestSlots:
+    """Slotted on every supported Python (no ``dataclass(slots=True)``)."""
+
+    @pytest.mark.parametrize("obj", _one_of_each(), ids=lambda obj: type(obj).__name__)
+    def test_no_instance_dict_and_no_undeclared_attribute(self, obj):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.undeclared = 1
+
+    def test_tracing_stamps_are_declared(self):
+        packet = Ipv4Packet(src=SRC, dst=DST, payload=UdpDatagram(1, 2))
+        frame = EthernetFrame(MacAddress.from_index(1), MacAddress.from_index(2), packet)
+        assert getattr(packet, "trace_ctx", None) is None  # unset until traced
+        packet.trace_ctx = packet.trace_parent = 7
+        frame.trace_t0 = frame.trace_parent = 0.5
+        assert dataclasses.replace(packet) == packet  # stamps are not fields
+
+    def test_replace_recomputes_the_packet_size(self):
+        # The VPG seal/open path rewrites packets with dataclasses.replace.
+        packet = Ipv4Packet(src=SRC, dst=DST, payload=TcpSegment(1, 2))
+        bigger = dataclasses.replace(packet, payload=TcpSegment(1, 2, payload_size=100))
+        assert (packet.size, bigger.size) == (40, 140)
+        assert dataclasses.replace(bigger, ttl=3).size == 140
 
 
 class TestFlowAndAccessors:

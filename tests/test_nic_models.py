@@ -9,6 +9,7 @@ from repro.firewall.rules import Action, PortRange, Rule, VpgRule
 from repro.firewall.ruleset import RuleSet
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
+from repro.net.link import Link, LinkImpairment
 from repro.net.packet import ETHERTYPE_ARP, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram
 from repro.net.topology import FabricTopology
 from repro.nic.adf import AdfNic
@@ -35,6 +36,29 @@ def build_pair(sim, target_nic_factory):
             if a is not b:
                 a.ip_layer.arp_table[b.ip] = b.mac
     return hosts["alice"], hosts["bob"]
+
+
+def _impaired_pair(sim, extra_delay):
+    """alice and bob, both with standard NICs, on one link whose
+    impairment adds ``extra_delay`` to every frame."""
+    link = Link(sim, "wire")
+    link.impairment = LinkImpairment(extra_delay=extra_delay)
+    hosts = []
+    for index, port in enumerate((link.port_a, link.port_b), start=1):
+        host = Host(sim, f"h{index}", Ipv4Address(f"10.0.0.{index}"), MacAddress.from_index(index))
+        nic = StandardNic(sim, name=f"h{index}.nic")
+        nic.attach(port)
+        host.attach_nic(nic)
+        hosts.append(host)
+    alice, bob = hosts
+    alice.ip_layer.arp_table[bob.ip] = bob.mac
+    return link, alice, bob
+
+
+def _arrival(link, sender, extra_delay):
+    """Arrival of the first 64-byte frame ``sender`` sent at time 0."""
+    slot_end = sender.nic.latency + link.serialization_delay(64)
+    return slot_end + (link.propagation_delay + extra_delay)
 
 
 def udp_to(host, target, port, size=10):
@@ -73,11 +97,42 @@ class TestStandardNicFixedLatency:
         # Framed and counted as the host hands the packet down.
         assert alice.nic.frames_sent == 2
         sim.run(until=0.1)
-        # Recorded when the NIC scheduled its hand-off a latency later.
+        # Recorded when the link delivered the frame, a latency after it
+        # arrived (the delivery event carries the NIC's ingress latency).
         assert arrivals == [2.144e-05, 2.816e-05]
-        # Per packet: two link deliveries, the switch's deferred flood
-        # (bob has not spoken yet) and bob's host delivery.
-        assert sim.events_executed == 2 * 4
+        # Per packet: two link deliveries and the switch's deferred flood
+        # (bob has not spoken yet); bob's host receives inside the second
+        # delivery.
+        assert sim.events_executed == 2 * 3
+
+    def test_ingress_latency_rides_on_the_delivery_event(self, sim):
+        link, alice, bob = _impaired_pair(sim, extra_delay=1.0e-3)
+        arrivals = []
+        bob.udp.bind(7000, lambda *args: arrivals.append(sim.now))
+        udp_to(alice, bob, 7000)
+        sim.run(until=0.1)
+        arrival = _arrival(link, alice, extra_delay=1.0e-3)
+        # The host receives exactly when a hand-off event scheduled at
+        # arrival would have fired, inside the one delivery event.
+        assert arrivals == [arrival + bob.nic.latency]
+        assert sim.events_executed == 1
+
+    def test_traced_spans_split_at_the_arrival(self, sim):
+        sim.tracer.configure(spans=True)
+        link, alice, bob = _impaired_pair(sim, extra_delay=1.0e-3)
+        bob.udp.bind(7000, lambda *args: None)
+        udp_to(alice, bob, 7000)
+        sim.run(until=0.1)
+        arrival = _arrival(link, alice, extra_delay=1.0e-3)
+        [link_tx] = sim.tracer.spans(name="link.tx")
+        [nic_rx] = sim.tracer.spans(name="nic.rx", track=bob.nic.name)
+        [deliver] = sim.tracer.spans(name="app.deliver")
+        # The delivery event fires a latency after the arrival; the link
+        # recovers the arrival as ``now - latency``, exact to one rounding.
+        assert link_tx.end == pytest.approx(arrival, rel=1e-15, abs=0.0)
+        assert (nic_rx.start, nic_rx.end) == (link_tx.end, arrival + bob.nic.latency)
+        assert nic_rx.parent_id == link_tx.span_id
+        assert deliver.start == nic_rx.end and deliver.parent_id == nic_rx.span_id
 
     def test_arp_frame_takes_the_same_pipeline_as_ip(self, sim):
         alice, bob = build_pair(sim, lambda: StandardNic(sim))

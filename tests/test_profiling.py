@@ -448,8 +448,8 @@ class TestCoverageAcceptance:
 
 class TestForwardingAttribution:
     def test_fig3a_point_charges_switch_and_standard_nic_egress(self):
-        """Switch forwarding and standard-NIC egress run inside other
-        components' events, under scopes of their own."""
+        """Switch forwarding and standard-NIC ingress and egress run
+        inside other components' events, under scopes of their own."""
         from repro.core.methodology import MeasurementSettings
         from repro.core.testbed import DeviceKind
         from repro.experiments.fig3a_flood import _flood_point
@@ -468,11 +468,13 @@ class TestForwardingAttribution:
         SweepExecutor(jobs=1, probes=(collector,)).run([spec])
         aggregated = collector.aggregate()
         entries = {entry.name: entry for entry in aggregated.entries}
-        for name in ("switch", "nic.standard", "nic.standard.tx"):
+        for name in ("switch", "nic.standard.rx", "nic.standard.tx"):
             assert entries[name].self_ns > 0, name
         paths = {tuple(stack.path): stack.calls for stack in aggregated.stacks}
-        # The switch forwards inside the link's delivery event.
+        # The switch forwards, and the standard NIC hands packets to its
+        # host, inside the link's delivery event.
         assert paths[("sim.run", "link", "switch")] > 0
+        assert paths[("sim.run", "link", "nic.standard.rx")] > 0
         assert paths[("sim.run", "app.flood", "nic.standard.tx")] > 0
 
 

@@ -1,5 +1,6 @@
 """Tests for experiment-result JSON serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -17,6 +18,7 @@ from repro.experiments.results import (
     to_json,
     write_json,
 )
+from repro.net.addresses import Ipv4Address, MacAddress
 
 
 class TestSerialize:
@@ -33,6 +35,23 @@ class TestSerialize:
     def test_nan_and_inf_become_null(self):
         assert serialize(float("nan")) is None
         assert serialize(float("inf")) is None
+
+    def test_addresses_serialize_as_text(self):
+        # Addresses are int subclasses; they must not come out as numbers
+        # (that would change envelopes and checkpoint spec keys).
+        @dataclasses.dataclass
+        class Endpoint:
+            ip: Ipv4Address
+            mac: MacAddress
+
+        ip = Ipv4Address("10.0.0.4")
+        mac = MacAddress("02:00:00:00:00:2a")
+        record = serialize(Endpoint(ip=ip, mac=mac))
+        assert record["ip"] == "10.0.0.4"
+        assert record["mac"] == "02:00:00:00:00:2a"
+        assert serialize({ip: 3, mac: 4}) == {"10.0.0.4": 3, "02:00:00:00:00:2a": 4}
+        assert serialize([ip]) == ["10.0.0.4"]
+        assert '"10.0.0.4"' in to_json(Endpoint(ip=ip, mac=mac))
 
     def test_tuples_become_lists(self):
         assert serialize(((1, 2.5), (3, 4.5))) == [[1, 2.5], [3, 4.5]]
