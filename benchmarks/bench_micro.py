@@ -1,7 +1,7 @@
 """Microbenchmarks of the simulator's hot paths.
 
 These are conventional pytest-benchmark measurements (many rounds): the
-event kernel, rule-set evaluation, building a flood frame, the toy
+event kernel, timer restarts (the cancel path), rule-set evaluation, building a flood frame, the toy
 cipher, and TCP goodput per wall-second — useful for catching
 performance regressions that would make the experiment sweeps impractical.
 """
@@ -14,6 +14,7 @@ from repro.firewall.rules import Action, Direction
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.packet import EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment
 from repro.sim.engine import Simulator
+from repro.sim.timer import Timer
 
 
 def test_event_kernel_throughput(benchmark):
@@ -33,6 +34,31 @@ def test_event_kernel_throughput(benchmark):
         return count[0]
 
     assert benchmark(run_events) == 10_000
+
+
+def test_timer_restart_churn(benchmark):
+    """TCP retransmit-timer restarts: each restart cancels the pending
+    deadline and schedules a new one, so this measures the cancel path
+    and the tombstones it leaves for the kernel to skip."""
+
+    def churn():
+        sim = Simulator()
+        timer = Timer(sim, lambda: None)
+        sent = [0]
+
+        def send_segment():
+            timer.restart(0.2)  # every segment pushes the deadline back
+            sent[0] += 1
+            if sent[0] < 10_000:
+                sim.schedule(0.0001, send_segment)
+
+        sim.schedule(0.0001, send_segment)
+        sim.run()
+        return sim
+
+    sim = benchmark(churn)
+    assert sim.events_cancelled == 9_999
+    assert sim.pending_count() == 0 and sim.queue_depth() == 0
 
 
 def test_ruleset_evaluation_uncached(benchmark):

@@ -35,7 +35,6 @@ from repro.net.packet import (
     TcpSegment,
     UdpDatagram,
 )
-from repro.sim.engine import Event
 from repro.sim.timer import PeriodicTimer, TimerWheel, WheelTimer
 
 
@@ -84,6 +83,14 @@ class FloodGenerator:
     attacker per packet.  The rate is then quantized to the wheel's tick
     (and jitter is unavailable: batching and per-packet jitter are
     mutually exclusive by construction).
+
+    Every packet of a flood with a fixed source is the same, so
+    :meth:`start` builds it once and each send transmits that one
+    immutable object (packets are never mutated after transmission; see
+    :mod:`repro.net.packet`).  Two cases bypass the template and build a
+    fresh packet per send: ``randomize_src`` (each packet draws its own
+    source) and an armed span tracer (``sim.tracer.active``), because the
+    tracer roots a chain only on a packet without a ``trace_ctx``.
     """
 
     profile_category = "app.flood"
@@ -103,7 +110,11 @@ class FloodGenerator:
         self._rng = host.rng.stream(f"{host.name}.flood")
         self._timer: Optional[PeriodicTimer] = None
         self._wheel_timer: Optional[WheelTimer] = None
-        self._jitter_event: Optional[Event] = None
+        #: Kernel handle of the next jittered send, while one is queued.
+        self._jitter_event: Optional[list] = None
+        #: The flood packet :meth:`start` built, or None when every send
+        #: builds its own (``randomize_src``).
+        self._template: Optional[Ipv4Packet] = None
         self._interval = 0.0
         self._target: Optional[Ipv4Address] = None
         self.packets_sent = 0
@@ -116,7 +127,7 @@ class FloodGenerator:
     @property
     def running(self) -> bool:
         """True while the flood is active."""
-        if self._jitter_event is not None and self._jitter_event.pending:
+        if self._jitter_event is not None:
             return True
         if self._wheel_timer is not None and not self._wheel_timer.cancelled:
             return True
@@ -139,6 +150,7 @@ class FloodGenerator:
         self.started_at = self.sim.now
         self.stopped_at = None
         chaos_invariants.note_flood(self.sim, str(target), rate_pps)
+        self._template = None if self.spec.randomize_src else self._build_packet()
         if self._wheel is not None:
             self._wheel_timer = self._wheel.schedule_periodic(
                 self._interval, self._send_one, initial_delay=self._interval
@@ -162,13 +174,15 @@ class FloodGenerator:
             self._wheel_timer.cancel()
             self._wheel_timer = None
         if self._jitter_event is not None:
-            self._jitter_event.cancel()
+            self.sim.cancel(self._jitter_event)
             self._jitter_event = None
 
     # ------------------------------------------------------------------
 
     def _send_one(self) -> None:
-        packet = self._build_packet()
+        packet = self._template
+        if packet is None or self.sim.tracer.active:
+            packet = self._build_packet()
         self.packets_sent += 1
         self.host.ip_layer.send_packet(packet)
 

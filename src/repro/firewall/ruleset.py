@@ -23,7 +23,7 @@ been removed after their one-release grace period.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional
 
 from repro.firewall.compiled import ClassifierStats, CompiledClassifier
@@ -45,11 +45,13 @@ class MatchResult:
     rule: Optional[Rule]
     #: True when the match was a VPG rule (crypto applies).
     is_vpg: bool = False
+    #: True for an ALLOW verdict.  Derived from ``action`` once, at
+    #: construction: results are built once per rule at compile time and
+    #: read per packet.
+    allowed: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def allowed(self) -> bool:
-        """True for an ALLOW verdict."""
-        return self.action == Action.ALLOW
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "allowed", self.action is Action.ALLOW)
 
 
 class RuleSetMutation:

@@ -857,6 +857,9 @@ class TcpManager:
         #: allow-vs-deny flood-tolerance factor comes from this response
         #: traffic (the ``response-traffic`` ablation).
         self.generate_resets = True
+        #: The last reset sent and its key; see :meth:`_send_rst_for`.
+        self._last_reset_key: Optional[tuple] = None
+        self._last_reset: Optional[TcpSegment] = None
         # Counters
         self.rst_sent = 0
         self.segments_received = 0
@@ -1022,6 +1025,15 @@ class TcpManager:
             connection.segment_arrived(segment)
 
     def _send_rst_for(self, packet: Ipv4Packet, segment: TcpSegment) -> None:
+        """Answer ``segment`` with a reset (RFC 793 §3.4).
+
+        Under a flood every reset is alike, so the last one is memoised,
+        keyed by (local port, remote port, seq, ack, flags), and sent
+        again while the key matches; a different key builds a fresh
+        segment.  The segment is immutable once sent, and
+        :meth:`IpLayer.send` still wraps each reset in its own packet
+        with its own identification.
+        """
         self.rst_sent += 1
         if segment.ack_flag:
             seq, ack, flags = segment.ack, 0, TcpFlags.RST
@@ -1029,14 +1041,19 @@ class TcpManager:
             seq, ack, flags = 0, segment.seq + segment.payload_size + (1 if segment.syn else 0), (
                 _RST_ACK
             )
-        reset = TcpSegment(
-            src_port=segment.dst_port,
-            dst_port=segment.src_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            window=0,
-        )
+        key = (segment.dst_port, segment.src_port, seq, ack, flags)
+        if key == self._last_reset_key:
+            reset = self._last_reset
+        else:
+            reset = self._last_reset = TcpSegment(
+                src_port=segment.dst_port,
+                dst_port=segment.src_port,
+                seq=seq,
+                ack=ack,
+                flags=flags,
+                window=0,
+            )
+            self._last_reset_key = key
         self.transmit_segment(packet.src, reset)
 
     def transmit_segment(self, remote_ip: Ipv4Address, segment: TcpSegment) -> None:

@@ -217,7 +217,16 @@ class EthernetSwitch:
             if dst & (1 << 40):
                 self._dispatch(frame, port, None, earliest)
                 return
-            egress = self._lookup(dst, port)
+            # _lookup, inlined: this runs once per frame, and ageing is
+            # off unless mac_ageing_time is set.
+            egress = table.get(dst)
+            if (
+                seen is not None
+                and egress is not None
+                and egress is not port
+                and (now - seen[dst]) > self.mac_ageing_time
+            ):
+                egress = None
             if egress is not None:
                 self._dispatch(frame, port, egress, earliest)
                 return

@@ -156,7 +156,7 @@ class ServiceQueue:
         if self._service_event is not None:
             # The in-service item is abandoned: its completion must never
             # fire, even if the server is later resumed.
-            self._service_event.cancel()
+            self.sim.cancel(self._service_event)
             self._service_event = None
         if drop_queued:
             self.dropped_paused += len(self._queue)

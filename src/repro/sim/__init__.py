@@ -5,9 +5,8 @@ other subsystem (links, switches, NICs, host stacks, applications) is built
 on.  The design is deliberately small:
 
 * :class:`~repro.sim.engine.Simulator` owns the virtual clock and the event
-  heap.
-* :class:`~repro.sim.engine.Event` is a cancellable handle returned by
-  ``Simulator.schedule``.
+  queue.  ``Simulator.schedule`` returns the queue entry itself as a
+  handle; pass it to ``Simulator.cancel`` or ``Simulator.is_pending``.
 * :mod:`~repro.sim.timer` provides one-shot and periodic timers on top of
   the kernel.
 * :mod:`~repro.sim.rng` provides named, independently-seeded random streams
@@ -24,13 +23,12 @@ the kernel's per-instant FIFO buckets: events scheduled for the same
 instant run in the order they were scheduled.
 """
 
-from repro.sim.engine import Event, Simulator, SimulationError
+from repro.sim.engine import Simulator, SimulationError
 from repro.sim.rng import RngRegistry
 from repro.sim.timer import PeriodicTimer, Timer
 from repro.obs.tracing.tracer import PacketTracer as Tracer, TraceRecord
 
 __all__ = [
-    "Event",
     "PeriodicTimer",
     "RngRegistry",
     "SimulationError",

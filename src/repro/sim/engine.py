@@ -12,29 +12,39 @@ simulator and schedule their own callbacks.
 Queue layout (the fleet-scale dispatch optimisation)
 ----------------------------------------------------
 
-Instead of one binary heap of :class:`Event` objects, the kernel keeps
+The kernel keeps
 
 * a min-heap of *distinct* firing times (plain floats), and
-* a dict mapping each firing time to its FIFO **bucket** of events.
+* a dict mapping each firing time to its FIFO **bucket** of entries.
 
-Scheduling at an already-pending time is a dict hit plus a list append —
-no heap operation at all — and every heap comparison is a C-speed float
-comparison instead of a Python-level ``Event`` comparison.  Dispatch pops
-one time and runs its whole bucket back-to-back ("batched same-timestamp
-dispatch"): synchronized periodic work — hundreds of flood generators
-ticking in lockstep across a fleet — collapses from N heap pushes and N
-heap pops per tick into one of each.  Execution order is still exactly
-(time, insertion order), so results are bit-identical to the event-heap
-kernel; only host wall-clock changes.  Because each bucket is FIFO, an
-:class:`Event` carries no sequence number and is never compared: order
-within an instant is the bucket's append order, kept across
-``max_events`` truncation (the unrun tail is re-queued ahead of newer
-same-instant events) and tombstone compaction (which filters buckets
-in place).
+An entry is a plain two-slot list ``[callback, args]``.  Scheduling at an
+already-pending time is a dict hit plus a list append — no heap
+operation at all — and every heap comparison is a C-speed float
+comparison.  Dispatch pops one time, sets the clock once, and runs its
+whole bucket back-to-back ("batched same-timestamp dispatch"):
+synchronized periodic work — hundreds of flood generators ticking in
+lockstep across a fleet — collapses from N heap pushes and N heap pops
+per tick into one of each.  Execution order is exactly (time, insertion
+order).  Because each bucket is FIFO, an entry carries neither its time
+nor a sequence number and is never compared: order within an instant is
+the bucket's append order, kept across ``max_events`` truncation (the
+unrun tail is re-queued ahead of newer same-instant entries) and
+tombstone compaction (which filters buckets in place).
 
-Cancellation is lazy: a cancelled event stays in its bucket as a
+Handles
+-------
+
+:meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` return the
+entry itself as the handle; most callers (link deliveries, NIC service
+completions) drop it at once, so scheduling allocates nothing beyond the
+list.  A keeper passes it back to :meth:`Simulator.cancel` or
+:meth:`Simulator.is_pending`.  An entry's callback slot is ``None`` once
+it has run or been cancelled, so a late cancel is a no-op and the live
+counters move exactly once per entry.
+
+Cancellation is lazy: a cancelled entry stays in its bucket as a
 tombstone until it surfaces, but the kernel keeps live counters of
-pending and cancelled events so :meth:`Simulator.pending_count` is O(1),
+pending and cancelled entries so :meth:`Simulator.pending_count` is O(1),
 and compacts the buckets when tombstones dominate so long-running floods
 that cancel many timers do not grow the queue without bound.
 """
@@ -53,66 +63,8 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (e.g. scheduling in the past)."""
 
 
-class Event:
-    """A cancellable handle for a scheduled callback.
-
-    Instances are created by :meth:`Simulator.schedule`; user code only
-    ever calls :meth:`cancel` or inspects :attr:`time`.
-    """
-
-    __slots__ = ("time", "callback", "args", "cancelled", "_kernel")
-
-    def __init__(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple,
-        kernel: Optional["Simulator"] = None,
-    ):
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: Owning simulator while the event is in its queue; cleared when
-        #: the event executes or is cancelled, so the live counters are
-        #: adjusted exactly once per event.
-        self._kernel = kernel
-
-    def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent.
-
-        The event stays in its bucket (lazy deletion) but is skipped when
-        it surfaces; the owning kernel's pending/tombstone counters are
-        updated immediately.
-        """
-        if self.cancelled:
-            return
-        self.cancelled = True
-        # Drop references eagerly so cancelled events do not pin packet
-        # buffers or closures in memory until they surface in the queue.
-        self.callback = _noop
-        self.args = ()
-        kernel = self._kernel
-        self._kernel = None
-        if kernel is not None:
-            kernel._note_cancelled()
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is still scheduled to run."""
-        return not self.cancelled
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.9f} {state}>"
-
-
-def _noop(*_args: Any) -> None:
-    """Placeholder callback for cancelled events."""
-
-
 #: Compact the queue once it holds this many tombstones *and* they are
-#: the majority (see :meth:`Simulator._note_cancelled`).
+#: the majority (see :meth:`Simulator.cancel`).
 _COMPACT_MIN_TOMBSTONES = 512
 
 
@@ -156,8 +108,9 @@ class Simulator:
         #: Min-heap of distinct pending firing times (floats).  Each time
         #: appears at most once; its events live in ``_buckets[time]``.
         self._heap: List[float] = []
-        #: time -> FIFO list of events scheduled for that instant.
-        self._buckets: Dict[float, List[Event]] = {}
+        #: time -> FIFO list of ``[callback, args]`` entries scheduled for
+        #: that instant.
+        self._buckets: Dict[float, List[list]] = {}
         self._running = False
         #: Live count of scheduled, not-yet-cancelled, not-yet-run events.
         self._pending = 0
@@ -188,24 +141,28 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` after ``delay`` seconds of virtual time."""
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> list:
+        """Schedule ``callback(*args)`` after ``delay`` seconds of virtual time.
+
+        Returns the queue entry as a handle for :meth:`cancel` and
+        :meth:`is_pending`.
+        """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         # Inlined schedule_at: this is the hottest kernel entry point, and
         # now + delay is already a valid float time.
         time = self.now + delay
-        event = Event(time, callback, args, self)
+        entry = [callback, args]
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [event]
+            self._buckets[time] = [entry]
             heapq.heappush(self._heap, time)
         else:
-            bucket.append(event)
+            bucket.append(entry)
         self._pending += 1
-        return event
+        return entry
 
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> list:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
         if time < self.now:
             raise SimulationError(
@@ -213,19 +170,66 @@ class Simulator:
             )
         if type(time) is not float:
             time = float(time)
-        event = Event(time, callback, args, self)
+        entry = [callback, args]
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [event]
+            self._buckets[time] = [entry]
             heapq.heappush(self._heap, time)
         else:
-            bucket.append(event)
+            bucket.append(entry)
         self._pending += 1
-        return event
+        return entry
 
-    def call_soon(self, callback: Callable[..., Any], *args: Any) -> Event:
+    def call_soon(self, callback: Callable[..., Any], *args: Any) -> list:
         """Schedule ``callback`` at the current time (after pending same-time events)."""
         return self.schedule_at(self.now, callback, *args)
+
+    def cancel(self, handle: list) -> None:
+        """Prevent a scheduled callback from running.  Idempotent, and a
+        no-op once the callback has run.
+
+        The entry stays in its bucket as a tombstone (lazy deletion) and
+        is skipped when it surfaces; the pending/tombstone counters are
+        updated immediately.  When tombstones dominate, the buckets are
+        compacted: filtered and the time-heap rebuilt *in place* (slice
+        assignment) so a ``run()`` loop holding local references keeps
+        seeing the live queue.  A bucket currently being dispatched has
+        already been popped and is skipped; its tombstones are settled
+        when they surface in the dispatch loop, so compaction subtracts
+        only what it actually purged.
+        """
+        if handle[0] is None:
+            return
+        # Drop references eagerly so cancelled entries do not pin packet
+        # buffers or closures in memory until they surface in the queue.
+        handle[0] = None
+        handle[1] = ()
+        self._pending -= 1
+        self._tombstones += 1
+        self.events_cancelled += 1
+        if self._tombstones >= _COMPACT_MIN_TOMBSTONES and self._tombstones > self._pending:
+            buckets = self._buckets
+            purged = 0
+            for time in list(buckets):
+                bucket = buckets[time]
+                live = [entry for entry in bucket if entry[0] is not None]
+                removed = len(bucket) - len(live)
+                if removed:
+                    purged += removed
+                    if live:
+                        bucket[:] = live
+                    else:
+                        del buckets[time]
+            if purged:
+                heap = self._heap
+                heap[:] = list(buckets)
+                heapq.heapify(heap)
+                self._tombstones -= purged
+
+    @staticmethod
+    def is_pending(handle: list) -> bool:
+        """True while the handle's callback is still scheduled to run."""
+        return handle[0] is not None
 
     # ------------------------------------------------------------------
     # Execution
@@ -246,30 +250,31 @@ class Simulator:
                 continue
             index = 0
             size = len(bucket)
-            while index < size and bucket[index].cancelled:
+            while index < size and bucket[index][0] is None:
                 self._tombstones -= 1
                 index += 1
             if index == size:
                 heapq.heappop(heap)
                 del buckets[time]
                 continue
-            event = bucket[index]
+            entry = bucket[index]
             if index + 1 < size:
                 bucket[:] = bucket[index + 1:]
             else:
                 heapq.heappop(heap)
                 del buckets[time]
+            callback, args = entry
+            entry[0] = None
             self._pending -= 1
-            event._kernel = None
             self.now = time
             self.events_executed += 1
             profiler = self.profiler
             if profiler.enabled:
-                profiler.enter_callback(event.callback)
-                event.callback(*event.args)
+                profiler.enter_callback(callback)
+                callback(*args)
                 profiler.exit()
             else:
-                event.callback(*event.args)
+                callback(*args)
             return True
         return False
 
@@ -284,7 +289,8 @@ class Simulator:
         truncation that leaves unexecuted events at or before ``until``:
         advancing past them would let a resumed run move the clock
         backwards, so the clock then stays at the last executed event.
-        ``now`` never exceeds ``until`` and never moves backwards.
+        ``now`` never exceeds ``until`` and never moves backwards, and a
+        bucket holding only tombstones does not move it.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -315,33 +321,40 @@ class Simulator:
                 if bucket is None:
                     continue  # stale entry left by compaction
                 # Batched same-timestamp dispatch: the whole bucket runs
-                # back-to-back with one heap pop.  Callbacks that schedule
-                # *at* this instant open a fresh bucket (picked up by the
-                # outer loop, preserving insertion order); compaction
-                # cannot touch this popped bucket, so iterating by index
-                # is safe.
+                # back-to-back with one heap pop and one clock write.
+                # Callbacks that schedule *at* this instant open a fresh
+                # bucket (picked up by the outer loop, preserving
+                # insertion order); compaction cannot touch this popped
+                # bucket, so iterating by index is safe.
+                earlier = self.now
+                self.now = time
+                before = executed
                 index = 0
                 size = len(bucket)
                 while index < size:
-                    event = bucket[index]
+                    entry = bucket[index]
                     index += 1
-                    if event.cancelled:
+                    callback, args = entry
+                    if callback is None:
                         self._tombstones -= 1
                         continue
+                    # Cleared before the call: the handle reads "not
+                    # pending" from here on, and a cancel is a no-op.
+                    entry[0] = None
                     self._pending -= 1
-                    event._kernel = None
-                    self.now = time
                     self.events_executed += 1
                     if profiling:
-                        profiler.enter_callback(event.callback)
-                        event.callback(*event.args)
+                        profiler.enter_callback(callback)
+                        callback(*args)
                         profiler.exit()
                     else:
-                        event.callback(*event.args)
+                        callback(*args)
                     executed += 1
                     if max_events is not None and executed >= max_events:
                         truncated = True
                         break
+                if executed == before:
+                    self.now = earlier  # the bucket held only tombstones
                 if truncated:
                     if index < size:
                         # Re-queue the unexecuted tail ahead of any events
@@ -386,46 +399,14 @@ class Simulator:
             if bucket is None:
                 heapq.heappop(heap)
                 continue
-            for event in bucket:
-                if not event.cancelled:
+            for entry in bucket:
+                if entry[0] is not None:
                     return time
             # Bucket holds only tombstones: drop it whole.
             self._tombstones -= len(bucket)
             heapq.heappop(heap)
             del buckets[time]
         return None
-
-    def _note_cancelled(self) -> None:
-        """Account for one cancellation; compact when tombstones dominate.
-
-        Compaction filters the buckets and rebuilds the time-heap *in
-        place* (slice assignment) so a ``run()`` loop holding local
-        references keeps seeing the live queue.  A bucket currently being
-        dispatched has already been popped and is skipped; its tombstones
-        are settled when they surface in the dispatch loop, so compaction
-        subtracts only what it actually purged.
-        """
-        self._pending -= 1
-        self._tombstones += 1
-        self.events_cancelled += 1
-        if self._tombstones >= _COMPACT_MIN_TOMBSTONES and self._tombstones > self._pending:
-            buckets = self._buckets
-            purged = 0
-            for time in list(buckets):
-                bucket = buckets[time]
-                live = [event for event in bucket if not event.cancelled]
-                removed = len(bucket) - len(live)
-                if removed:
-                    purged += removed
-                    if live:
-                        bucket[:] = live
-                    else:
-                        del buckets[time]
-            if purged:
-                heap = self._heap
-                heap[:] = list(buckets)
-                heapq.heapify(heap)
-                self._tombstones -= purged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self.now:.6f} pending={self._pending}>"

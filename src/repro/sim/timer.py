@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional
 
 from repro.obs.profiling.core import derive_category
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 
 def _timer_category(callback: Callable[..., Any]) -> str:
@@ -39,13 +39,18 @@ class Timer:
     The callback fires once, ``interval`` seconds after the most recent
     :meth:`start` (or :meth:`restart`).  Starting a running timer is an
     error; use :meth:`restart` to reset the deadline.
+
+    The timer keeps the kernel's handle (the queue entry) only while it
+    is armed: :meth:`stop` cancels it through :meth:`Simulator.cancel`
+    and the firing clears it, so "armed" is "holds a handle".  A restart
+    leaves the old entry behind as a tombstone for the kernel to skip.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[..., Any], *args: Any):
         self._sim = sim
         self._callback = callback
         self._args = args
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
         self._profile_category: Optional[str] = None
 
     @property
@@ -59,7 +64,7 @@ class Timer:
     @property
     def running(self) -> bool:
         """True while the timer is armed and has not fired."""
-        return self._event is not None and self._event.pending
+        return self._event is not None
 
     def start(self, interval: float) -> None:
         """Arm the timer to fire after ``interval`` seconds."""
@@ -75,7 +80,7 @@ class Timer:
     def stop(self) -> None:
         """Disarm the timer.  Idempotent."""
         if self._event is not None:
-            self._event.cancel()
+            self._sim.cancel(self._event)
             self._event = None
 
     def _fire(self) -> None:
@@ -89,6 +94,10 @@ class PeriodicTimer:
     Fires every ``interval`` seconds after :meth:`start` until :meth:`stop`.
     The interval may be changed between firings via :attr:`interval`; the
     new value takes effect at the next (re)scheduling.
+
+    Each firing schedules the next one and keeps its kernel handle, so
+    the timer holds a handle exactly while it runs; :meth:`stop` cancels
+    it through :meth:`Simulator.cancel`.
     """
 
     def __init__(
@@ -104,7 +113,7 @@ class PeriodicTimer:
         self.interval = float(interval)
         self._callback = callback
         self._args = args
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
         self.fired = 0
         self._profile_category: Optional[str] = None
 
@@ -119,7 +128,7 @@ class PeriodicTimer:
     @property
     def running(self) -> bool:
         """True while the timer is active."""
-        return self._event is not None and self._event.pending
+        return self._event is not None
 
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Begin firing.  First firing after ``initial_delay`` (default:
@@ -132,7 +141,7 @@ class PeriodicTimer:
     def stop(self) -> None:
         """Stop firing.  Idempotent."""
         if self._event is not None:
-            self._event.cancel()
+            self._sim.cancel(self._event)
             self._event = None
 
     def _fire(self) -> None:
@@ -206,7 +215,7 @@ class TimerWheel:
         #: Absolute index of the next tick to execute.
         self._tick_index = 0
         self._epoch: Optional[float] = None
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
         self._live = 0
         self.ticks_executed = 0
 
@@ -223,7 +232,7 @@ class TimerWheel:
         return ticks if ticks > 0 else 1
 
     def _arm(self) -> None:
-        if self._event is not None and self._event.pending:
+        if self._event is not None:
             return
         now = self._sim.now
         if self._epoch is None:

@@ -10,6 +10,8 @@ protocols, symmetric rules, general port ranges and VPG pairs all in
 the mix.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from repro.firewall.rules import (
     Rule,
     VpgRule,
 )
-from repro.firewall.ruleset import RuleSet
+from repro.firewall.ruleset import MatchResult, RuleSet
 from repro.net.addresses import Ipv4Address
 from repro.net.packet import (
     IcmpMessage,
@@ -180,3 +182,60 @@ class TestEvaluateRouting:
             edit.insert(0, Rule(action=Action.DENY, protocol=IpProtocol.TCP))
         assert not ruleset.evaluate(packet, Direction.INBOUND).allowed
         assert ruleset.compiled_stats.compiles == 2
+
+
+class TestAllowedField:
+    """``MatchResult.allowed`` is set once at construction; it must equal
+    ``action is Action.ALLOW`` on every kind of result."""
+
+    RULES = [
+        Rule(action=Action.DENY, protocol=IpProtocol.UDP, name="deny-udp"),
+        Rule(action=Action.ALLOW, protocol=IpProtocol.TCP, dst_ports=PortRange.single(80)),
+        VpgRule(
+            action=Action.ALLOW,
+            src=AddressPattern.host(ADDRESS_POOL[0]),
+            dst=AddressPattern.host(ADDRESS_POOL[1]),
+            vpg_id=7,
+        ),
+    ]
+
+    @staticmethod
+    def _packet(payload):
+        return Ipv4Packet(src=ADDRESS_POOL[2], dst=ADDRESS_POOL[3], payload=payload)
+
+    def _results(self, default_action):
+        ruleset = RuleSet(self.RULES, default_action=default_action)
+        tcp = self._packet(TcpSegment(src_port=40000, dst_port=80))
+        udp = self._packet(UdpDatagram(src_port=40000, dst_port=53))
+        icmp = self._packet(IcmpMessage(icmp_type=IcmpType.ECHO_REQUEST))
+        results = {}
+        for name, packet in (("tcp", tcp), ("udp", udp), ("default", icmp)):
+            results[f"compiled-{name}"] = ruleset.evaluate(packet, Direction.INBOUND)
+            assert ruleset.last_engine == "compiled"
+            results[f"linear-{name}"] = ruleset.evaluate_linear(packet, Direction.INBOUND)
+        results["encrypted"] = ruleset.evaluate_encrypted(7)
+        results["encrypted-default"] = ruleset.evaluate_encrypted(99)
+        results["encrypted-linear"] = ruleset.evaluate_encrypted_linear(7)
+        return results
+
+    @pytest.mark.parametrize("default_action", [Action.ALLOW, Action.DENY])
+    def test_allowed_is_action_is_allow(self, default_action):
+        results = self._results(default_action)
+        for name, result in results.items():
+            assert result.allowed is (result.action is Action.ALLOW), name
+        assert results["compiled-tcp"].allowed and not results["compiled-udp"].allowed
+        assert results["encrypted"].allowed and results["encrypted"].is_vpg
+        default = default_action is Action.ALLOW
+        assert results["compiled-default"].rule is None
+        assert results["compiled-default"].allowed is default
+        assert results["encrypted-default"].allowed is default
+
+    def test_allowed_is_derived_not_compared_or_shown(self):
+        result = MatchResult(action=Action.ALLOW, rules_traversed=1, rule=None)
+        assert result.allowed
+        assert "allowed" not in repr(result)
+        denied = dataclasses.replace(result, action=Action.DENY)
+        assert not denied.allowed
+        assert result == MatchResult(Action.ALLOW, 1, None)
+        with pytest.raises(TypeError):
+            MatchResult(Action.ALLOW, 1, None, False, True)

@@ -1,5 +1,8 @@
 """Tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -57,32 +60,90 @@ class TestScheduling:
         assert sim.now == 2.0
 
 
+class _Payload:
+    """A weak-referenceable stand-in for a packet buffer."""
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
-        event = sim.schedule(1.0, fired.append, "x")
-        event.cancel()
+        handle = sim.schedule(1.0, fired.append, "x")
+        sim.cancel(handle)
         sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self, sim):
-        event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert not event.pending
+        handle = sim.schedule(1.0, lambda: None)
+        sim.cancel(handle)
+        sim.cancel(handle)
+        assert not sim.is_pending(handle)
+        assert sim.events_cancelled == 1
+        assert sim.queue_depth() == 1  # one tombstone, counted once
 
     def test_cancel_releases_callback_references(self, sim):
-        big = object()
-        event = sim.schedule(1.0, lambda x: None, big)
-        event.cancel()
-        assert event.args == ()
+        payload = _Payload()
+        alive = weakref.ref(payload)
+        handle = sim.schedule(1.0, lambda x: None, payload)
+        del payload
+        gc.collect()
+        assert alive() is not None  # the queued entry holds it
+        sim.cancel(handle)
+        gc.collect()
+        # The handle and its tombstone are both still alive; neither
+        # pins the argument any more.
+        assert alive() is None
+        assert not sim.is_pending(handle)
 
     def test_pending_count_excludes_cancelled(self, sim):
         keep = sim.schedule(1.0, lambda: None)
         drop = sim.schedule(2.0, lambda: None)
-        drop.cancel()
+        sim.cancel(drop)
         assert sim.pending_count() == 1
-        assert keep.pending
+        assert sim.is_pending(keep)
+
+    def test_handle_reads_not_pending_once_run(self, sim):
+        seen = []
+        handle = sim.schedule(1.0, lambda: seen.append(sim.is_pending(handle)))
+        assert sim.is_pending(handle)
+        sim.run()
+        # Not pending from the moment its callback starts.
+        assert seen == [False]
+        assert not sim.is_pending(handle)
+
+    def test_cancel_after_run_is_a_no_op(self, sim):
+        fired = []
+        handle = sim.schedule(1.0, fired.append, "x")
+        sim.run()
+        sim.cancel(handle)
+        assert fired == ["x"]
+        assert sim.events_cancelled == 0
+        assert sim.pending_count() == 0
+        assert sim.queue_depth() == 0
+
+    def test_cancel_from_inside_its_own_callback_is_a_no_op(self, sim):
+        handles = []
+        handles.append(sim.schedule(1.0, lambda: sim.cancel(handles[0])))
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert sim.events_executed == 2
+        assert sim.events_cancelled == 0
+        assert sim.pending_count() == 0
+
+    def test_counters_are_exact_inside_each_callback(self, sim):
+        """A metrics sampler reads the counters mid-run."""
+        seen = []
+
+        def sample(tag):
+            seen.append((tag, sim.pending_count(), sim.events_executed, sim.events_cancelled))
+
+        sim.schedule(1.0, sample, "a")
+        doomed = sim.schedule(1.0, sample, "never")
+        sim.schedule(1.0, sample, "b")
+        sim.schedule(2.0, sample, "c")
+        sim.cancel(doomed)
+        sim.run()
+        # Each callback sees itself executed and no longer pending.
+        assert seen == [("a", 2, 1, 1), ("b", 1, 2, 1), ("c", 0, 3, 1)]
 
 
 class TestRun:
@@ -184,57 +245,102 @@ class TestRunClockContract:
         fired = []
         sim.schedule(1.0, fired.append, "a")
         doomed = sim.schedule(2.0, fired.append, "never")
-        doomed.cancel()
+        sim.cancel(doomed)
         sim.run(until=3.0, max_events=1)
         assert fired == ["a"]
         # The only event before until is a tombstone: advance to until.
         assert sim.now == 3.0
+
+    def test_truncation_requeues_a_tail_holding_tombstones(self, sim):
+        fired = []
+        handles = [sim.schedule(1.0, fired.append, tag) for tag in range(4)]
+        sim.cancel(handles[2])
+        sim.run(max_events=1)
+        assert fired == [0]
+        assert sim.pending_count() == 2
+        sim.cancel(handles[1])  # cancels an entry of the re-queued tail
+        sim.run()
+        assert fired == [0, 3]
+        assert sim.pending_count() == 0
+        assert sim.queue_depth() == 0
+
+    def test_a_bucket_of_tombstones_does_not_move_the_clock(self, sim):
+        sim.schedule(1.0, lambda: None)
+        sim.cancel(sim.schedule(5.0, lambda: None))
+        sim.run()
+        assert sim.now == 1.0
 
 
 class TestPendingAccounting:
     """pending_count() is a live counter, robust to lazy tombstones."""
 
     def test_counter_tracks_schedule_execute_cancel(self, sim):
-        events = [sim.schedule(float(tag + 1), lambda: None) for tag in range(10)]
+        handles = [sim.schedule(float(tag + 1), lambda: None) for tag in range(10)]
         assert sim.pending_count() == 10
-        events[9].cancel()
+        sim.cancel(handles[9])
         assert sim.pending_count() == 9
         sim.run(until=5.0)  # executes t=1..5
         assert sim.pending_count() == 4
 
     def test_cancel_after_execution_does_not_corrupt_counter(self, sim):
-        event = sim.schedule(1.0, lambda: None)
+        handle = sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.pending_count() == 0
-        event.cancel()  # late cancel of an already-executed event
+        sim.cancel(handle)  # late cancel of an already-executed event
         assert sim.pending_count() == 0
 
     def test_mass_cancellation_compacts_the_heap(self, sim):
-        survivor = sim.schedule(10.0, lambda: None)
+        fired = []
+        survivor = sim.schedule(10.0, fired.append, "survivor")
         doomed = [sim.schedule(1.0, lambda: None) for _ in range(2000)]
-        for event in doomed:
-            event.cancel()
+        for handle in doomed:
+            sim.cancel(handle)
         assert sim.pending_count() == 1
         # Tombstones were purged rather than left to linger until t=1.0.
         assert len(sim._heap) < 600
         sim.run()
         assert sim.now == 10.0
-        assert survivor.pending  # cancel() never ran on it
+        assert fired == ["survivor"]  # compaction kept it
+        assert not sim.is_pending(survivor)
 
     def test_compaction_during_run_is_safe(self, sim):
         fired = []
         doomed = [sim.schedule(5.0, lambda: None) for _ in range(1500)]
 
         def cancel_all():
-            for event in doomed:
-                event.cancel()
+            for handle in doomed:
+                sim.cancel(handle)
+            # Compaction ran inside this callback, mid-dispatch: fewer
+            # than 512 of the 1500 tombstones are left.
+            fired.append(sim.queue_depth() < 512)
 
         sim.schedule(1.0, cancel_all)
         sim.schedule(8.0, fired.append, "end")
         sim.run()
-        assert fired == ["end"]
+        assert fired == [True, "end"]
         assert sim.now == 8.0
         assert sim.pending_count() == 0
+        assert sim.queue_depth() == 0
+
+    def test_compaction_inside_a_batch_settles_its_tombstones(self, sim):
+        """Cancelling most of the bucket being dispatched: compaction
+        skips that popped bucket, whose tombstones settle as they surface."""
+        fired = []
+        handles = []
+
+        def cancel_the_rest():
+            fired.append("first")
+            for handle in handles[1:]:
+                sim.cancel(handle)
+
+        handles.append(sim.schedule(1.0, cancel_the_rest))
+        handles.extend(sim.schedule(1.0, fired.append, index) for index in range(600))
+        sim.schedule(2.0, fired.append, "end")
+        sim.run()
+        assert fired == ["first", "end"]
+        assert sim.events_cancelled == 600
+        assert sim.pending_count() == 0
+        assert sim.queue_depth() == 0
 
 
 class TestBatchedSameTimestampDispatch:
@@ -262,7 +368,7 @@ class TestBatchedSameTimestampDispatch:
 
         def assassin():
             fired.append("assassin")
-            victim.cancel()
+            sim.cancel(victim)
 
         # The assassin fires just before the shared timestamp, so the
         # victim must not run even though its batch is already formed.
@@ -271,6 +377,24 @@ class TestBatchedSameTimestampDispatch:
         sim.run()
         assert fired == ["assassin", "bystander"]
         assert sim.events_cancelled == 1
+
+    def test_cancellation_within_the_draining_batch(self, sim):
+        fired = []
+        handles = {}
+
+        def assassin():
+            fired.append("assassin")
+            sim.cancel(handles["victim"])
+
+        sim.schedule(1.0, assassin)
+        handles["victim"] = sim.schedule(1.0, fired.append, "victim")
+        sim.schedule(1.0, fired.append, "bystander")
+        sim.run()
+        # The batch was already popped when the victim was cancelled.
+        assert fired == ["assassin", "bystander"]
+        assert sim.events_cancelled == 1
+        assert sim.pending_count() == 0
+        assert sim.queue_depth() == 0
 
     def test_nested_same_time_chains_stay_fifo(self, sim):
         fired = []
@@ -342,25 +466,19 @@ class TestFifoWithoutSequenceNumbers:
 
     def test_order_survives_tombstone_compaction(self, sim):
         fired = []
-        events = []
+        handles = []
         for index in range(600):
             if index % 2:
-                events.append(sim.schedule(1.0, fired.append, index))
+                handles.append(sim.schedule(1.0, fired.append, index))
             else:
-                events.append(sim.schedule_at(1.0, fired.append, index))
+                handles.append(sim.schedule_at(1.0, fired.append, index))
         survivors = [index for index in range(600) if index % 7 == 0]
-        for index, event in enumerate(events):
+        for index, handle in enumerate(handles):
             if index % 7:
-                event.cancel()
+                sim.cancel(handle)
         # 514 cancellations: the 512th compacts the bucket in place.
         assert sim.queue_depth() < 100
         assert sim.pending_count() == len(survivors)
         sim.schedule_at(1.0, fired.append, "after-compaction")
         sim.run()
         assert fired == survivors + ["after-compaction"]
-
-    def test_event_repr(self, sim):
-        event = sim.schedule(1.5, lambda: None)
-        assert repr(event) == "<Event t=1.500000000 pending>"
-        event.cancel()
-        assert repr(event) == "<Event t=1.500000000 cancelled>"
