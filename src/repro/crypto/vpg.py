@@ -31,12 +31,12 @@ payload that does not decode as its declared protocol raises
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.crypto.cipher import KeystreamCipher
 from repro.crypto.mac import TAG_SIZE, compute_tag, verify_tag
 from repro.net.addresses import Ipv4Address
-from repro.net.packet import IpProtocol, Ipv4Packet
+from repro.net.packet import IcmpMessage, IpProtocol, Ipv4Packet, RawPayload, TcpSegment, UdpDatagram
 from repro.obs.profiling import core as _profiling
 
 #: SPI + sequence number.
@@ -204,30 +204,49 @@ def _nonce(outer_src: Ipv4Address, sequence: int) -> int:
 def _split_size_only_tail(inner: Ipv4Packet):
     """Separate the size-only payload tail from the bytes to encrypt.
 
-    Returns a copy of ``inner`` whose L4 payload length covers only the
-    real data bytes, plus the number of size-only tail bytes removed.
+    Returns ``inner`` itself when every payload byte is real (no tail),
+    else a copy whose L4 payload length covers only the real data bytes;
+    plus the number of size-only tail bytes removed.
     """
     payload = inner.payload
-    declared = getattr(payload, "payload_size", None)
-    if declared is None:
-        # RawPayload: encrypt its real bytes, carry the remainder as tail.
-        real = len(payload.data)
-        tail = payload.size - real
-        trimmed_payload = replace(payload, size=real)
-        return replace(inner, payload=trimmed_payload), tail
     real = len(payload.data)
-    tail = declared - real
-    trimmed_payload = replace(payload, payload_size=real)
-    return replace(inner, payload=trimmed_payload), tail
+    tail = _payload_length(payload) - real
+    if tail == 0:
+        return inner, 0
+    return _with_payload_length(inner, real), tail
 
 
 def _restore_size_only_tail(inner: Ipv4Packet, tail: int) -> Ipv4Packet:
     """Re-extend the inner packet's payload by the size-only tail."""
     if tail == 0:
         return inner
-    payload = inner.payload
-    if hasattr(payload, "payload_size"):
-        restored = replace(payload, payload_size=payload.payload_size + tail)
+    return _with_payload_length(inner, _payload_length(inner.payload) + tail)
+
+
+def _payload_length(payload) -> int:
+    """Payload bytes an L4 payload declares (headers excluded)."""
+    if type(payload) is RawPayload:
+        return payload.size
+    return payload.payload_size
+
+
+def _with_payload_length(inner: Ipv4Packet, length: int) -> Ipv4Packet:
+    """A copy of ``inner`` whose L4 payload declares ``length`` bytes.
+
+    Direct positional constructors, in field order: this runs for every
+    VPG packet that carries size-only bytes.
+    """
+    old = inner.payload
+    kind = type(old)
+    if kind is TcpSegment:
+        payload = TcpSegment(
+            old.src_port, old.dst_port, old.seq, old.ack, old.flags, old.window, length, old.data,
+            old.sack_blocks,
+        )
+    elif kind is UdpDatagram:
+        payload = UdpDatagram(old.src_port, old.dst_port, length, old.data)
+    elif kind is IcmpMessage:
+        payload = IcmpMessage(old.icmp_type, old.code, old.identifier, old.sequence, length, old.data)
     else:
-        restored = replace(payload, size=payload.size + tail)
-    return replace(inner, payload=restored)
+        payload = RawPayload(length, old.data)
+    return Ipv4Packet(inner.src, inner.dst, payload, inner.protocol, inner.ttl, inner.identification)

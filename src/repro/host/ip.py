@@ -12,6 +12,12 @@ from typing import Dict
 from repro.net.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
 from repro.net.packet import IpProtocol, Ipv4Packet, L4Payload
 
+# Protocol numbers as module globals for the per-packet dispatch.  They
+# are compared with ``==``: a packet may carry a plain-int protocol.
+_TCP = IpProtocol.TCP
+_UDP = IpProtocol.UDP
+_ICMP = IpProtocol.ICMP
+
 
 class IpLayer:
     """Per-host IPv4 input/output."""
@@ -32,14 +38,9 @@ class IpLayer:
     def send(self, dst_ip: Ipv4Address, payload: L4Payload, ttl: int = 64) -> None:
         """Wrap ``payload`` in an IPv4 packet from this host and transmit."""
         identification = self._identification = (self._identification + 1) & 0xFFFF
-        packet = Ipv4Packet(
-            src=self.host.ip,
-            dst=dst_ip,
-            payload=payload,
-            ttl=ttl,
-            identification=identification,
-        )
-        self.send_packet(packet)
+        # Positional: src, dst, payload, protocol (inferred), ttl,
+        # identification.
+        self.send_packet(Ipv4Packet(self.host.ip, dst_ip, payload, None, ttl, identification))
 
     def send_packet(self, packet: Ipv4Packet) -> None:
         """Transmit a fully-formed packet (spoofed sources allowed —
@@ -111,18 +112,16 @@ class IpLayer:
         if packet.dst != self.host.ip and not self._is_broadcast(packet.dst):
             return
         self.packets_received += 1
-        if packet.protocol == IpProtocol.TCP:
+        protocol = packet.protocol
+        if protocol == _TCP:
             self.host.tcp.segment_arrived(packet)
-        elif packet.protocol == IpProtocol.UDP:
+        elif protocol == _UDP:
             self.host.udp.datagram_arrived(packet)
-        elif packet.protocol == IpProtocol.ICMP:
+        elif protocol == _ICMP:
             self.host.icmp.message_arrived(packet)
-        elif packet.protocol == IpProtocol.VPG:
-            # VPG packets should have been decapsulated by the ADF NIC; a
-            # VPG packet reaching the stack means no matching VPG rule was
-            # configured.  Drop.
-            self.packets_dropped_no_proto += 1
         else:
+            # Includes VPG: a VPG packet reaching the stack means the ADF
+            # NIC had no matching VPG rule to decapsulate it.  Drop.
             self.packets_dropped_no_proto += 1
 
     @staticmethod

@@ -23,6 +23,12 @@ Implements the parts of TCP that the paper's measurements exercise:
 Deliberate simplifications (documented in DESIGN.md): no window scaling,
 no Nagle, per-connection fixed MSS, no urgent data, single-path FIFO
 network so reordering only arises from loss.
+
+The per-segment path reads hot states and flag bits from module globals
+(states compare with ``is``; flags are read once as an ``int``) and exits
+early where there is nothing to do: no real chunk to slice or release, no
+out-of-order data to reassemble or SACK, no RTT probe, no scoreboard.
+None of these exits changes a segment or an event.
 """
 
 from __future__ import annotations
@@ -35,11 +41,16 @@ from repro.net.packet import Ipv4Packet, TcpFlags, TcpSegment
 from repro.sim.timer import Timer
 
 # Flag combinations built once: IntFlag ``|`` and ``&`` build a new enum
-# member on every call.
+# member on every call.  The per-segment path tests the plain-int bits.
+_ACK = TcpFlags.ACK
+_RST = TcpFlags.RST
 _SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
 _FIN_ACK = TcpFlags.FIN | TcpFlags.ACK
 _RST_ACK = TcpFlags.RST | TcpFlags.ACK
+_SYN_BIT = int(TcpFlags.SYN)
 _ACK_BIT = int(TcpFlags.ACK)
+_FIN_BIT = int(TcpFlags.FIN)
+_RST_BIT = int(TcpFlags.RST)
 
 #: Maximum segment size: fills a 1518-byte Ethernet frame
 #: (1460 + 20 TCP + 20 IP + 18 Ethernet).
@@ -91,13 +102,31 @@ class TcpState(enum.Enum):
     TIME_WAIT = "TIME_WAIT"
 
 
+# The states the per-segment path reads, as module globals: a global is
+# several times cheaper to load than an enum class attribute.
+_CLOSED = TcpState.CLOSED
+_SYN_SENT = TcpState.SYN_SENT
+_SYN_RCVD = TcpState.SYN_RCVD
+_ESTABLISHED = TcpState.ESTABLISHED
+#: States in which :meth:`TcpConnection._try_send` may transmit.
+_SENDING_STATES = (
+    TcpState.ESTABLISHED,
+    TcpState.CLOSE_WAIT,
+    TcpState.FIN_WAIT_1,
+    TcpState.CLOSING,
+    TcpState.LAST_ACK,
+)
+
+
 class SendBuffer:
     """An append-only byte stream with sparse real-data chunks.
 
     Payload sizes are exact; payload *bytes* are retained only where the
     application provided them (e.g. HTTP headers), positioned at the
     offset where they were written.  ``slice`` returns the real bytes that
-    fall inside a retransmittable range.
+    fall inside a retransmittable range; a buffer holding no real chunk
+    (a size-only bulk stream) returns ``b""`` after the range check,
+    without walking anything.
     """
 
     def __init__(self) -> None:
@@ -122,6 +151,8 @@ class SendBuffer:
         """
         if start < 0 or end > self.length or start > end:
             raise ValueError(f"bad slice [{start}, {end}) of {self.length}")
+        if not self._chunks:
+            return b""
         pieces = bytearray()
         for offset, data in self._chunks:
             chunk_end = offset + len(data)
@@ -150,7 +181,8 @@ class ReceiveBuffer:
 
     Returns ready-to-deliver (size, real_bytes) pairs as the stream
     advances.  Out-of-order segments (arising from loss) are buffered by
-    starting sequence number.
+    starting sequence number; an in-order segment with nothing buffered
+    is returned alone, without the reassembly walk.
     """
 
     def __init__(self, initial_seq: int):
@@ -173,6 +205,8 @@ class ReceiveBuffer:
             data = data[trim:] if len(data) > trim else b""
         delivered = [(size, data)]
         self.rcv_nxt += size
+        if not self._out_of_order:
+            return delivered
         # Pull any now-contiguous buffered segments.
         while True:
             buffered = self._pop_contiguous()
@@ -246,7 +280,7 @@ class TcpConnection:
         self.local_port = local_port
         self.remote_ip = remote_ip
         self.remote_port = remote_port
-        self.state = TcpState.CLOSED
+        self.state = _CLOSED
         # Application callbacks.
         self.on_connected: Optional[Callable] = None
         self.on_data: Optional[Callable] = None
@@ -306,7 +340,7 @@ class TcpConnection:
 
     def send(self, size: int, data: bytes = b"") -> None:
         """Append ``size`` bytes (``data`` real) to the outgoing stream."""
-        if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT, TcpState.SYN_SENT, TcpState.SYN_RCVD):
+        if self.state not in (_ESTABLISHED, TcpState.CLOSE_WAIT, _SYN_SENT, _SYN_RCVD):
             raise RuntimeError(f"cannot send in state {self.state.value}")
         if self.fin_queued:
             raise RuntimeError("cannot send after close()")
@@ -316,7 +350,7 @@ class TcpConnection:
     def close(self) -> None:
         """Half-close: send FIN once all written data is transmitted."""
         if self.fin_queued or self.state in (
-            TcpState.CLOSED,
+            _CLOSED,
             TcpState.TIME_WAIT,
             TcpState.LAST_ACK,
             TcpState.CLOSING,
@@ -329,7 +363,7 @@ class TcpConnection:
 
     def abort(self) -> None:
         """Reset the connection immediately."""
-        if self.state not in (TcpState.CLOSED, TcpState.TIME_WAIT):
+        if self.state not in (_CLOSED, TcpState.TIME_WAIT):
             self._emit(_RST_ACK, seq=self.snd_nxt)
         self._destroy(notify_closed=True)
 
@@ -352,7 +386,7 @@ class TcpConnection:
 
     def open_active(self) -> None:
         """Client side: send SYN."""
-        self.state = TcpState.SYN_SENT
+        self.state = _SYN_SENT
         self.connect_started_at = self.sim.now
         self.snd_nxt = self.iss + 1
         self._emit(TcpFlags.SYN, seq=self.iss)
@@ -361,7 +395,7 @@ class TcpConnection:
 
     def open_passive(self, segment: TcpSegment) -> None:
         """Server side: got a SYN while listening; send SYN-ACK."""
-        self.state = TcpState.SYN_RCVD
+        self.state = _SYN_RCVD
         self.receive_buffer = ReceiveBuffer(segment.seq + 1)
         self.snd_nxt = self.iss + 1
         self._emit(_SYN_ACK, seq=self.iss)
@@ -374,21 +408,23 @@ class TcpConnection:
 
     def segment_arrived(self, segment: TcpSegment) -> None:
         """Main receive-side state machine."""
-        if segment.rst:
+        flags = int(segment.flags)
+        if flags & _RST_BIT:
             self._handle_rst()
             return
-        if self.state == TcpState.SYN_SENT:
+        state = self.state
+        if state is _SYN_SENT:
             self._arrive_syn_sent(segment)
             return
-        if self.state == TcpState.SYN_RCVD and segment.syn:
+        if state is _SYN_RCVD and flags & _SYN_BIT:
             # Duplicate SYN: re-send SYN-ACK.
             self._emit(_SYN_ACK, seq=self.iss)
             return
-        if segment.ack_flag:
+        if flags & _ACK_BIT:
             self._process_ack(segment)
-        if self.state == TcpState.CLOSED:
+        if self.state is _CLOSED:
             return
-        if segment.payload_size or segment.fin:
+        if segment.payload_size or flags & _FIN_BIT:
             self._process_payload(segment)
 
     def _arrive_syn_sent(self, segment: TcpSegment) -> None:
@@ -401,7 +437,7 @@ class TcpConnection:
         self.receive_buffer = ReceiveBuffer(segment.seq + 1)
         self.retransmit_timer.stop()
         self._sample_rtt_from_connect()
-        self.state = TcpState.ESTABLISHED
+        self.state = _ESTABLISHED
         self.established_at = self.sim.now
         self._send_ack_now()
         if self.on_connected is not None:
@@ -411,19 +447,21 @@ class TcpConnection:
     def _process_ack(self, segment: TcpSegment) -> None:
         ack = segment.ack
         self.peer_window = segment.window
-        if self.state == TcpState.SYN_RCVD and ack == self.iss + 1:
+        if self.state is _SYN_RCVD and ack == self.iss + 1:
             self.snd_una = ack
             self.retransmit_timer.stop()
-            self.state = TcpState.ESTABLISHED
+            self.state = _ESTABLISHED
             self.established_at = self.sim.now
             if self.on_connected is not None:
                 self.on_connected(self)
             self._try_send()
             return
-        if segment.sack_blocks:
-            self._register_sacks(segment.sack_blocks)
-        if ack <= self.snd_una:
-            if ack == self.snd_una and self.unacked_bytes > 0 and not segment.payload_size:
+        sack_blocks = segment.sack_blocks
+        if sack_blocks:
+            self._register_sacks(sack_blocks)
+        snd_una = self.snd_una
+        if ack <= snd_una:
+            if ack == snd_una and self.snd_nxt > snd_una and not segment.payload_size:
                 self.dup_acks += 1
                 if self.dup_acks == 3:
                     self._fast_retransmit()
@@ -435,15 +473,20 @@ class TcpConnection:
             return
         if ack > self.snd_nxt:
             return  # acks data we never sent; ignore
-        # New data acknowledged.
-        newly_acked = ack - self.snd_una
+        # New data acknowledged.  Releasing chunks, sampling the RTT and
+        # pruning the scoreboard are skipped when there is nothing to
+        # release, no probe open or no SACK range held.
+        newly_acked = ack - snd_una
         self.snd_una = ack
         self.dup_acks = 0
         self.retries = 0
         self.bytes_acked += newly_acked
-        self.send_buffer.release_before(self._seq_to_offset(ack))
-        self._update_rtt(ack)
-        self._prune_scoreboard()
+        if self.send_buffer._chunks:
+            self.send_buffer.release_before(self._seq_to_offset(ack))
+        if self._rtt_probe is not None:
+            self._update_rtt(ack)
+        if self._sack_scoreboard:
+            self._prune_scoreboard()
         if self.recovery_point is not None:
             if ack < self.recovery_point:
                 # NewReno/SACK partial ACK: the next hole is lost too;
@@ -456,7 +499,7 @@ class TcpConnection:
             self.recovery_point = None
             self._sack_scoreboard.clear()
         self._grow_cwnd(newly_acked)
-        if self.unacked_bytes == 0:
+        if self.snd_nxt == self.snd_una:
             self.retransmit_timer.stop()
         else:
             self.retransmit_timer.restart(self.rto)
@@ -464,31 +507,27 @@ class TcpConnection:
         self._try_send()
 
     def _process_payload(self, segment: TcpSegment) -> None:
-        if self.receive_buffer is None:
+        receive_buffer = self.receive_buffer
+        if receive_buffer is None:
             return
-        if segment.fin:
-            self.peer_fin_seq = segment.seq + segment.payload_size
-        in_order_before = self.receive_buffer.rcv_nxt
-        pieces = []
-        if segment.payload_size:
-            pieces = self.receive_buffer.offer(segment.seq, segment.payload_size, segment.data)
-        for size, data in pieces:
-            self.bytes_received += size
-            if self.on_data is not None:
-                self.on_data(self, data, size)
-            if self.state == TcpState.CLOSED:
-                return  # callback closed us
-        advanced = self.receive_buffer.rcv_nxt != in_order_before
-        fin_consumed = (
-            self.peer_fin_seq is not None
-            and self.receive_buffer.rcv_nxt == self.peer_fin_seq
-        )
-        if fin_consumed:
-            self.receive_buffer.rcv_nxt += 1  # FIN occupies one sequence number
+        payload_size = segment.payload_size
+        if int(segment.flags) & _FIN_BIT:
+            self.peer_fin_seq = segment.seq + payload_size
+        in_order_before = receive_buffer.rcv_nxt
+        if payload_size:
+            for size, data in receive_buffer.offer(segment.seq, payload_size, segment.data):
+                self.bytes_received += size
+                if self.on_data is not None:
+                    self.on_data(self, data, size)
+                if self.state is _CLOSED:
+                    return  # callback closed us
+        rcv_nxt = receive_buffer.rcv_nxt
+        if self.peer_fin_seq is not None and rcv_nxt == self.peer_fin_seq:
+            receive_buffer.rcv_nxt = rcv_nxt + 1  # FIN occupies one sequence number
             self._peer_closed()
             return
-        if segment.payload_size:
-            if not advanced:
+        if payload_size:
+            if rcv_nxt == in_order_before:
                 # Out-of-order: immediate duplicate ACK.
                 self._send_ack_now()
             else:
@@ -500,18 +539,18 @@ class TcpConnection:
 
     def _peer_closed(self) -> None:
         self._send_ack_now()
-        if self.state == TcpState.ESTABLISHED:
+        if self.state is _ESTABLISHED:
             self.state = TcpState.CLOSE_WAIT
             # Deliver EOF to the application.
             if self.on_data is not None:
                 self.on_data(self, b"", 0)
-        elif self.state == TcpState.FIN_WAIT_1:
+        elif self.state is TcpState.FIN_WAIT_1:
             self.state = TcpState.CLOSING
-        elif self.state == TcpState.FIN_WAIT_2:
+        elif self.state is TcpState.FIN_WAIT_2:
             self._enter_time_wait()
 
     def _handle_rst(self) -> None:
-        refused = self.state == TcpState.SYN_SENT
+        refused = self.state is _SYN_SENT
         self._destroy(notify_closed=not refused, notify_refused=refused)
 
     # ------------------------------------------------------------------
@@ -519,44 +558,43 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _try_send(self) -> None:
-        if self.state not in (
-            TcpState.ESTABLISHED,
-            TcpState.CLOSE_WAIT,
-            TcpState.FIN_WAIT_1,
-            TcpState.CLOSING,
-            TcpState.LAST_ACK,
-        ):
+        if self.state not in _SENDING_STATES:
             return
         window = min(self.cwnd, self.peer_window)
+        send_buffer = self.send_buffer
+        base = self.iss + 1  # stream offset 0 follows the SYN
         sent_something = False
         while True:
-            offset = self._seq_to_offset(self.snd_nxt)
-            available = self.send_buffer.length - offset
+            seq = self.snd_nxt
+            length = send_buffer.length
+            offset = min(seq - base, length)
+            available = length - offset
             if available <= 0:
                 break
+            in_flight = seq - self.snd_una
             # SACKed bytes are no longer in the network; exclude them
             # from the in-flight estimate (RFC 6675 pipe).
-            if self.unacked_bytes - self.sacked_bytes >= window:
+            pipe = in_flight - self.sacked_bytes if self._sack_scoreboard else in_flight
+            if pipe >= window:
                 break
-            burst = min(available, self.mss, window - self.unacked_bytes)
+            burst = min(available, self.mss, window - in_flight)
             if burst <= 0:
                 break
-            data = self.send_buffer.slice(offset, offset + burst)
-            seq = self.snd_nxt
-            self.snd_nxt += burst
+            data = send_buffer.slice(offset, offset + burst)
+            self.snd_nxt = seq + burst
             self.bytes_sent += burst
             if self._rtt_probe is None:
-                self._rtt_probe = (self.snd_nxt, self.sim.now)
-            self._emit(TcpFlags.ACK, seq=seq, payload_size=burst, data=data)
+                self._rtt_probe = (seq + burst, self.sim.now)
+            self._emit(_ACK, seq, burst, data)
             sent_something = True
         if (
             self.fin_queued
             and not self.fin_sent
-            and self._seq_to_offset(self.snd_nxt) >= self.send_buffer.length
+            and self._seq_to_offset(self.snd_nxt) >= send_buffer.length
         ):
             self._send_fin()
             sent_something = True
-        if sent_something and self.unacked_bytes > 0 and not self.retransmit_timer.running:
+        if sent_something and self.snd_nxt > self.snd_una and not self.retransmit_timer.running:
             self.retransmit_timer.start(self.rto)
 
     def _send_fin(self) -> None:
@@ -564,9 +602,9 @@ class TcpConnection:
         self.fin_seq = self.snd_nxt
         self._emit(_FIN_ACK, seq=self.snd_nxt)
         self.snd_nxt += 1
-        if self.state == TcpState.ESTABLISHED:
+        if self.state is _ESTABLISHED:
             self.state = TcpState.FIN_WAIT_1
-        elif self.state == TcpState.CLOSE_WAIT:
+        elif self.state is TcpState.CLOSE_WAIT:
             self.state = TcpState.LAST_ACK
         if not self.retransmit_timer.running:
             self.retransmit_timer.start(self.rto)
@@ -575,11 +613,11 @@ class TcpConnection:
         if self.fin_seq is None or ack <= self.fin_seq:
             return
         # Our FIN is acknowledged.
-        if self.state == TcpState.FIN_WAIT_1:
+        if self.state is TcpState.FIN_WAIT_1:
             self.state = TcpState.FIN_WAIT_2
-        elif self.state == TcpState.CLOSING:
+        elif self.state is TcpState.CLOSING:
             self._enter_time_wait()
-        elif self.state == TcpState.LAST_ACK:
+        elif self.state is TcpState.LAST_ACK:
             self._destroy(notify_closed=True)
 
     # ------------------------------------------------------------------
@@ -597,16 +635,16 @@ class TcpConnection:
 
     def _on_retransmit_timeout(self) -> None:
         self.retries += 1
-        limit = MAX_SYN_RETRIES if self.state in (TcpState.SYN_SENT, TcpState.SYN_RCVD) else MAX_DATA_RETRIES
+        limit = MAX_SYN_RETRIES if self.state in (_SYN_SENT, _SYN_RCVD) else MAX_DATA_RETRIES
         if self.retries > limit:
-            refused = self.state == TcpState.SYN_SENT
+            refused = self.state is _SYN_SENT
             self._destroy(notify_closed=not refused, notify_refused=refused)
             return
         self.rto = min(self.rto * 2, MAX_RTO)
         self._rtt_probe = None  # Karn's algorithm: never sample retransmits
-        if self.state == TcpState.SYN_SENT:
+        if self.state is _SYN_SENT:
             self._emit(TcpFlags.SYN, seq=self.iss)
-        elif self.state == TcpState.SYN_RCVD:
+        elif self.state is _SYN_RCVD:
             self._emit(_SYN_ACK, seq=self.iss)
         else:
             self.ssthresh = max(self.unacked_bytes // 2, 2 * self.mss)
@@ -658,7 +696,7 @@ class TcpConnection:
                     seq=start,
                     bytes=burst,
                 )
-            self._emit(TcpFlags.ACK, seq=start, payload_size=burst, data=data)
+            self._emit(_ACK, seq=start, payload_size=burst, data=data)
         elif self.fin_sent and self.fin_seq is not None and self.snd_una == self.fin_seq:
             self.segments_retransmitted += 1
             self._emit(_FIN_ACK, seq=self.fin_seq)
@@ -701,8 +739,8 @@ class TcpConnection:
     # ------------------------------------------------------------------
 
     def _update_rtt(self, ack: int) -> None:
-        if self._rtt_probe is None:
-            return
+        """Sample the RTT once ``ack`` covers the open probe (caller checks
+        that one is open)."""
         probe_end, sent_at = self._rtt_probe
         if ack < probe_end:
             return
@@ -736,16 +774,12 @@ class TcpConnection:
         offset = seq - (self.iss + 1)
         return min(offset, self.send_buffer.length)
 
-    def _ack_value(self) -> int:
-        if self.receive_buffer is None:
-            return 0
-        return self.receive_buffer.rcv_nxt
-
     def _send_ack_now(self) -> None:
         self.delack_timer.stop()
         self.segments_since_ack = 0
-        sacks = self.receive_buffer.sack_blocks() if self.receive_buffer else ()
-        self._emit(TcpFlags.ACK, seq=self.snd_nxt, sack_blocks=sacks)
+        receive_buffer = self.receive_buffer
+        sacks = receive_buffer.sack_blocks() if receive_buffer is not None and receive_buffer._out_of_order else ()
+        self._emit(_ACK, self.snd_nxt, 0, b"", sacks)
 
     def _emit(
         self,
@@ -755,18 +789,13 @@ class TcpConnection:
         data: bytes = b"",
         sack_blocks: tuple = (),
     ) -> None:
+        receive_buffer = self.receive_buffer
+        ack = receive_buffer.rcv_nxt if receive_buffer is not None and int(flags) & _ACK_BIT else 0
+        # Positional, in TcpSegment's field order.
         segment = TcpSegment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=seq,
-            ack=self._ack_value() if (int(flags) & _ACK_BIT) else 0,
-            flags=flags,
-            window=RECEIVE_WINDOW,
-            payload_size=payload_size,
-            data=data,
-            sack_blocks=sack_blocks,
+            self.local_port, self.remote_port, seq, ack, flags, RECEIVE_WINDOW, payload_size, data, sack_blocks
         )
-        self.manager.transmit_segment(self.remote_ip, segment)
+        self.manager.host.ip_layer.send(self.remote_ip, segment)
 
     def _enter_time_wait(self) -> None:
         self.state = TcpState.TIME_WAIT
@@ -778,8 +807,8 @@ class TcpConnection:
         self._destroy(notify_closed=True)
 
     def _destroy(self, notify_closed: bool = False, notify_refused: bool = False) -> None:
-        already_closed = self.state == TcpState.CLOSED
-        self.state = TcpState.CLOSED
+        already_closed = self.state is _CLOSED
+        self.state = _CLOSED
         self.retransmit_timer.stop()
         self.delack_timer.stop()
         self.time_wait_timer.stop()
@@ -801,12 +830,9 @@ class TcpConnection:
 class TcpListener:
     """A passive socket: accepts connections on a local port.
 
-    With ``syn_cookies=True`` the listener answers SYNs that arrive while
-    the backlog is full with a *stateless* SYN-ACK whose initial sequence
-    number encodes a keyed hash of the connection 4-tuple (Bernstein's
-    SYN cookies).  No half-open state is kept; a later ACK carrying a
-    valid cookie reconstructs the connection — so a spoofed SYN flood can
-    no longer exhaust the backlog and lock legitimate clients out.
+    At most ``backlog`` connections are half-open (SYN_RCVD) at once; a
+    SYN that arrives while the backlog is full is dropped and counted in
+    ``dropped_syn_backlog``.
     """
 
     profile_category = "host.tcp"
@@ -817,18 +843,14 @@ class TcpListener:
         port: int,
         on_accept: Callable[[TcpConnection], None],
         backlog: int = DEFAULT_LISTEN_BACKLOG,
-        syn_cookies: bool = False,
     ):
         self.manager = manager
         self.port = port
         self.on_accept = on_accept
         self.backlog = backlog
-        self.syn_cookies = syn_cookies
         self.half_open = 0
         self.accepted = 0
         self.dropped_syn_backlog = 0
-        self.cookies_sent = 0
-        self.cookies_validated = 0
 
     def close(self) -> None:
         """Stop accepting new connections."""
@@ -848,7 +870,8 @@ class TcpManager:
         self._rng = host.rng.stream(f"{host.name}.tcp.isn")
         #: Default MSS for new connections (testbeds lower this for VPGs).
         self.default_mss = MSS
-        self._cookie_secret = self._rng.getrandbits(128).to_bytes(16, "big")
+        # One 128-bit draw ahead of the first ISN; it fixes every later ISN.
+        self._rng.getrandbits(128)
         self._connections: Dict[Tuple[int, Ipv4Address, int], TcpConnection] = {}
         self._listeners: Dict[int, TcpListener] = {}
         self._next_ephemeral = self.EPHEMERAL_BASE
@@ -873,12 +896,11 @@ class TcpManager:
         port: int,
         on_accept: Callable[[TcpConnection], None],
         backlog: int = DEFAULT_LISTEN_BACKLOG,
-        syn_cookies: bool = False,
     ) -> TcpListener:
         """Start accepting connections on ``port``."""
         if port in self._listeners:
             raise RuntimeError(f"port {port} already listening")
-        listener = TcpListener(self, port, on_accept, backlog, syn_cookies=syn_cookies)
+        listener = TcpListener(self, port, on_accept, backlog)
         self._listeners[port] = listener
         return listener
 
@@ -909,47 +931,25 @@ class TcpManager:
         if type(segment) is not TcpSegment:
             return
         self.segments_received += 1
-        key = (segment.dst_port, packet.src, segment.src_port)
-        connection = self._connections.get(key)
+        connection = self._connections.get((segment.dst_port, packet.src, segment.src_port))
         if connection is not None:
             connection.segment_arrived(segment)
             return
-        listener = self._listeners.get(segment.dst_port)
-        if listener is not None and segment.syn and not segment.ack_flag:
-            self._accept(listener, packet, segment)
-            return
-        if (
-            listener is not None
-            and listener.syn_cookies
-            and segment.ack_flag
-            and not segment.syn
-            and self._validate_cookie(packet, segment)
-        ):
-            self._accept_from_cookie(listener, packet, segment)
-            return
+        flags = int(segment.flags)
+        if flags & _SYN_BIT and not flags & _ACK_BIT:
+            listener = self._listeners.get(segment.dst_port)
+            if listener is not None:
+                self._accept(listener, packet, segment)
+                return
         # No socket: RFC 793 reset generation (the paper's "allowed flood"
         # response traffic for TCP floods).
-        if not segment.rst and self.generate_resets:
+        if not flags & _RST_BIT and self.generate_resets:
             self._send_rst_for(packet, segment)
 
     # ------------------------------------------------------------------
 
     def _accept(self, listener: TcpListener, packet: Ipv4Packet, segment: TcpSegment) -> None:
         if listener.half_open >= listener.backlog:
-            if listener.syn_cookies:
-                # Stateless SYN-ACK: the cookie rides in the ISS field.
-                listener.cookies_sent += 1
-                cookie = self._cookie(packet.src, segment.src_port, segment.dst_port, segment.seq)
-                syn_ack = TcpSegment(
-                    src_port=segment.dst_port,
-                    dst_port=segment.src_port,
-                    seq=cookie,
-                    ack=segment.seq + 1,
-                    flags=_SYN_ACK,
-                    window=RECEIVE_WINDOW,
-                )
-                self.transmit_segment(packet.src, syn_ack)
-                return
             listener.dropped_syn_backlog += 1
             return
         connection = TcpConnection(self, segment.dst_port, packet.src, segment.src_port)
@@ -976,53 +976,11 @@ class TcpManager:
         original_destroy = connection._destroy
 
         def destroy_with_backlog(notify_closed: bool = False, notify_refused: bool = False):
-            if connection.state in (TcpState.SYN_RCVD,):
+            if connection.state is _SYN_RCVD:
                 listener.half_open -= 1
             original_destroy(notify_closed=notify_closed, notify_refused=notify_refused)
 
         connection._destroy = destroy_with_backlog  # type: ignore[method-assign]
-
-    def _cookie(self, src_ip: Ipv4Address, src_port: int, dst_port: int, client_isn: int) -> int:
-        """A 31-bit keyed hash of the connection 4-tuple and client ISN."""
-        import hashlib
-        import struct
-
-        material = (
-            self._cookie_secret
-            + src_ip.to_bytes()
-            + struct.pack("!HHI", src_port, dst_port, client_isn & 0xFFFFFFFF)
-        )
-        digest = hashlib.sha256(material).digest()
-        return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
-
-    def _validate_cookie(self, packet: Ipv4Packet, segment: TcpSegment) -> bool:
-        expected = self._cookie(
-            packet.src, segment.src_port, segment.dst_port, segment.seq - 1
-        )
-        return segment.ack - 1 == expected
-
-    def _accept_from_cookie(
-        self, listener: TcpListener, packet: Ipv4Packet, segment: TcpSegment
-    ) -> None:
-        """Reconstruct a connection from a valid cookie ACK (no prior state)."""
-        listener.cookies_validated += 1
-        listener.accepted += 1
-        connection = TcpConnection(self, segment.dst_port, packet.src, segment.src_port)
-        connection.iss = segment.ack - 1
-        connection.snd_una = segment.ack
-        connection.snd_nxt = segment.ack
-        connection._retx_high = segment.ack
-        connection.receive_buffer = ReceiveBuffer(segment.seq)
-        connection.state = TcpState.ESTABLISHED
-        connection.established_at = self.sim.now
-        key = (segment.dst_port, packet.src, segment.src_port)
-        self._connections[key] = connection
-        listener.on_accept(connection)
-        if connection.on_connected is not None:
-            connection.on_connected(connection)
-        # Any payload riding on the ACK is processed normally.
-        if segment.payload_size:
-            connection.segment_arrived(segment)
 
     def _send_rst_for(self, packet: Ipv4Packet, segment: TcpSegment) -> None:
         """Answer ``segment`` with a reset (RFC 793 §3.4).
@@ -1035,12 +993,12 @@ class TcpManager:
         with its own identification.
         """
         self.rst_sent += 1
-        if segment.ack_flag:
-            seq, ack, flags = segment.ack, 0, TcpFlags.RST
+        arrived = int(segment.flags)
+        if arrived & _ACK_BIT:
+            seq, ack, flags = segment.ack, 0, _RST
         else:
-            seq, ack, flags = 0, segment.seq + segment.payload_size + (1 if segment.syn else 0), (
-                _RST_ACK
-            )
+            syn = 1 if arrived & _SYN_BIT else 0
+            seq, ack, flags = 0, segment.seq + segment.payload_size + syn, _RST_ACK
         key = (segment.dst_port, segment.src_port, seq, ack, flags)
         if key == self._last_reset_key:
             reset = self._last_reset
@@ -1054,11 +1012,7 @@ class TcpManager:
                 window=0,
             )
             self._last_reset_key = key
-        self.transmit_segment(packet.src, reset)
-
-    def transmit_segment(self, remote_ip: Ipv4Address, segment: TcpSegment) -> None:
-        """Hand a segment to the IP layer."""
-        self.host.ip_layer.send(remote_ip, segment)
+        self.host.ip_layer.send(packet.src, reset)
 
     def forget(self, connection: TcpConnection) -> None:
         """Remove a closed connection from the demux table."""

@@ -68,14 +68,21 @@ class Timer:
 
     def start(self, interval: float) -> None:
         """Arm the timer to fire after ``interval`` seconds."""
-        if self.running:
+        if self._event is not None:
             raise RuntimeError("timer already running; use restart()")
         self._event = self._sim.schedule(interval, self._fire)
 
     def restart(self, interval: float) -> None:
-        """Cancel any pending deadline and arm for ``interval`` seconds."""
-        self.stop()
-        self.start(interval)
+        """Cancel any pending deadline and arm for ``interval`` seconds.
+
+        The same cancel and schedule as :meth:`stop` then :meth:`start`,
+        without the two extra calls: TCP restarts its retransmission
+        timer on almost every ACK.
+        """
+        event = self._event
+        if event is not None:
+            self._sim.cancel(event)
+        self._event = self._sim.schedule(interval, self._fire)
 
     def stop(self) -> None:
         """Disarm the timer.  Idempotent."""

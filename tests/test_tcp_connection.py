@@ -85,6 +85,31 @@ class TestHandshake:
         with pytest.raises(RuntimeError):
             bob.tcp.listen(5001, lambda conn: None)
 
+    def test_flooded_backlog_without_cookies_locks_clients_out(self, trinet):
+        from repro.net.addresses import Ipv4Address
+        from repro.net.packet import Ipv4Packet, TcpFlags, TcpSegment
+
+        alice, bob, mallory = trinet["alice"], trinet["bob"], trinet["mallory"]
+        listener = bob.tcp.listen(5001, lambda conn: None, backlog=8)
+        # Raw SYNs from addresses that will never complete a handshake.
+        for index in range(40):
+            syn = Ipv4Packet(
+                src=Ipv4Address(f"172.16.1.{index % 250 + 1}"),
+                dst=bob.ip,
+                payload=TcpSegment(src_port=1000 + index, dst_port=5001, flags=TcpFlags.SYN),
+            )
+            mallory.ip_layer.send_packet(syn)
+        trinet.run(0.2)
+        assert listener.half_open == 8
+        # A legitimate client's SYN now hits the full backlog and is
+        # dropped; the connect stalls into retries.
+        conn = alice.tcp.connect(bob.ip, 5001)
+        connected = []
+        conn.on_connected = lambda c: connected.append(True)
+        trinet.run(0.5)
+        assert not connected
+        assert listener.dropped_syn_backlog > 40 - 8
+
 
 class TestDataTransfer:
     def test_bulk_transfer_delivers_exact_byte_count(self, mininet):
