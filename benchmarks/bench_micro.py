@@ -1,9 +1,11 @@
 """Microbenchmarks of the simulator's hot paths.
 
 These are conventional pytest-benchmark measurements (many rounds): the
-event kernel, timer restarts (the cancel path), rule-set evaluation, building a flood frame, the toy
-cipher, and TCP goodput per wall-second — useful for catching
-performance regressions that would make the experiment sweeps impractical.
+event kernel, timer restarts (the cancel path), rule-set evaluation,
+building a flood frame, a known-unicast frame's trip through a switch,
+a wedged firewall card refusing frames, the toy cipher, and TCP goodput
+per wall-second — useful for catching performance regressions that
+would make the experiment sweeps impractical.
 """
 
 from __future__ import annotations
@@ -11,8 +13,12 @@ from __future__ import annotations
 from repro.crypto.cipher import KeystreamCipher
 from repro.firewall.builders import padded_ruleset, service_rule
 from repro.firewall.rules import Action, Direction
+from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
+from repro.net.link import Link
 from repro.net.packet import EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment
+from repro.net.switch import EthernetSwitch
+from repro.nic.efw import EfwNic
 from repro.sim.engine import Simulator
 from repro.sim.timer import Timer
 
@@ -147,9 +153,68 @@ def test_flood_frame_build(benchmark):
     def build():
         segment = TcpSegment(src_port=4444, dst_port=5001, flags=TcpFlags.ACK, seq=1)
         packet = Ipv4Packet(src=src, dst=dst, payload=segment)
-        return EthernetFrame(src_mac, dst_mac, packet, frame_id=1)
+        return EthernetFrame(src_mac, dst_mac, packet)
 
     assert benchmark(build).wire_size == 64
+
+
+def _flood_frame(dst_index: int) -> EthernetFrame:
+    segment = TcpSegment(src_port=4444, dst_port=5001, flags=TcpFlags.ACK, seq=1)
+    packet = Ipv4Packet(src=Ipv4Address("10.0.0.66"), dst=Ipv4Address("10.0.0.3"), payload=segment)
+    return EthernetFrame(MacAddress.from_index(1), MacAddress.from_index(dst_index), packet)
+
+
+class _Counter:
+    """A link device that only counts what it receives."""
+
+    def __init__(self):
+        self.frames = 0
+
+    def receive_frame(self, frame, port):
+        self.frames += 1
+
+
+def test_fabric_unicast_hop(benchmark):
+    """One known-unicast frame through a switch: the ingress link hop,
+    the switch's direct send and the egress link hop (two events)."""
+    sim = Simulator()
+    switch = EthernetSwitch(sim)
+    ingress, egress = Link(sim, name="in"), Link(sim, name="out")
+    switch.attach_port(ingress.port_a)
+    switch.attach_port(egress.port_a)
+    sink = _Counter()
+    egress.port_b.attach(sink)
+    switch.learn(MacAddress.from_index(2), egress.port_a)
+    frame = _flood_frame(2)
+    send = ingress.port_b.send
+
+    def hop():
+        send(frame)
+        sim.run()
+
+    benchmark(hop)
+    assert sink.frames == switch.forwarded_frames > 0
+    assert sim.events_executed == 2 * sink.frames
+
+
+def test_wedged_ring_refusal(benchmark):
+    """100 flood frames reaching a wedged EFW, refused without a work item."""
+    sim = Simulator()
+    link = Link(sim)
+    nic = EfwNic(sim)
+    nic.attach(link.port_b)
+    Host(sim, "target", Ipv4Address("10.0.0.3"), MacAddress.from_index(2)).attach_nic(nic)
+    nic.processor.pause()
+    frame = _flood_frame(2)
+    port = link.port_b
+
+    def refuse_all():
+        for _ in range(100):
+            nic.receive_frame(frame, port)
+
+    benchmark(refuse_all)
+    assert nic.wedged_drops == nic.frames_received > 0
+    assert nic.processor.accepted == 0
 
 
 def test_keystream_encrypt(benchmark):

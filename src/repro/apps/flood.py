@@ -87,7 +87,8 @@ class FloodGenerator:
     Every packet of a flood with a fixed source is the same, so
     :meth:`start` builds it once and each send transmits that one
     immutable object (packets are never mutated after transmission; see
-    :mod:`repro.net.packet`).  Two cases bypass the template and build a
+    :mod:`repro.net.packet`), which the sending NIC frames once as well
+    (see :mod:`repro.nic.base`).  Two cases bypass the template and build a
     fresh packet per send: ``randomize_src`` (each packet draws its own
     source) and an armed span tracer (``sim.tracer.active``), because the
     tracer roots a chain only on a packet without a ``trace_ctx``.

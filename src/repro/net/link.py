@@ -32,10 +32,21 @@ have fired at -- so the device hands the frame on at once.  Everything
 the delivery does (port counters, taps, the receiving device's work)
 then happens at that later instant; the taps and the ``link.tx`` trace
 span report the arrival, recovered as ``now - rx_latency``.
+
+The per-frame path reads what it needs from the port itself: each
+:class:`LinkPort` holds the link's kernel, tracer, taps list and delay
+memo, and its delivery callback bound once.  Only a frame that finds
+the wire busy touches the transmit queue's bookkeeping; on an idle wire
+no booked slot can still be waiting, so the queue cannot be full.  A
+frame object may be sent many times (a flood template's frame), so the
+link writes into a frame only the trace stamps of an armed tracer
+(under which a flood builds a fresh packet, and so a fresh frame, per
+send); an impairment that corrupts a frame transmits a corrupted copy.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from typing import Deque, Dict, List, Optional, Protocol
 
@@ -104,16 +115,19 @@ class LinkImpairment:
         self.dropped_frames = 0
         self.corrupted_frames = 0
 
-    def admit(self, port: "LinkPort", frame: EthernetFrame) -> bool:
+    def admit(self, port: "LinkPort", frame: EthernetFrame) -> Optional[EthernetFrame]:
         """Apply the impairment to one offered frame.
 
-        Returns False when the frame must be dropped at the port.
-        Corruption admits the frame but attaches a bit-flipped header
-        copy for the receiver's checksum verification to reject.
+        Returns the frame to transmit, or None when it must be dropped
+        at the port.  Corruption transmits a copy carrying a bit-flipped
+        header for the receiver's checksum verification to reject; the
+        offered frame is left as it was, because the sender may send
+        that same object again (a flood template's frame) and a switch
+        offers one object to every port it floods out of.
         """
         if self.down or (self.loss_rate > 0.0 and self.rng.random() < self.loss_rate):
             self.dropped_frames += 1
-            sim = port.link.sim
+            sim = port.sim
             tracer = sim.tracer
             if tracer.hot:
                 tracer.event(
@@ -121,15 +135,15 @@ class LinkImpairment:
                     getattr(frame.payload, "trace_ctx", None),
                     down=self.down, bytes=frame.wire_size,
                 )
-            return False
+            return None
         if self.corrupt:
             packet = frame.ip
             if packet is not None:
                 raw = bytearray(packet.to_bytes()[: Ipv4Packet.HEADER_SIZE])
                 raw[self.rng.randrange(len(raw))] ^= 1 << self.rng.randrange(8)
-                frame.corrupt_header = bytes(raw)
+                frame = dataclasses.replace(frame, corrupt_header=bytes(raw))
                 self.corrupted_frames += 1
-                sim = port.link.sim
+                sim = port.sim
                 tracer = sim.tracer
                 if tracer.hot:
                     tracer.event(
@@ -137,7 +151,7 @@ class LinkImpairment:
                         getattr(packet, "trace_ctx", None),
                         bytes=frame.wire_size,
                     )
-        return True
+        return frame
 
 
 class LinkPort:
@@ -165,6 +179,13 @@ class LinkPort:
 
     def __init__(self, link: "Link", name: str, queue_capacity: int):
         self.link = link
+        # The link's kernel, tracer, taps and delay memo, held for the
+        # per-frame path (the tracer is configured in place, never
+        # replaced, and the taps list and memo are only ever added to).
+        self.sim = link.sim
+        self.tracer = link.sim.tracer
+        self._taps = link.taps
+        self._tx_delays = link._tx_delays
         self.name = name
         self.queue_capacity = queue_capacity
         self.peer: Optional["LinkPort"] = None
@@ -174,6 +195,8 @@ class LinkPort:
         self.rx_latency = 0.0
         #: Profiling scope the delivery event opens around the device.
         self._rx_scope = ""
+        #: The delivery callback, bound once.
+        self._deliver_cb = self._deliver
         #: Virtual time the wire is next free.
         self._busy_until = 0.0
         #: Slot start times of the booked frames that wait for the wire
@@ -228,29 +251,44 @@ class LinkPort:
         Returns False (and counts a drop) if the transmit queue is full."""
         link = self.link
         impairment = link.impairment
-        if impairment is not None and not impairment.admit(self, frame):
-            self.dropped_frames += 1
-            self.impairment_dropped_frames += 1
-            return False
-        sim = link.sim
+        if impairment is not None:
+            frame = impairment.admit(self, frame)
+            if frame is None:
+                self.dropped_frames += 1
+                self.impairment_dropped_frames += 1
+                return False
+        sim = self.sim
         now = sim.now
         if earliest < now:
             earliest = now
-        waiting = self._waiting
-        while waiting and waiting[0] <= now:
-            waiting.popleft()
-        tracer = sim.tracer
-        capacity = self.queue_capacity
-        if len(waiting) >= capacity and self._waiting_after(earliest) >= capacity:
-            self.dropped_frames += 1
-            if tracer.hot:
-                tracer.event(
-                    earliest, self.name, "drop-queue-full",
-                    getattr(frame.payload, "trace_ctx", None),
-                    bytes=frame.wire_size,
-                )
-            return False
-        if tracer.active:
+        start = self._busy_until
+        if start > earliest:
+            # Only a frame that finds the wire busy ever waits, and only
+            # a waiting frame can find the queue full: on an idle wire
+            # every booked slot has started by ``earliest``.
+            waiting = self._waiting
+            while waiting and waiting[0] <= now:
+                waiting.popleft()
+            capacity = self.queue_capacity
+            if len(waiting) >= capacity and self._waiting_after(earliest) >= capacity:
+                self.dropped_frames += 1
+                tracer = self.tracer
+                if tracer.hot:
+                    tracer.event(
+                        earliest, self.name, "drop-queue-full",
+                        getattr(frame.payload, "trace_ctx", None),
+                        bytes=frame.wire_size,
+                    )
+                return False
+            waiting.append(start)
+            if earliest > now:
+                entering = self._entering
+                while entering and entering[0] <= now:
+                    entering.popleft()
+                entering.append(earliest)
+        else:
+            start = earliest
+        if self.tracer.active:
             packet = frame.payload
             if getattr(packet, "trace_ctx", None) is not None:
                 # Stamp the hop start and the causal parent.  A switch
@@ -262,20 +300,9 @@ class LinkPort:
                 frame.trace_t0 = earliest
                 frame.trace_parent = getattr(packet, "trace_parent", None)
         size = frame.wire_size
-        tx_delay = link._tx_delays.get(size)
+        tx_delay = self._tx_delays.get(size)
         if tx_delay is None:
             tx_delay = link.serialization_delay(size)
-        start = self._busy_until
-        if start > earliest:
-            # Only a frame that finds the wire busy ever waits.
-            waiting.append(start)
-            if earliest > now:
-                entering = self._entering
-                while entering and entering[0] <= now:
-                    entering.popleft()
-                entering.append(earliest)
-        else:
-            start = earliest
         end = self._busy_until = start + tx_delay
         self.tx_frames += 1
         self.tx_bytes += size
@@ -284,14 +311,14 @@ class LinkPort:
             delay += impairment.extra_delay
         # Arrival first, then the receiver's latency: the association
         # matches a hand-off event scheduled at arrival.
-        sim.schedule_at(end + delay + self.peer.rx_latency, self._deliver, frame, size)
+        sim.schedule_at(end + delay + self.peer.rx_latency, self._deliver_cb, frame, size)
         return True
 
     @property
     def queue_depth(self) -> int:
         """Frames currently waiting (not counting the one on the wire, nor
         frames still inside the sender's latency)."""
-        now = self.link.sim.now
+        now = self.sim.now
         waiting = self._waiting
         while waiting and waiting[0] <= now:
             waiting.popleft()
@@ -318,8 +345,7 @@ class LinkPort:
         peer = self.peer
         peer.rx_frames += 1
         peer.rx_bytes += size
-        link = self.link
-        if link.taps or link.sim.tracer.active:
+        if self._taps or self.tracer.active:
             self._observe(frame, size, peer)
         device = peer.device
         if device is None:
@@ -339,12 +365,11 @@ class LinkPort:
     def _observe(self, frame: EthernetFrame, size: int, peer: "LinkPort") -> None:
         """Close the frame's ``link.tx`` span and feed the taps, both at
         the frame's arrival."""
-        sim = self.link.sim
-        arrival = sim.now - peer.rx_latency
+        arrival = self.sim.now - peer.rx_latency
         packet = frame.payload
         ctx = getattr(packet, "trace_ctx", None)
-        if ctx is not None and sim.tracer.active:
-            record = sim.tracer.span(
+        if ctx is not None and self.tracer.active:
+            record = self.tracer.span(
                 ctx, "link.tx", self.name,
                 getattr(frame, "trace_t0", arrival), arrival,
                 parent=getattr(frame, "trace_parent", None),
@@ -353,7 +378,7 @@ class LinkPort:
             # Re-stamp before the synchronous hand-off so the receiving
             # device captures this hop as its parent.
             packet.trace_parent = record.span_id
-        for tap in self.link.taps:
+        for tap in self._taps:
             tap.observe(arrival, frame, self, peer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -387,6 +412,9 @@ class Link:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
         if propagation_delay < 0:
             raise ValueError(f"propagation delay must be >= 0, got {propagation_delay}")
+        if queue_capacity < 1:
+            # A frame may always take an idle wire (see LinkPort.send).
+            raise ValueError(f"queue capacity must be >= 1, got {queue_capacity}")
         self.sim = sim
         self.name = name
         self.bandwidth_bps = float(bandwidth_bps)

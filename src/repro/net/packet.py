@@ -506,13 +506,11 @@ class EthernetFrame:
     dst_mac: MacAddress
     payload: Union[Ipv4Packet, ArpMessage, RawPayload]
     ethertype: int = ETHERTYPE_IPV4
-    #: Monotonic frame id assigned by the sender, for tracing.
-    frame_id: int = field(default=0, compare=False)
-    #: Bit-flipped serialized IPv4 header attached by an in-flight
-    #: corruption fault (:class:`repro.net.link.LinkImpairment`); a
-    #: receiving NIC re-verifies the RFC 1071 checksum over it and
-    #: discards the frame when verification fails.  None on the healthy
-    #: path.
+    #: Bit-flipped serialized IPv4 header carried by the copy of a
+    #: frame that an in-flight corruption fault transmits
+    #: (:class:`repro.net.link.LinkImpairment`); a receiving NIC
+    #: re-verifies the RFC 1071 checksum over it and discards the frame
+    #: when verification fails.  None on the healthy path.
     corrupt_header: Optional[bytes] = field(default=None, compare=False)
     #: Frame size on the wire in bytes, including FCS and min-frame
     #: padding.  Computed once at construction: every link hop reads it,

@@ -2,7 +2,7 @@
 
 Models the 3Com SuperStack-class switch of the paper's testbed (Figure 1):
 
-* MAC learning with an optional ageing time,
+* MAC learning (entries never age out),
 * store-and-forward: a frame is fully received before it is queued on the
   egress port (the ingress link model already delivers whole frames, so
   the switch adds only its forwarding latency),
@@ -17,11 +17,12 @@ microseconds and its fabric is non-blocking.
 Forwarding is **learned-table dispatch**: the learning table maps a MAC
 straight to its egress port, so the per-frame hot path is one dict probe
 to learn the source (writing only when the binding changes) and one to
-look the destination up.  Last-seen timestamps are maintained in a side
-table only when an ageing time is configured — the default no-ageing
-configuration pays no per-frame timestamp write or tuple allocation,
-which is what keeps 200+-host fabrics tractable
-(see :class:`~repro.net.topology.FabricTopology`).
+look the destination up, which is what keeps 200+-host fabrics tractable
+(see :class:`~repro.net.topology.FabricTopology`).  A known unicast to
+another port, with no port quarantined or failed and the span tracer
+off, goes straight to the egress port's :meth:`~repro.net.link.LinkPort.send`;
+:meth:`EthernetSwitch._dispatch` handles everything else (flooding,
+trace spans, blocked ports, a destination on the ingress segment).
 
 Per-hop cost: no kernel event of its own.  The lookup runs at ingress,
 as in a real switch, and books the egress slot at once with
@@ -29,10 +30,10 @@ as in a real switch, and books the egress slot at once with
 (:meth:`~repro.net.link.LinkPort.send`), so every slot and arrival time
 is the one a forwarding event after the latency would have produced.
 Egress state — the learned binding of the destination, quarantine,
-port failure, the link's impairment, MAC ageing — is therefore read at
-the lookup.  (A binding could move inside the latency only if frames
-from one MAC reached the switch on two ports; every NIC sends from its
-host's own MAC and the fabric is a tree, so that needs an explicit
+port failure, the link's impairment — is therefore read at the lookup.
+(A binding could move inside the latency only if frames from one MAC
+reached the switch on two ports; every NIC sends from its host's own
+MAC and the fabric is a tree, so that needs an explicit
 :meth:`EthernetSwitch.learn`.)  Two cases keep that event:
 
 * an unknown unicast waits out the latency before it floods, because
@@ -63,9 +64,6 @@ class EthernetSwitch:
         For traces and repr.
     forwarding_latency:
         Fixed per-frame fabric latency (lookup + queuing decision).
-    mac_ageing_time:
-        Learned entries older than this are ignored (and relearned).
-        ``None`` disables ageing, which suits short experiments.
     """
 
     #: Wall-clock profiling bucket of the deferred forwarding events, and
@@ -78,19 +76,15 @@ class EthernetSwitch:
         sim: Simulator,
         name: str = "switch",
         forwarding_latency: float = units.microseconds(5),
-        mac_ageing_time: Optional[float] = None,
     ):
         self.sim = sim
+        #: The kernel's tracer (configured in place, never replaced).
+        self._tracer = sim.tracer
         self.name = name
         self.forwarding_latency = float(forwarding_latency)
-        self.mac_ageing_time = mac_ageing_time
         self._ports: List[LinkPort] = []
         #: Learned-table dispatch: MAC -> egress port, probed once per frame.
         self._mac_to_port: Dict[MacAddress, LinkPort] = {}
-        #: MAC -> last-seen time; maintained only when ageing is on.
-        self._mac_seen: Optional[Dict[MacAddress, float]] = (
-            {} if mac_ageing_time is not None else None
-        )
         #: Administratively blocked ports (flood mitigation): frames
         #: arriving from or destined to a quarantined port are dropped.
         #: Kept as a set so the empty-set truthiness check keeps the
@@ -132,8 +126,6 @@ class EthernetSwitch:
         (see :meth:`~repro.net.topology.FabricTopology.prime_mac_tables`).
         """
         self._mac_to_port[mac] = port
-        if self._mac_seen is not None:
-            self._mac_seen[mac] = self.sim.now
 
     def quarantine_port(self, port: LinkPort, quarantined: bool = True) -> None:
         """Administratively block (or release) one switch port.
@@ -177,17 +169,8 @@ class EthernetSwitch:
         return port in self._failed
 
     def mac_table(self) -> Dict[MacAddress, LinkPort]:
-        """A snapshot of the current (non-aged) learning table."""
-        seen = self._mac_seen
-        if seen is None:
-            return dict(self._mac_to_port)
-        now = self.sim.now
-        ageing = self.mac_ageing_time
-        return {
-            mac: port
-            for mac, port in self._mac_to_port.items()
-            if (now - seen[mac]) <= ageing
-        }
+        """A snapshot of the learning table."""
+        return dict(self._mac_to_port)
 
     # ------------------------------------------------------------------
     # FrameSink interface
@@ -196,20 +179,18 @@ class EthernetSwitch:
     def receive_frame(self, frame: EthernetFrame, port: LinkPort) -> None:
         """Learn the source, look the destination up and book the egress
         slot from the end of the fabric latency."""
-        if self._quarantined and port in self._quarantined:
+        quarantined = self._quarantined
+        if quarantined and port in quarantined:
             self.quarantined_frames += 1
             return
-        if self._failed and port in self._failed:
+        failed = self._failed
+        if failed and port in failed:
             self.blackholed_frames += 1
             return
-        src = frame.src_mac
         table = self._mac_to_port
-        if table.get(src) is not port:
-            table[src] = port
+        if table.get(frame.src_mac) is not port:
+            table[frame.src_mac] = port
         now = self.sim.now
-        seen = self._mac_seen
-        if seen is not None:
-            seen[src] = now
         earliest = now + self.forwarding_latency
         if now > self._deferred_until:
             dst = frame.dst_mac
@@ -217,17 +198,19 @@ class EthernetSwitch:
             if dst & (1 << 40):
                 self._dispatch(frame, port, None, earliest)
                 return
-            # _lookup, inlined: this runs once per frame, and ageing is
-            # off unless mac_ageing_time is set.
             egress = table.get(dst)
-            if (
-                seen is not None
-                and egress is not None
-                and egress is not port
-                and (now - seen[dst]) > self.mac_ageing_time
-            ):
-                egress = None
             if egress is not None:
+                if (
+                    egress is not port
+                    and not quarantined
+                    and not failed
+                    and not self._tracer.active
+                ):
+                    # Known unicast: _dispatch's forwarding branch, inlined.
+                    self.forwarded_frames += 1
+                    if not egress.send(frame, earliest):
+                        self.dropped_frames += 1
+                    return
                 self._dispatch(frame, port, egress, earliest)
                 return
         # An unknown unicast waits out the latency (its destination may be
@@ -238,19 +221,10 @@ class EthernetSwitch:
 
     # ------------------------------------------------------------------
 
-    def _lookup(self, dst: MacAddress, ingress: LinkPort) -> Optional[LinkPort]:
-        """The learned egress port for unicast ``dst``, or None (flood)."""
-        egress = self._mac_to_port.get(dst)
-        if egress is not None and egress is not ingress:
-            seen = self._mac_seen
-            if seen is not None and (self.sim.now - seen[dst]) > self.mac_ageing_time:
-                return None
-        return egress
-
     def _forward(self, frame: EthernetFrame, ingress: LinkPort, earliest: float) -> None:
         """The deferred lookup, a forwarding latency after ingress."""
         dst = frame.dst_mac
-        egress = None if dst & (1 << 40) else self._lookup(dst, ingress)
+        egress = None if dst & (1 << 40) else self._mac_to_port.get(dst)
         self._dispatch(frame, ingress, egress, earliest)
 
     def _dispatch(
@@ -262,7 +236,7 @@ class EthernetSwitch:
     ) -> None:
         """Send ``frame`` out of ``egress`` (flood if None), its egress
         slots starting at ``earliest``."""
-        tracer = self.sim.tracer
+        tracer = self._tracer
         if tracer.active:
             packet = frame.payload
             ctx = getattr(packet, "trace_ctx", None)

@@ -59,8 +59,6 @@ class FabricTopology:
         Inter-switch trunk parameters.  Defaults: gigabit trunks, the
         access propagation delay, and 4x the access queue bound (trunks
         aggregate many stations).
-    mac_ageing_time:
-        Passed to every switch.
     """
 
     def __init__(
@@ -76,7 +74,6 @@ class FabricTopology:
         trunk_bandwidth_bps: Optional[float] = None,
         trunk_propagation_delay: Optional[float] = None,
         trunk_queue_capacity: Optional[int] = None,
-        mac_ageing_time: Optional[float] = None,
     ):
         if spine_count < 1:
             raise ValueError(f"spine_count must be >= 1, got {spine_count}")
@@ -104,11 +101,11 @@ class FabricTopology:
             else [f"{name}.spine{index}" for index in range(spine_count)]
         )
         self.spines: List[EthernetSwitch] = [
-            EthernetSwitch(sim, name=switch_name, mac_ageing_time=mac_ageing_time)
+            EthernetSwitch(sim, name=switch_name)
             for switch_name in spine_names
         ]
         self.leaves: List[EthernetSwitch] = [
-            EthernetSwitch(sim, name=f"{name}.leaf{index}", mac_ageing_time=mac_ageing_time)
+            EthernetSwitch(sim, name=f"{name}.leaf{index}")
             for index in range(leaf_count)
         ]
         #: Inter-switch trunk links, in creation order.

@@ -11,11 +11,20 @@ A NIC sits between a :class:`~repro.host.Host` and a
 Subclasses implement the device-specific processing by overriding
 ``_process_egress`` and ``_process_ingress``.  The link's delivery event
 opens the NIC's ``profile_rx_scope`` around ``receive_frame``.
+
+Framing reuses the NIC's last :class:`~repro.net.packet.EthernetFrame`
+while it is handed the same packet object for the same destination MAC.
+Only a fixed-source flood sends one packet object again and again (its
+template; see :class:`~repro.apps.flood.FloodGenerator`), so all its
+frames are one object too.  That is sound because nothing writes into
+a sent frame: a corruption fault transmits a corrupted copy
+(:meth:`~repro.net.link.LinkImpairment.admit`), and the trace stamps
+are written only under an armed tracer, for which the flood builds a
+fresh packet, and so a fresh frame, per send.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.net.addresses import MacAddress
@@ -51,7 +60,8 @@ class BaseNic:
         self.profile_rx_scope = f"{self.profile_category}.rx"
         self.host = None
         self.port: Optional[LinkPort] = None
-        self._frame_ids = itertools.count(1)
+        #: The last frame sent, reused for the same packet to the same MAC.
+        self._last_frame: Optional[EthernetFrame] = None
         # Counters
         self.frames_received = 0
         self.frames_sent = 0
@@ -118,10 +128,10 @@ class BaseNic:
         if port is None:
             raise RuntimeError(f"NIC {self.name} not attached to a link")
         self.frames_sent += 1
-        port.send(
-            EthernetFrame(self.host.mac, dst_mac, packet, frame_id=next(self._frame_ids)),
-            earliest,
-        )
+        frame = self._last_frame
+        if frame is None or frame.payload is not packet or frame.dst_mac != dst_mac:
+            frame = self._last_frame = EthernetFrame(self.host.mac, dst_mac, packet)
+        port.send(frame, earliest)
 
     def send_arp_frame(self, frame: EthernetFrame) -> None:
         """Transmit an ARP frame, bypassing the policy engine, after the

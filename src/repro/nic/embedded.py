@@ -12,7 +12,9 @@ Everything the paper measured falls out of this one mechanism:
 
 * bandwidth loss grows with rule depth (Figure 2),
 * a flood of cheap small frames starves the processor and fills the ring,
-  tail-dropping legitimate traffic (Figure 3a),
+  tail-dropping legitimate traffic (Figure 3a); a frame the processor
+  refuses (ring full, or the card wedged) is counted without a work
+  item being built for it,
 * allowed floods cost double (the host's RST/ICMP responses cross the
   same processor on the way out), so denying flood traffic doubles the
   required flood rate (Figure 3b),
@@ -252,8 +254,17 @@ class EmbeddedFirewallNic(BaseNic):
                     getattr(packet, "trace_ctx", None), packet=packet.describe(),
                 )
             return
-        item = _WorkItem(_RX, packet, frame.wire_size)
+        processor = self.processor
         tracer = self.sim.tracer
+        if processor.refuses() and not tracer.hot:
+            # A wedged card or a full ring refuses the frame: offer counts
+            # the refusal (dropped_paused or dropped_full) and reads
+            # nothing of what it is offered, so no work item is built.
+            # Under a hot tracer the item goes through, for the drop
+            # event's trace context.
+            processor.offer(packet)
+            return
+        item = _WorkItem(_RX, packet, frame.wire_size)
         if tracer.active:
             ctx = getattr(packet, "trace_ctx", None)
             if ctx is not None:
@@ -263,7 +274,7 @@ class EmbeddedFirewallNic(BaseNic):
                 # time the shared context head may belong to another
                 # branch of the same (switch-flooded) frame.
                 item.parent = getattr(packet, "trace_parent", None)
-        self.processor.offer(item)
+        processor.offer(item)
 
     def _process_egress(self, packet: Ipv4Packet, dst_mac: MacAddress) -> None:
         frame_bytes = max(

@@ -119,6 +119,11 @@ class ServiceQueue:
             self._start_next()
         return True
 
+    def refuses(self) -> bool:
+        """True when :meth:`offer` would drop an item offered now (paused,
+        or at capacity), so a caller can skip building it."""
+        return self._paused or len(self._queue) >= self.capacity
+
     @property
     def depth(self) -> int:
         """Items waiting for service (excluding the one in service)."""

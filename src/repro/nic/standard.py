@@ -30,10 +30,12 @@ class StandardNic(BaseNic):
     has no per-byte or per-rule part.  Neither direction schedules an
     event of its own:
 
-    * egress frames the packet at once and books its wire slot from
-      ``now + latency`` (:meth:`LinkPort.send`'s ``earliest``): one fixed
-      latency keeps frames in order, so the slot is the one a later
-      hand-off would have booked.  ARP frames take the same pipeline, so
+    * egress frames the packet at once (inline, reusing the last frame
+      for the same packet and MAC as :meth:`BaseNic._transmit_frame`
+      does) and books its wire slot from ``now + latency``
+      (:meth:`LinkPort.send`'s ``earliest``): one fixed latency keeps
+      frames in order, so the slot is the one a later hand-off would
+      have booked.  ARP frames take the same pipeline, so
       this NIC books its port in nondecreasing ``earliest`` order.
       ``frames_sent`` counts, and the link's egress state is read, as
       the host hands the frame down;
@@ -68,7 +70,15 @@ class StandardNic(BaseNic):
                         parent=getattr(packet, "trace_parent", None),
                     )
                     packet.trace_parent = record.span_id
-            self._transmit_frame(packet, dst_mac, handover)
+            # _transmit_frame, inlined: this runs once per sent frame.
+            port = self.port
+            if port is None:
+                raise RuntimeError(f"NIC {self.name} not attached to a link")
+            self.frames_sent += 1
+            frame = self._last_frame
+            if frame is None or frame.payload is not packet or frame.dst_mac != dst_mac:
+                frame = self._last_frame = EthernetFrame(self.host.mac, dst_mac, packet)
+            port.send(frame, handover)
         finally:
             if profiler is not None:
                 profiler.exit()

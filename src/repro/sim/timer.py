@@ -291,10 +291,11 @@ class TimerWheel:
         # The driving event has fired; clear it first so callbacks that
         # insert entries re-arm the next tick (not a duplicate of it).
         self._event = None
-        self._tick_index += 1
+        now_tick = self._tick_index = self._tick_index + 1
         self.ticks_executed += 1
-        now_tick = self._tick_index
-        slot = self._slots[now_tick % len(self._slots)]
+        slots = self._slots
+        slot_count = len(slots)
+        slot = slots[now_tick % slot_count]
         if slot:
             keep: List[WheelTimer] = []
             due: List[WheelTimer] = []
@@ -314,9 +315,10 @@ class TimerWheel:
                     self._live -= 1
                     continue
                 entry.fired += 1
-                if entry._period_ticks is not None:
-                    entry._expiry_tick = now_tick + entry._period_ticks
-                    self._slots[entry._expiry_tick % len(self._slots)].append(entry)
+                period = entry._period_ticks
+                if period is not None:
+                    expiry = entry._expiry_tick = now_tick + period
+                    slots[expiry % slot_count].append(entry)
                 else:
                     self._live -= 1
                 if profiling:

@@ -118,6 +118,8 @@ class TestLink:
             Link(sim, bandwidth_bps=0)
         with pytest.raises(ValueError):
             Link(sim, propagation_delay=-1)
+        with pytest.raises(ValueError):
+            Link(sim, queue_capacity=0)
 
 
 class TestSerializerExactness:
@@ -383,22 +385,6 @@ class TestSwitch:
         after = [len(s.frames) for _, s in sinks]
         assert before == after  # nothing delivered anywhere
 
-    def test_mac_ageing_causes_reflood(self, sim):
-        switch = EthernetSwitch(sim, mac_ageing_time=0.5)
-        links = []
-        for index in range(3):
-            link = Link(sim, name=f"l{index}")
-            switch.attach_port(link.port_a)
-            sink = Sink(sim)
-            link.port_b.attach(sink)
-            links.append((link, sink))
-        links[1][0].port_b.send(make_frame(src_index=2, dst_index=1))
-        sim.run()
-        # After the ageing time, the entry for host 2 is stale.
-        sim.schedule(1.0, lambda: links[0][0].port_b.send(make_frame(src_index=1, dst_index=2)))
-        sim.run()
-        assert len(links[2][1].frames) >= 2  # initial flood + re-flood
-
     def test_drop_counting_on_egress_overflow(self, sim):
         # Two ingress ports converging on one same-speed egress port: the
         # 2-frame egress queue must overflow and the switch must count it.
@@ -517,6 +503,64 @@ class TestSwitchFold:
         assert out.port_a.tx_frames == 3
         sim.run()
         assert depths == [0, 0, 2]
+
+
+class TestUnicastFastPath:
+    """A known unicast goes straight to the egress port's ``send`` only
+    while no port is blocked and the tracer is off; the rest goes
+    through ``_dispatch``, with the same outcome."""
+
+    def _known(self, sim):
+        switch, sinks = wire_switch(sim)
+        switch.learn(MacAddress.from_index(2), sinks[1][0].port_a)
+        return switch, sinks
+
+    def test_quarantined_egress_port_gets_nothing(self, sim):
+        switch, sinks = self._known(sim)
+        switch.quarantine_port(sinks[1][0].port_a)
+        sinks[0][0].port_b.send(make_frame(src_index=1, dst_index=2))
+        sim.run()
+        assert sinks[1][1].frames == []
+        assert switch.quarantined_frames == 1 and switch.forwarded_frames == 0
+
+    def test_failed_egress_port_gets_nothing(self, sim):
+        switch, sinks = self._known(sim)
+        switch.fail_port(sinks[1][0].port_a)
+        sinks[0][0].port_b.send(make_frame(src_index=1, dst_index=2))
+        sim.run()
+        assert sinks[1][1].frames == []
+        assert switch.blackholed_frames == 1 and switch.forwarded_frames == 0
+
+    def test_a_blocked_bystander_port_leaves_unicast_delivered(self, sim):
+        switch, sinks = self._known(sim)
+        switch.quarantine_port(sinks[2][0].port_a)
+        switch.fail_port(sinks[2][0].port_a)
+        sinks[0][0].port_b.send(make_frame(src_index=1, dst_index=2))
+        sim.run()
+        assert [when for when, _ in sinks[1][1].frames] == [3.256e-05]
+        assert switch.forwarded_frames == 1
+
+    def test_destination_learned_on_the_ingress_port_is_not_forwarded(self, sim):
+        switch, sinks = wire_switch(sim)
+        switch.learn(MacAddress.from_index(2), sinks[0][0].port_a)
+        sinks[0][0].port_b.send(make_frame(src_index=1, dst_index=2))
+        sim.run()
+        assert all(sink.frames == [] for _, sink in sinks)
+        assert switch.forwarded_frames == switch.flooded_frames == 0
+
+    def test_traced_unicast_gets_one_forward_span_per_frame(self, sim):
+        switch, sinks = self._known(sim)
+        sim.tracer.configure(spans=True)
+        frames = [make_frame(src_index=1, dst_index=2) for _ in range(3)]
+        for frame in frames:
+            sim.tracer.begin(frame.payload)
+            sinks[0][0].port_b.send(frame)
+        sim.run()
+        spans = [span for span in sim.tracer.spans() if span.name == "switch.forward"]
+        assert len(spans) == switch.forwarded_frames == len(sinks[1][1].frames) == 3
+        assert {span.trace_id for span in spans} == {
+            frame.payload.trace_ctx.trace_id for frame in frames
+        }
 
 
 class TestTopology:

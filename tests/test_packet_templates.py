@@ -6,6 +6,10 @@ wrapped in its own IP packet).  Both are bypassed where a packet must
 be distinct: randomised sources, and an armed span tracer, which roots
 a chain only on a packet that has no trace context yet.  Results are
 the same either way.
+
+The sending NIC frames a repeated packet once too, and an embedded
+firewall card that refuses a flood frame (ring full, or wedged) counts
+the refusal without building a work item for it.
 """
 
 from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
@@ -13,7 +17,16 @@ from repro.core.methodology import FloodToleranceValidator, MeasurementSettings
 from repro.core.parallel import SweepExecutor, SweepPointSpec
 from repro.core.testbed import DeviceKind
 from repro.experiments import results
+from repro.firewall.builders import deny_all
+from repro.host.host import Host
+from repro.net.addresses import Ipv4Address, MacAddress
+from repro.net.link import LinkImpairment
+from repro.net.topology import FabricTopology
+from repro.nic import embedded
+from repro.nic.efw import EfwNic
+from repro.nic.standard import StandardNic
 from repro.obs.tracing import TraceCollector, TraceConfig
+from repro.sim.rng import RngRegistry
 
 
 class TestTemplates:
@@ -79,6 +92,159 @@ class TestTemplates:
         for packet in resets:
             assert packet.payload.src_port == ports[packet.dst]
         assert len({id(packet.payload) for packet in resets}) >= 2
+
+
+def _frames_sent_by(host):
+    """Every frame ``host``'s NIC hands its link, in order."""
+    port = host.nic.port
+    frames = []
+    original = port.send
+
+    def send(frame, earliest=0.0):
+        frames.append(frame)
+        return original(frame, earliest)
+
+    port.send = send
+    return frames
+
+
+class TestFramedOnce:
+    def test_fixed_source_flood_hands_the_link_one_frame(self, trinet):
+        mallory, bob = trinet["mallory"], trinet["bob"]
+        frames = _frames_sent_by(mallory)
+        flood = FloodGenerator(mallory, FloodSpec(kind=FloodKind.TCP_ACK, dst_port=5001))
+        flood.start(bob.ip, rate_pps=1000, duration=0.05)
+        trinet.run(0.1)
+        assert len(frames) == flood.packets_sent == mallory.nic.frames_sent > 10
+        assert all(frame is frames[0] for frame in frames)
+        assert frames[0].dst_mac == bob.mac and frames[0].src_mac == mallory.mac
+        assert frames[0].payload.payload.seq == 1
+
+    def test_randomized_source_frames_are_distinct(self, trinet):
+        mallory, bob = trinet["mallory"], trinet["bob"]
+        frames = _frames_sent_by(mallory)
+        flood = FloodGenerator(mallory, FloodSpec(kind=FloodKind.UDP, randomize_src=True))
+        flood.start(bob.ip, rate_pps=1000, duration=0.05)
+        trinet.run(0.1)
+        assert len({id(frame) for frame in frames}) == len(frames) == flood.packets_sent > 10
+
+    def test_armed_tracer_gets_a_fresh_frame_per_send(self, trinet):
+        mallory, bob = trinet["mallory"], trinet["bob"]
+        trinet.sim.tracer.configure(spans=True)
+        frames = _frames_sent_by(mallory)
+        flood = FloodGenerator(mallory)
+        flood.start(bob.ip, rate_pps=1000, duration=0.05)
+        trinet.run(0.1)
+        assert len({id(frame) for frame in frames}) == len(frames) == flood.packets_sent > 10
+        assert len({frame.payload.trace_ctx for frame in frames}) == len(frames)
+
+    def test_same_packet_to_another_mac_is_framed_again(self, trinet):
+        alice, mallory, bob = trinet["alice"], trinet["mallory"], trinet["bob"]
+        frames = _frames_sent_by(mallory)
+        packet = FloodGenerator(mallory)._build_packet()
+        for dst_mac in (bob.mac, bob.mac, alice.mac, bob.mac):
+            mallory.nic.send_packet(packet, dst_mac)
+        first, second, third, fourth = frames
+        assert second is first and third is not first and fourth is not third
+        assert [frame.dst_mac for frame in frames] == [bob.mac, bob.mac, alice.mac, bob.mac]
+        assert all(frame.payload is packet for frame in frames)
+
+
+    def test_corruption_burst_leaves_the_template_frame_clean(self, trinet):
+        mallory, bob = trinet["mallory"], trinet["bob"]
+        impairment = LinkImpairment(corrupt=True, rng=trinet.rng.stream("corrupt"))
+        trinet.topology.link_for("mallory").impairment = impairment
+        sent = _frames_sent_by(mallory)
+        arrived = []
+        receive = bob.nic.receive_frame
+        bob.nic.receive_frame = lambda frame, port: (arrived.append(frame), receive(frame, port))
+        flood = FloodGenerator(mallory, FloodSpec(kind=FloodKind.UDP, dst_port=9))
+        flood.start(bob.ip, rate_pps=1000, duration=0.05)
+        trinet.run(0.1)
+        template = sent[0]
+        assert all(frame is template for frame in sent)
+        assert template.corrupt_header is None
+        # Every frame crossed the corrupting link as its own copy.
+        assert len(arrived) == len(sent) == impairment.corrupted_frames > 10
+        assert len({id(frame) for frame in arrived}) == len(arrived)
+        assert all(frame is not template for frame in arrived)
+        assert all(frame.corrupt_header is not None for frame in arrived)
+        assert all(frame.payload is template.payload for frame in arrived)
+        assert bob.nic.checksum_drops > 0
+
+
+def _pair(sim, mallory_nic, bob_nic):
+    """mallory and bob on one switch, mallory knowing bob's MAC."""
+    rng = RngRegistry(7)
+    topology = FabricTopology(sim, leaf_count=0)
+    hosts = []
+    for index, (name, nic) in enumerate((("mallory", mallory_nic), ("bob", bob_nic)), start=1):
+        host = Host(sim, name, Ipv4Address(f"10.0.0.{index}"), MacAddress.from_index(index), rng)
+        nic.attach(topology.add_station(name))
+        host.attach_nic(nic)
+        hosts.append(host)
+    mallory, bob = hosts
+    mallory.ip_layer.arp_table[bob.ip] = bob.mac
+    return mallory, bob
+
+
+def test_embedded_card_frames_a_repeated_packet_once(sim):
+    mallory, bob = _pair(sim, EfwNic(sim, name="mallory.efw"), StandardNic(sim))
+    frames = _frames_sent_by(mallory)
+    flood = FloodGenerator(mallory)
+    flood.start(bob.ip, rate_pps=1000, duration=0.05)
+    sim.run(until=0.1)
+    assert len(frames) == flood.packets_sent == mallory.nic.tx_allowed > 10
+    assert all(frame is frames[0] for frame in frames)
+
+
+def _flooded_efw(sim, tracer_spans=False):
+    """mallory (standard NIC) floods bob's deny-all EFW with one
+    fixed-source template packet at 120 k pps: faster than the card's
+    processor, so its ring fills before the deny rate wedges it."""
+    mallory, bob = _pair(sim, StandardNic(sim, name="mallory.nic"), EfwNic(sim))
+    bob.nic.install_policy(deny_all())
+    if tracer_spans:
+        sim.tracer.configure(spans=True)
+    FloodGenerator(mallory).start(bob.ip, rate_pps=120_000, duration=0.02)
+    sim.run(until=0.03)
+    return bob.nic
+
+
+class TestRefusedFrames:
+    def test_wedged_efw_builds_no_work_item_for_a_refused_frame(self, sim, monkeypatch):
+        built = []
+
+        class CountedItem(embedded._WorkItem):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.kind)
+
+        monkeypatch.setattr(embedded, "_WorkItem", CountedItem)
+        nic = _flooded_efw(sim)
+        processor = nic.processor
+        assert nic.wedged
+        # Pinned from the tree that built a work item for every frame.
+        assert (processor.accepted, processor.dropped_full, processor.dropped_paused) == (
+            315, 17, 2132,
+        )
+        # A deny-all card sends nothing: every item built is an accepted
+        # ingress frame (the ones queued at the wedge are dropped paused).
+        assert built == ["rx"] * processor.accepted
+
+    def test_hot_tracer_drop_events_keep_the_packets_context(self, sim):
+        nic = _flooded_efw(sim, tracer_spans=True)
+        processor = nic.processor
+        assert nic.wedged
+        paused = sim.tracer.records(source=processor.name, event="drop-paused")
+        full = sim.tracer.records(source=processor.name, event="drop-full")
+        assert len(full) == processor.dropped_full > 0
+        # The wedge drops its queued items in bulk, without an event each.
+        assert 0 < len(paused) < processor.dropped_paused
+        assert all(record.trace_id is not None for record in paused + full)
+        assert len({record.trace_id for record in paused + full}) == len(paused) + len(full)
 
 
 def _efw_flood_point() -> str:
