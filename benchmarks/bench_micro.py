@@ -3,14 +3,16 @@
 These are conventional pytest-benchmark measurements (many rounds): the
 event kernel, timer restarts (the cancel path), rule-set evaluation,
 building a flood frame, a known-unicast frame's trip through a switch,
-a wedged firewall card refusing frames, the toy cipher, and TCP goodput
-per wall-second — useful for catching performance regressions that
-would make the experiment sweeps impractical.
+a wedged firewall card refusing frames, the toy cipher, a VPG seal and
+open round trip, and TCP goodput per wall-second — useful for catching
+performance regressions that would make the experiment sweeps
+impractical.
 """
 
 from __future__ import annotations
 
 from repro.crypto.cipher import KeystreamCipher
+from repro.crypto.keys import VpgKeyStore
 from repro.firewall.builders import padded_ruleset, service_rule
 from repro.firewall.rules import Action, Direction
 from repro.host.host import Host
@@ -224,6 +226,21 @@ def test_keystream_encrypt(benchmark):
 
     ciphertext = benchmark(cipher.encrypt, blob, 1)
     assert cipher.decrypt(ciphertext, 1) == blob
+
+
+def test_vpg_seal_open_roundtrip(benchmark):
+    """One VPG seal and open of a TCP packet carrying 60 real bytes and a
+    size-only tail (an HTTP response segment through the ADF)."""
+    store = VpgKeyStore()
+    sealer, opener = store.context_for(3), store.context_for(3)
+    src, dst = Ipv4Address("10.0.0.2"), Ipv4Address("10.0.0.3")
+    segment = TcpSegment(80, 40000, 1000, 2000, TcpFlags.PSH | TcpFlags.ACK, 65535, 1400, b"x" * 60)
+    inner = Ipv4Packet(src, dst, segment)
+
+    def roundtrip():
+        return opener.open(sealer.seal(inner, src, dst))
+
+    assert benchmark(roundtrip) == inner
 
 
 def test_tcp_goodput_simulation_speed(benchmark):

@@ -24,6 +24,9 @@ import hashlib
 
 BLOCK_SIZE = 8
 
+#: PKCS#7 padding by length: ``_PADDING[n]`` is ``n`` bytes of value ``n``.
+_PADDING = tuple(bytes([length]) * length for length in range(BLOCK_SIZE + 1))
+
 
 class KeystreamCipher:
     """PKCS#7 padding XORed with a SHAKE-256 (key, nonce) keystream."""
@@ -45,24 +48,15 @@ class KeystreamCipher:
     def encrypt(self, plaintext: bytes, nonce: int = 0) -> bytes:
         """Pad and encrypt under a 64-bit ``nonce``; the result is a
         positive block multiple."""
-        return self._xor_keystream(_pad(plaintext), nonce)
+        padded = plaintext + _PADDING[BLOCK_SIZE - len(plaintext) % BLOCK_SIZE]
+        return self._xor_keystream(padded, nonce)
 
     def decrypt(self, ciphertext: bytes, nonce: int = 0) -> bytes:
         """Decrypt and strip padding; raises ValueError on bad input."""
         if len(ciphertext) == 0 or len(ciphertext) % BLOCK_SIZE:
             raise ValueError("ciphertext length must be a positive block multiple")
-        return _unpad(self._xor_keystream(ciphertext, nonce))
-
-
-def _pad(data: bytes) -> bytes:
-    pad_len = BLOCK_SIZE - (len(data) % BLOCK_SIZE)
-    return data + bytes([pad_len]) * pad_len
-
-
-def _unpad(data: bytes) -> bytes:
-    pad_len = data[-1]
-    if pad_len < 1 or pad_len > BLOCK_SIZE:
-        raise ValueError("invalid padding")
-    if data[-pad_len:] != bytes([pad_len]) * pad_len:
-        raise ValueError("invalid padding")
-    return data[:-pad_len]
+        padded = self._xor_keystream(ciphertext, nonce)
+        pad_len = padded[-1]
+        if not 0 < pad_len <= BLOCK_SIZE or padded[-pad_len:] != _PADDING[pad_len]:
+            raise ValueError("invalid padding")
+        return padded[:-pad_len]

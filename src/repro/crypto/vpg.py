@@ -18,6 +18,17 @@ covers the clear header and the ciphertext, giving integrity and sender
 authentication; confidentiality of the headers hides the protected flow's
 ports from on-path observers, as the real VPGs do.
 
+The plaintext is the inner packet's wire form (20-byte IPv4 header with
+its checksum, then the L4 header and the real payload bytes).  A TCP
+inner packet, nearly every VPG packet a run carries, is serialized with
+one precompiled ``struct`` pack and parsed back with one ``unpack_from``
+when the decrypted bytes have the layout the pack writes; every other
+plaintext goes through :meth:`Ipv4Packet.to_bytes` and
+:meth:`Ipv4Packet.from_bytes`.  Either way the bytes are those of
+``Ipv4Packet.to_bytes`` on the inner packet with its size-only tail
+removed.  The TCP header is written without options, so SACK blocks do
+not cross a VPG: the opened segment carries none.
+
 The *time cost* of the cryptography is not modelled here: the ADF NIC
 charges ``c_vpg0 + c_vpg_byte * inner_bytes`` of simulated service time
 per VPG packet (see :mod:`repro.calibration`).
@@ -30,13 +41,14 @@ payload that does not decode as its declared protocol raises
 
 from __future__ import annotations
 
+import hmac
 import struct
-from dataclasses import dataclass
+from dataclasses import field, replace
 
 from repro.crypto.cipher import KeystreamCipher
-from repro.crypto.mac import TAG_SIZE, compute_tag, verify_tag
+from repro.crypto.mac import TAG_SIZE, compute_tag
 from repro.net.addresses import Ipv4Address
-from repro.net.packet import IcmpMessage, IpProtocol, Ipv4Packet, RawPayload, TcpSegment, UdpDatagram
+from repro.net.packet import IpProtocol, Ipv4Packet, RawPayload, TcpFlags, TcpSegment, _slotted
 from repro.obs.profiling import core as _profiling
 
 #: SPI + sequence number.
@@ -44,6 +56,39 @@ VPG_CLEAR_HEADER = 8
 
 #: Clear trailer carrying the size-only payload tail length.
 VPG_TAIL_FIELD = 2
+
+#: Sealed-payload bytes besides the ciphertext and the size-only tail.
+_FIXED_SIZE = VPG_CLEAR_HEADER + VPG_TAIL_FIELD + TAG_SIZE
+
+#: The clear header: SPI, sequence, size-only tail length.
+_CLEAR_HEADER = struct.Struct("!IIH")
+
+# The keystream nonce is the sender's address and its packet sequence,
+# ``(outer src << 32) | sequence``: every member numbers its packets from
+# 1 under the shared group key, so the sequence alone would repeat a
+# keystream across senders.
+
+#: A TCP inner packet's IPv4 and TCP headers: version/IHL, total length,
+#: identification, TTL, protocol, header checksum, source, destination;
+#: then ports, sequence, acknowledgement, data offset, flags and window.
+#: Type of service, fragment offset, TCP checksum and urgent pointer are
+#: zero, as :meth:`Ipv4Packet.to_bytes` writes them.
+_TCP_HEADERS = struct.Struct("!BxHH2xBBHIIHHIIBBH4x")
+_TCP_HEADERS_SIZE = _TCP_HEADERS.size
+
+_MASK32 = 0xFFFFFFFF
+_VERSION_IHL = 0x45
+_DATA_OFFSET = 0x50
+_TCP = IpProtocol.TCP
+_VPG = IpProtocol.VPG
+
+#: TcpFlags by the header's low six flag bits, without an enum call.
+_TCP_FLAGS = tuple(TcpFlags(bits) for bits in range(64))
+
+#: An unpacked 32-bit field is always a valid address, so the opened
+#: packet's addresses skip ``Ipv4Address.__new__``'s parsing and checks.
+_new_int = int.__new__
+_compare_digest = hmac.compare_digest
 
 
 class VpgError(Exception):
@@ -58,7 +103,7 @@ class VpgDecodeError(VpgError):
     """Malformed VPG payload."""
 
 
-@dataclass
+@_slotted()
 class VpgSealedPayload:
     """The L4 payload of an encrypted VPG packet."""
 
@@ -68,21 +113,16 @@ class VpgSealedPayload:
     #: Size-only inner payload bytes not present in the ciphertext.
     inner_tail: int
     tag: bytes
+    #: Wire size of the sealed payload, computed once at construction
+    #: (a sealed payload is never resized after it is built).
+    size: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size(self) -> int:
-        """Wire size of the sealed payload."""
-        return (
-            VPG_CLEAR_HEADER
-            + VPG_TAIL_FIELD
-            + len(self.ciphertext)
-            + self.inner_tail
-            + TAG_SIZE
-        )
+    def __post_init__(self) -> None:
+        self.size = _FIXED_SIZE + len(self.ciphertext) + self.inner_tail
 
     def header_bytes(self) -> bytes:
         """The clear header (covered by the tag)."""
-        return struct.pack("!IIH", self.spi, self.sequence & 0xFFFFFFFF, self.inner_tail)
+        return _CLEAR_HEADER.pack(self.spi, self.sequence & _MASK32, self.inner_tail)
 
     def to_bytes(self) -> bytes:
         """Wire representation (size-only tail as zeros)."""
@@ -137,26 +177,40 @@ class VpgContext:
             profiler.exit()
 
     def _seal(self, inner: Ipv4Packet, outer_src: Ipv4Address, outer_dst: Ipv4Address) -> Ipv4Packet:
-        self._tx_sequence += 1
-        sequence = self._tx_sequence
-        trimmed, tail = _split_size_only_tail(inner)
-        plaintext = trimmed.to_bytes()
-        ciphertext = self.cipher.encrypt(plaintext, _nonce(outer_src, sequence))
-        sealed = VpgSealedPayload(
-            spi=self.vpg_id,
-            sequence=sequence,
-            ciphertext=ciphertext,
-            inner_tail=tail,
-            tag=b"\x00" * TAG_SIZE,
-        )
-        sealed.tag = compute_tag(self.key, sealed.header_bytes() + ciphertext)
+        self._tx_sequence = sequence = self._tx_sequence + 1
+        payload = inner.payload
+        if type(payload) is TcpSegment:
+            data = payload.data
+            tail = payload.payload_size - len(data)
+            src = inner.src
+            dst = inner.dst
+            ttl = inner.ttl
+            protocol = inner.protocol
+            total = _TCP_HEADERS_SIZE + len(data)
+            identification = inner.identification & 0xFFFF
+            # RFC 1071 over the ten header words, the checksum word zero.
+            checksum = (
+                (_VERSION_IHL << 8) + total + identification + (ttl << 8) + protocol
+                + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
+            )
+            checksum = (checksum & 0xFFFF) + (checksum >> 16)
+            checksum = (checksum & 0xFFFF) + (checksum >> 16)
+            plaintext = _TCP_HEADERS.pack(
+                _VERSION_IHL, total, identification, ttl, protocol, ~checksum & 0xFFFF, src, dst,
+                payload.src_port, payload.dst_port, payload.seq & _MASK32, payload.ack & _MASK32,
+                _DATA_OFFSET, payload.flags, payload.window,
+            ) + data
+        else:
+            real = len(payload.data)
+            tail = _payload_length(payload) - real
+            plaintext = (_with_payload_length(inner, real) if tail else inner).to_bytes()
+        ciphertext = self.cipher.encrypt(plaintext, (outer_src << 32) | (sequence & _MASK32))
+        spi = self.vpg_id
+        tag = compute_tag(self.key, _CLEAR_HEADER.pack(spi, sequence & _MASK32, tail) + ciphertext)
         self.packets_sealed += 1
         return Ipv4Packet(
-            src=outer_src,
-            dst=outer_dst,
-            payload=sealed,
-            protocol=IpProtocol.VPG,
-            identification=inner.identification,
+            outer_src, outer_dst, VpgSealedPayload(spi, sequence, ciphertext, tail, tag),
+            _VPG, 64, inner.identification,
         )
 
     def open(self, outer: Ipv4Packet) -> Ipv4Packet:
@@ -174,53 +228,50 @@ class VpgContext:
         sealed = outer.payload
         if not isinstance(sealed, VpgSealedPayload):
             raise VpgDecodeError("packet does not carry a VPG payload")
-        if sealed.spi != self.vpg_id:
+        spi = sealed.spi
+        if spi != self.vpg_id:
             raise VpgDecodeError(
-                f"SPI mismatch: packet {sealed.spi}, context {self.vpg_id}"
+                f"SPI mismatch: packet {spi}, context {self.vpg_id}"
             )
-        if not verify_tag(self.key, sealed.header_bytes() + sealed.ciphertext, sealed.tag):
+        ciphertext = sealed.ciphertext
+        sequence = sealed.sequence
+        tail = sealed.inner_tail
+        tag = compute_tag(self.key, _CLEAR_HEADER.pack(spi, sequence & _MASK32, tail) + ciphertext)
+        if not _compare_digest(tag, sealed.tag):
             self.auth_failures += 1
-            raise VpgAuthError(f"authentication failed for spi={sealed.spi}")
+            raise VpgAuthError(f"authentication failed for spi={spi}")
         try:
-            plaintext = self.cipher.decrypt(
-                sealed.ciphertext, _nonce(outer.src, sealed.sequence)
-            )
+            plaintext = self.cipher.decrypt(ciphertext, (outer.src << 32) | (sequence & _MASK32))
+        except ValueError as exc:
+            raise VpgDecodeError(f"inner packet decode failed: {exc}") from exc
+        end = len(plaintext)
+        if end >= _TCP_HEADERS_SIZE:
+            (version_ihl, total, identification, ttl, protocol, _checksum, src, dst,
+             src_port, dst_port, seq, ack, offset, flags, window) = _TCP_HEADERS.unpack_from(plaintext)
+            if (
+                version_ihl == _VERSION_IHL and protocol == _TCP and total == end and ttl
+                and offset & 0xF0 == _DATA_OFFSET
+            ):
+                self.packets_opened += 1
+                return Ipv4Packet(
+                    _new_int(Ipv4Address, src),
+                    _new_int(Ipv4Address, dst),
+                    TcpSegment(
+                        src_port, dst_port, seq, ack, _TCP_FLAGS[flags & 0x3F], window,
+                        total - _TCP_HEADERS_SIZE + tail, plaintext[_TCP_HEADERS_SIZE:],
+                    ),
+                    _TCP,
+                    ttl,
+                    identification,
+                )
+        try:
             inner = Ipv4Packet.from_bytes(plaintext)
         except ValueError as exc:
             raise VpgDecodeError(f"inner packet decode failed: {exc}") from exc
         self.packets_opened += 1
-        return _restore_size_only_tail(inner, sealed.inner_tail)
-
-
-def _nonce(outer_src: Ipv4Address, sequence: int) -> int:
-    """The keystream nonce: the sender's address and its packet sequence.
-
-    Every member numbers its packets from 1 under the shared group key,
-    so the sequence alone would repeat a keystream across senders.
-    """
-    return (int(outer_src) << 32) | (sequence & 0xFFFFFFFF)
-
-
-def _split_size_only_tail(inner: Ipv4Packet):
-    """Separate the size-only payload tail from the bytes to encrypt.
-
-    Returns ``inner`` itself when every payload byte is real (no tail),
-    else a copy whose L4 payload length covers only the real data bytes;
-    plus the number of size-only tail bytes removed.
-    """
-    payload = inner.payload
-    real = len(payload.data)
-    tail = _payload_length(payload) - real
-    if tail == 0:
-        return inner, 0
-    return _with_payload_length(inner, real), tail
-
-
-def _restore_size_only_tail(inner: Ipv4Packet, tail: int) -> Ipv4Packet:
-    """Re-extend the inner packet's payload by the size-only tail."""
-    if tail == 0:
+        if tail:
+            inner = _with_payload_length(inner, _payload_length(inner.payload) + tail)
         return inner
-    return _with_payload_length(inner, _payload_length(inner.payload) + tail)
 
 
 def _payload_length(payload) -> int:
@@ -231,22 +282,10 @@ def _payload_length(payload) -> int:
 
 
 def _with_payload_length(inner: Ipv4Packet, length: int) -> Ipv4Packet:
-    """A copy of ``inner`` whose L4 payload declares ``length`` bytes.
-
-    Direct positional constructors, in field order: this runs for every
-    VPG packet that carries size-only bytes.
-    """
-    old = inner.payload
-    kind = type(old)
-    if kind is TcpSegment:
-        payload = TcpSegment(
-            old.src_port, old.dst_port, old.seq, old.ack, old.flags, old.window, length, old.data,
-            old.sack_blocks,
-        )
-    elif kind is UdpDatagram:
-        payload = UdpDatagram(old.src_port, old.dst_port, length, old.data)
-    elif kind is IcmpMessage:
-        payload = IcmpMessage(old.icmp_type, old.code, old.identifier, old.sequence, length, old.data)
+    """A copy of ``inner`` whose L4 payload declares ``length`` bytes."""
+    payload = inner.payload
+    if type(payload) is RawPayload:
+        payload = replace(payload, size=length)
     else:
-        payload = RawPayload(length, old.data)
-    return Ipv4Packet(inner.src, inner.dst, payload, inner.protocol, inner.ttl, inner.identification)
+        payload = replace(payload, payload_size=length)
+    return replace(inner, payload=payload)

@@ -129,6 +129,8 @@ class SendBuffer:
     without walking anything.
     """
 
+    __slots__ = ("length", "_chunks")
+
     def __init__(self) -> None:
         self.length = 0
         self._chunks: List[Tuple[int, bytes]] = []
@@ -184,6 +186,8 @@ class ReceiveBuffer:
     starting sequence number; an in-order segment with nothing buffered
     is returned alone, without the reassembly walk.
     """
+
+    __slots__ = ("rcv_nxt", "_out_of_order")
 
     def __init__(self, initial_seq: int):
         self.rcv_nxt = initial_seq
@@ -264,7 +268,22 @@ class TcpConnection:
       which ``data`` are real bytes,
     * ``on_closed(conn)`` -- connection fully closed (or reset),
     * ``on_refused(conn)`` -- connect() was refused or timed out.
+
+    Connections are slotted: a closed-loop HTTP run holds thousands of
+    them in TIME_WAIT at once.
     """
+
+    __slots__ = (
+        "manager", "sim", "local_port", "remote_ip", "remote_port", "state",
+        "on_connected", "on_data", "on_closed", "on_refused",
+        "send_buffer", "iss", "snd_una", "snd_nxt", "mss", "cwnd", "ssthresh",
+        "peer_window", "dup_acks", "recovery_point", "_sack_scoreboard", "_retx_high",
+        "fin_queued", "fin_seq", "fin_sent", "receive_buffer", "peer_fin_seq",
+        "segments_since_ack", "srtt", "rttvar", "rto", "_rtt_probe",
+        "retransmit_timer", "delack_timer", "time_wait_timer", "retries",
+        "bytes_sent", "bytes_acked", "bytes_received", "segments_retransmitted",
+        "established_at", "connect_started_at", "_backlog",
+    )
 
     profile_category = "host.tcp"
 
@@ -333,6 +352,9 @@ class TcpConnection:
         self.segments_retransmitted = 0
         self.established_at: Optional[float] = None
         self.connect_started_at: Optional[float] = None
+        #: The listener whose backlog slot this passive connection holds
+        #: while half-open (SYN_RCVD); None otherwise.
+        self._backlog: Optional["TcpListener"] = None
 
     # ------------------------------------------------------------------
     # Application interface
@@ -452,6 +474,7 @@ class TcpConnection:
             self.retransmit_timer.stop()
             self.state = _ESTABLISHED
             self.established_at = self.sim.now
+            self._release_backlog()
             if self.on_connected is not None:
                 self.on_connected(self)
             self._try_send()
@@ -806,7 +829,15 @@ class TcpConnection:
     def _on_time_wait_expired(self) -> None:
         self._destroy(notify_closed=True)
 
+    def _release_backlog(self) -> None:
+        """Give back the listener backlog slot this connection holds, if any."""
+        listener = self._backlog
+        if listener is not None:
+            listener.half_open -= 1
+            self._backlog = None
+
     def _destroy(self, notify_closed: bool = False, notify_refused: bool = False) -> None:
+        self._release_backlog()
         already_closed = self.state is _CLOSED
         self.state = _CLOSED
         self.retransmit_timer.stop()
@@ -957,30 +988,11 @@ class TcpManager:
         self._connections[key] = connection
         listener.half_open += 1
         listener.accepted += 1
-
-        original_on_connected = None
-
-        def handshake_done(conn: TcpConnection) -> None:
-            listener.half_open -= 1
-            if original_on_connected is not None:
-                original_on_connected(conn)
-
+        # The connection gives the backlog slot back when its handshake
+        # completes, or when it is destroyed before that.
+        connection._backlog = listener
         connection.open_passive(segment)
-        # Let the application install callbacks; wrap on_connected so the
-        # backlog count is maintained.
         listener.on_accept(connection)
-        original_on_connected = connection.on_connected
-        connection.on_connected = handshake_done
-        # Guard: if the handshake never completes, the connection's
-        # destroy path must release the backlog slot.
-        original_destroy = connection._destroy
-
-        def destroy_with_backlog(notify_closed: bool = False, notify_refused: bool = False):
-            if connection.state is _SYN_RCVD:
-                listener.half_open -= 1
-            original_destroy(notify_closed=notify_closed, notify_refused=notify_refused)
-
-        connection._destroy = destroy_with_backlog  # type: ignore[method-assign]
 
     def _send_rst_for(self, packet: Ipv4Packet, segment: TcpSegment) -> None:
         """Answer ``segment`` with a reset (RFC 793 §3.4).

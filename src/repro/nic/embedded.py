@@ -41,6 +41,10 @@ from repro.sim.engine import Simulator
 
 _RX = "rx"
 _TX = "tx"
+_UDP = IpProtocol.UDP
+_VPG = IpProtocol.VPG
+_INBOUND = Direction.INBOUND
+_OUTBOUND = Direction.OUTBOUND
 
 
 class _WorkItem:
@@ -295,80 +299,80 @@ class EmbeddedFirewallNic(BaseNic):
     # Processor service
     # ------------------------------------------------------------------
 
+    # The classifiers below compute NicCostModel.service_time inline, in
+    # its float order: c0 + c_rule * rules + c_byte * bytes, then
+    # += c_vpg0 + c_vpg_byte * vpg_bytes when a VPG rule matched.  With
+    # no rule walked the rule term is left out: it would add exactly 0.0.
+
     def _service_time(self, item: _WorkItem) -> float:
         if self.policy is None:
             item.allowed = True
-            return self.cost_model.service_time(item.frame_bytes, rules_traversed=0)
+            model = self.cost_model
+            return model.c0 + model.c_byte * item.frame_bytes
         if item.kind == _RX:
             return self._classify_ingress(item)
         return self._classify_egress(item)
 
     def _classify_ingress(self, item: _WorkItem) -> float:
         packet = item.packet
-        if policy_ports.is_control_traffic(packet):
+        model = self.cost_model
+        protocol = packet.protocol
+        if protocol == _UDP and policy_ports.is_control_traffic(packet):
             # The firewall agent's channel to the policy server is
             # reserved: it bypasses the rule table (but still costs
             # processor time, so a wedged card silences it).
             item.allowed = True
-            return self.cost_model.service_time(item.frame_bytes, rules_traversed=0)
+            return model.c0 + model.c_byte * item.frame_bytes
         sealed = packet.payload
-        if type(sealed) is VpgSealedPayload and packet.protocol == IpProtocol.VPG:
+        if type(sealed) is VpgSealedPayload and protocol == _VPG:
             result = self.policy.evaluate_encrypted(sealed.spi)
-            self.rules_evaluated += result.rules_traversed
+            rules = result.rules_traversed
+            self.rules_evaluated += rules
             if getattr(item, "ctx", None) is not None:
-                item.rules = result.rules_traversed
+                item.rules = rules
                 item.engine = self.policy.last_engine
             vpg_matched = result.is_vpg and result.allowed
             item.allowed = vpg_matched
+            cost = model.c0 + model.c_rule * rules + model.c_byte * item.frame_bytes
             if vpg_matched:
                 item.vpg_id = result.rule.vpg_id
-            cost = self.cost_model.service_time(
-                item.frame_bytes,
-                rules_traversed=result.rules_traversed,
-                vpg_bytes=sealed.size,
-                vpg_matched=vpg_matched,
-            )
+                cost += model.c_vpg0 + model.c_vpg_byte * sealed.size
             if not self.lazy_decrypt:
                 # Eager variant: a trial decryption is charged for every
                 # non-matching VPG rule walked past.
                 extra_attempts = max(0, self._vpg_rules_traversed(result) - 1)
-                cost += extra_attempts * (
-                    self.cost_model.c_vpg0 + self.cost_model.c_vpg_byte * sealed.size
-                )
+                cost += extra_attempts * (model.c_vpg0 + model.c_vpg_byte * sealed.size)
             return cost
-        result = self.policy.evaluate(packet, Direction.INBOUND)
-        self.rules_evaluated += result.rules_traversed
+        result = self.policy.evaluate(packet, _INBOUND)
+        rules = result.rules_traversed
+        self.rules_evaluated += rules
         if getattr(item, "ctx", None) is not None:
-            item.rules = result.rules_traversed
+            item.rules = rules
             item.engine = self.policy.last_engine
         # A plaintext packet matching a VPG rule's selector is spoofed
         # traffic: group members always encrypt, so admission requires a
         # valid VPG encapsulation (sender authentication).
         item.allowed = result.allowed and not result.is_vpg
-        return self.cost_model.service_time(
-            item.frame_bytes, rules_traversed=result.rules_traversed
-        )
+        return model.c0 + model.c_rule * rules + model.c_byte * item.frame_bytes
 
     def _classify_egress(self, item: _WorkItem) -> float:
         packet = item.packet
-        if policy_ports.is_control_traffic(packet):
+        model = self.cost_model
+        if packet.protocol == _UDP and policy_ports.is_control_traffic(packet):
             item.allowed = True
-            return self.cost_model.service_time(item.frame_bytes, rules_traversed=0)
-        result = self.policy.evaluate(packet, Direction.OUTBOUND)
-        self.rules_evaluated += result.rules_traversed
+            return model.c0 + model.c_byte * item.frame_bytes
+        result = self.policy.evaluate(packet, _OUTBOUND)
+        rules = result.rules_traversed
+        self.rules_evaluated += rules
         if getattr(item, "ctx", None) is not None:
-            item.rules = result.rules_traversed
+            item.rules = rules
             item.engine = self.policy.last_engine
-        vpg_matched = result.is_vpg and result.allowed
-        item.allowed = result.allowed
-        if vpg_matched:
+        allowed = item.allowed = result.allowed
+        cost = model.c0 + model.c_rule * rules + model.c_byte * item.frame_bytes
+        if allowed and result.is_vpg:
             item.vpg_id = result.rule.vpg_id
-        return self.cost_model.service_time(
-            item.frame_bytes,
-            rules_traversed=result.rules_traversed,
-            vpg_bytes=packet.size,
-            vpg_matched=vpg_matched,
-        )
+            cost += model.c_vpg0 + model.c_vpg_byte * packet.size
+        return cost
 
     def _vpg_rules_traversed(self, result) -> int:
         """VPG rules walked up to (and including) the matching rule."""

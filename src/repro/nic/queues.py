@@ -68,6 +68,8 @@ class ServiceQueue:
         self._busy = False
         self._paused = False
         self._service_event = None
+        #: The completion callback, bound once: every item schedules it.
+        self._on_finish = self._finish
         # Counters
         self.accepted = 0
         self.completed = 0
@@ -187,7 +189,7 @@ class ServiceQueue:
         if duration < 0:
             raise ValueError(f"negative service time {duration} from {self.name}")
         self._service_started = self.sim.now
-        self._service_event = self.sim.schedule(duration, self._finish, item, duration)
+        self._service_event = self.sim.schedule(duration, self._on_finish, item, duration)
 
     def _finish(self, item: Any, duration: float) -> None:
         self._service_event = None
@@ -195,7 +197,18 @@ class ServiceQueue:
         self.busy_time += duration
         self._service_started = None
         self.on_complete(item)
-        self._start_next()
+        # _start_next, inline: this runs once per serviced item.
+        queue = self._queue
+        if self._paused or not queue:
+            self._busy = False
+            return
+        item = queue.popleft()
+        duration = self.service_time(item)
+        if duration < 0:
+            raise ValueError(f"negative service time {duration} from {self.name}")
+        sim = self.sim
+        self._service_started = sim.now
+        self._service_event = sim.schedule(duration, self._on_finish, item, duration)
 
     def utilisation(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds the server spent busy."""

@@ -46,6 +46,8 @@ class Timer:
     leaves the old entry behind as a tombstone for the kernel to skip.
     """
 
+    __slots__ = ("_sim", "_callback", "_args", "_event", "_profile_category")
+
     def __init__(self, sim: Simulator, callback: Callable[..., Any], *args: Any):
         self._sim = sim
         self._callback = callback

@@ -66,44 +66,99 @@ class TestAbLeg:
             bench.ab_leg("fig2", sides, runs=1)
 
 
+def _leg(reference_s=None, scopes=None, **walls):
+    leg = {"sides": {side: {"wall_s": wall} for side, wall in walls.items()}}
+    if reference_s is not None:
+        leg["reference_s"] = reference_s
+    if scopes is not None:
+        leg["scopes_entered"] = scopes
+    return leg
+
+
 class TestGates:
     @staticmethod
-    def _legs(trace_off, profile_off, profile_on, invariants_off, invariants_warn):
-        def leg(**walls):
-            return {"sides": {side: {"wall_s": wall} for side, wall in walls.items()}}
-
+    def _legs(bench, trace_off, profile_off, profile_on, invariants_off, invariants_warn):
         return {
-            "trace": leg(off=trace_off),
-            "profile": leg(off=profile_off, on=profile_on),
-            "invariants": leg(off=invariants_off, warn=invariants_warn),
+            "trace": _leg(off=trace_off),
+            "profile": _leg(
+                bench.REFERENCE_NOMINAL_S, 1_000_000, off=profile_off, on=profile_on
+            ),
+            "invariants": _leg(off=invariants_off, warn=invariants_warn),
         }
 
     def test_budget_maths(self, bench):
+        budget_s = bench.PROFILE_SCOPE_BUDGET_NS * 1e-9 * 1_000_000
         legs = self._legs(
+            bench,
             trace_off=bench.PRE_TRACE_BASELINE_S * 1.03,  # exactly at budget
             profile_off=bench.PRE_PROFILE_BASELINE_S * 1.031,  # just over
-            profile_on=bench.PRE_PROFILE_BASELINE_S * 1.031 * 1.35,
+            profile_on=bench.PRE_PROFILE_BASELINE_S * 1.031 + budget_s,  # at budget
             invariants_off=10.0,
             invariants_warn=10.6,
         )
         gates = {(g["leg"], g["side"]): g for g in bench.check_gates(legs)}
-        assert gates[("trace", "off")]["overhead_pct"] == 3.0
+        assert gates[("trace", "off")]["value"] == 3.0
+        assert gates[("trace", "off")]["unit"] == "%"
         assert gates[("trace", "off")]["passed"]
-        assert gates[("profile", "off")]["overhead_pct"] == 3.1
+        assert gates[("profile", "off")]["value"] == 3.1
         assert not gates[("profile", "off")]["passed"]
         assert gates[("profile", "on")]["reference"] == "off"
-        assert gates[("profile", "on")]["overhead_pct"] == 35.0
-        assert gates[("profile", "on")]["passed"]
-        assert gates[("invariants", "warn")]["overhead_pct"] == 6.0
+        assert gates[("profile", "on")]["unit"] == "ns/scope"
+        assert gates[("profile", "on")]["value"] == pytest.approx(bench.PROFILE_SCOPE_BUDGET_NS, abs=0.1)
+        assert gates[("invariants", "warn")]["value"] == 6.0
         assert not gates[("invariants", "warn")]["passed"]
 
+    def test_scope_cost_is_rescaled_to_the_nominal_host_speed(self, bench):
+        nominal = bench.REFERENCE_NOMINAL_S
+        # 0.5 s over 1,000,000 scopes is 500 ns each on a nominal host;
+        # a host twice as slow takes twice as long for the same work.
+        fast = _leg(nominal, 1_000_000, off=5.0, on=5.5)
+        slow = _leg(2 * nominal, 1_000_000, off=10.0, on=11.0)
+        assert bench.scope_cost_ns(fast, "on", "off") == 500.0
+        assert bench.scope_cost_ns(slow, "on", "off") == 500.0
+        assert bench.scope_cost_ns(_leg(nominal, 0, off=5.0, on=5.5), "on", "off") is None
+
+    @pytest.mark.parametrize("host_speed", [0.5, 1.0, 2.0])
+    def test_a_profiler_whose_scopes_do_fixed_extra_work_fails(self, bench, monkeypatch, host_speed):
+        # The stub runner plays a fig2 leg whose profiler enters 500,000
+        # scopes, each doing 1.5x the budgeted work on top of a profiler
+        # that costs half the budget; both sides and the reference scale
+        # with the host's speed.  Only the slowed profiler fails.
+        scopes = 500_000
+        nominal_s = 1e-9 * bench.PROFILE_SCOPE_BUDGET_NS * scopes
+
+        def legs_for(extra_budgets):
+            on_s = 6.0 + nominal_s * (0.5 + extra_budgets)
+            _stub_runner(monkeypatch, bench, lambda config: (on_s if config.probes else 6.0) / host_speed)
+            monkeypatch.setattr(
+                bench, "_reference_sample", lambda: bench.REFERENCE_NOMINAL_S / host_speed
+            )
+            sides, _summary = bench.OVERHEAD_LEGS["profile"]
+            monkeypatch.setitem(
+                bench.OVERHEAD_LEGS, "profile", (sides, lambda configs: {"scopes_entered": scopes})
+            )
+            return bench.overhead_legs(["profile"], runs=2)
+
+        (plain,) = [g for g in bench.check_gates(legs_for(0.0)) if g["side"] == "on"]
+        (slowed,) = [g for g in bench.check_gates(legs_for(1.5)) if g["side"] == "on"]
+        assert plain["passed"]
+        assert plain["value"] == pytest.approx(0.5 * bench.PROFILE_SCOPE_BUDGET_NS, rel=0.01)
+        assert not slowed["passed"]
+        assert slowed["value"] == pytest.approx(2.0 * bench.PROFILE_SCOPE_BUDGET_NS, rel=0.01)
+
+    def test_a_profiler_that_entered_no_scope_fails(self, bench):
+        legs = {"profile": _leg(bench.REFERENCE_NOMINAL_S, 0, off=6.0, on=6.0)}
+        (gate,) = [g for g in bench.check_gates(legs) if g["side"] == "on"]
+        assert gate["value"] is None and not gate["passed"]
+
     def test_only_gates_whose_leg_ran_are_checked(self, bench):
-        legs = {"invariants": {"sides": {"off": {"wall_s": 1.0}, "warn": {"wall_s": 1.0}}}}
+        legs = {"invariants": _leg(off=1.0, warn=1.0)}
         assert [g["leg"] for g in bench.check_gates(legs)] == ["invariants"]
 
     def test_every_failed_gate_is_reported(self, bench, monkeypatch, tmp_path, capsys):
         # Every instrumented side costs double, and the off sides are far
-        # over their recorded baselines: all four gates fail.
+        # over their recorded baselines: all four gates fail (the stub's
+        # profiler enters no scope, which fails its gate too).
         _stub_runner(monkeypatch, bench, lambda config: 200.0 if config.probes else 100.0)
         output = tmp_path / "summary.json"
         assert bench.main(["--gates", "-o", str(output)]) == 1
@@ -119,6 +174,10 @@ class TestGates:
 
     def test_passing_gates_exit_zero(self, bench, monkeypatch, tmp_path):
         _stub_runner(monkeypatch, bench, lambda config: 1.0)
+        sides, _summary = bench.OVERHEAD_LEGS["profile"]
+        monkeypatch.setitem(
+            bench.OVERHEAD_LEGS, "profile", (sides, lambda configs: {"scopes_entered": 1000})
+        )
         assert bench.main(["--gates", "-o", str(tmp_path / "summary.json")]) == 0
 
 

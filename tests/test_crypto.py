@@ -1,7 +1,9 @@
 """Tests for the crypto substrate: keystream cipher, MAC, VPG encapsulation."""
 
+import dataclasses
 import hashlib
 import hmac
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +24,7 @@ from repro.net.packet import (
     IpProtocol,
     Ipv4Packet,
     RawPayload,
+    TcpFlags,
     TcpSegment,
     UdpDatagram,
 )
@@ -298,3 +301,164 @@ class TestKeyStore:
     def test_bad_vpg_id_rejected(self):
         with pytest.raises(ValueError):
             VpgContext(-1, KEY)
+
+
+def _golden_inner_packets():
+    """Inner packets whose sealed wire form is pinned by :class:`TestVpgGolden`."""
+    flags = TcpFlags
+    http = b"HTTP/1.0 200 OK\r\nContent-Length: 1400\r\n\r\n"
+
+    def tcp(seq=1, ack=0, flag=flags.ACK, size=0, data=b"", ttl=64, ident=0):
+        segment = TcpSegment(1025, 80, seq, ack, flag, 65535, size, data)
+        return Ipv4Packet(SRC, DST, segment, ttl=ttl, identification=ident)
+
+    return [
+        ("tcp-data", tcp(flag=flags.PSH | flags.ACK, size=5, data=b"GET /")),
+        ("tcp-tail", tcp(size=1400)),
+        ("tcp-data-tail", tcp(flag=flags.PSH | flags.ACK, size=1400, data=http)),
+        ("tcp-syn", tcp(seq=2**32 + 5, flag=flags.SYN)),
+        ("tcp-fin", tcp(seq=77, ack=2**33 + 9, flag=flags.FIN | flags.ACK)),
+        ("tcp-rst", tcp(seq=99, flag=flags.RST)),
+        ("tcp-ttl1", tcp(flag=flags.PSH | flags.ACK, size=3, data=b"abc", ttl=1)),
+        ("tcp-ttl255-ident", tcp(size=600, data=b"z" * 17, ttl=255, ident=0x1ABCD)),
+        # Header words whose one's-complement sum carries twice.
+        ("tcp-checksum-carry", Ipv4Packet(
+            Ipv4Address("255.255.255.255"), Ipv4Address("255.255.255.254"),
+            TcpSegment(1025, 80, 1, 0, flags.ACK, 65535, 3, b"abc"), ttl=255, identification=0xBBCF,
+        )),
+        ("udp", Ipv4Packet(SRC, DST, UdpDatagram(53, 5353, 120, b"query"), identification=9)),
+        ("icmp", Ipv4Packet(SRC, DST, IcmpMessage(IcmpType.ECHO_REQUEST, 0, 7, 3, 56, b"ping"))),
+        ("raw", Ipv4Packet(SRC, DST, RawPayload(300, b"opaque"), protocol=IpProtocol.VPG)),
+        ("raw-empty", Ipv4Packet(SRC, DST, RawPayload(0), protocol=IpProtocol.VPG, ttl=3)),
+        # As long as a TCP packet, with a TCP data offset where one would be.
+        ("raw-tcp-sized", Ipv4Packet(
+            SRC, DST, RawPayload(20, bytes(12) + b"\x50" + bytes(7)), protocol=IpProtocol.VPG
+        )),
+    ]
+
+
+def _fingerprint(value):
+    """A version-independent description of a packet: type names and plain values."""
+    if isinstance(value, (bytes, str)) or value is None:
+        return value
+    if isinstance(value, int):
+        return (type(value).__name__, int(value))
+    if isinstance(value, tuple):
+        return tuple(_fingerprint(item) for item in value)
+    names = [name for name in type(value).__slots__ if not name.startswith("trace_")]
+    return (type(value).__name__,) + tuple(
+        (name, _fingerprint(getattr(value, name))) for name in names
+    )
+
+
+def _seal_plaintext(context, plaintext):
+    """An outer packet (sequence 1, no size-only tail) carrying ``plaintext``
+    under a valid tag, whatever it holds."""
+    ciphertext = context.cipher.encrypt(plaintext, (int(SRC) << 32) | 1)
+    header = struct.pack("!IIH", context.vpg_id, 1, 0)
+    tag = compute_tag(context.key, header + ciphertext)
+    sealed = VpgSealedPayload(context.vpg_id, 1, ciphertext, 0, tag)
+    return Ipv4Packet(SRC, DST, sealed, protocol=IpProtocol.VPG)
+
+
+class TestVpgGolden:
+    """The codec's wire bytes and its decoding, pinned.  The digests were taken
+    with the plaintext built by ``Ipv4Packet.to_bytes`` on the inner packet
+    less its size-only tail, and parsed back by ``Ipv4Packet.from_bytes``."""
+
+    #: sha256 over (name, outer size, SPI, sequence, inner tail, ciphertext, tag).
+    WIRE_DIGEST = "87a74ced4efb9d321506b0dc482b52240fd8301498221339452f34b376cfc18c"
+    #: sha256 over each opened packet's :func:`_fingerprint`.
+    OPENED_DIGEST = "5602da74fc46f49fbc21040ee8c2f1215b0e03b9cf93af3c0966844ac0adfab2"
+
+    def _sealed_all(self):
+        store = VpgKeyStore(b"golden-master")
+        sealer, opener = store.context_for(11), store.context_for(11)
+        cases = _golden_inner_packets()
+        return [(name, inner, sealer.seal(inner, SRC, DST)) for name, inner in cases], opener
+
+    def test_wire_bytes(self):
+        sealed_all, _ = self._sealed_all()
+        digest = hashlib.sha256()
+        for name, _inner, outer in sealed_all:
+            sealed = outer.payload
+            assert outer.protocol == IpProtocol.VPG
+            digest.update(repr((
+                name, outer.size, sealed.spi, sealed.sequence, sealed.inner_tail,
+                sealed.ciphertext.hex(), sealed.tag.hex(),
+            )).encode())
+        assert digest.hexdigest() == self.WIRE_DIGEST
+
+    def test_opened_packets(self):
+        sealed_all, opener = self._sealed_all()
+        digest = hashlib.sha256()
+        for name, inner, outer in sealed_all:
+            opened = opener.open(outer)
+            digest.update(repr((name, _fingerprint(opened))).encode())
+            # Sequence numbers wrap to 32 bits and the identification to 16.
+            payload = inner.payload
+            if type(payload) is TcpSegment:
+                payload = dataclasses.replace(
+                    payload, seq=payload.seq & 0xFFFFFFFF, ack=payload.ack & 0xFFFFFFFF
+                )
+            expected = dataclasses.replace(
+                inner, payload=payload, identification=inner.identification & 0xFFFF
+            )
+            assert opened == expected, name
+            assert opened.size == inner.size, name
+        assert digest.hexdigest() == self.OPENED_DIGEST
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the inner TCP header is serialized without options, so SACK blocks "
+        "do not cross a VPG and a tunnelled flow recovers without SACK",
+    )
+    def test_sack_blocks_cross_the_vpg(self):
+        store = VpgKeyStore()
+        sealer, opener = store.context_for(3), store.context_for(3)
+        segment = TcpSegment(1025, 80, 1, 1000, TcpFlags.ACK, 65535, 0, b"", ((3000, 4000),))
+        opened = opener.open(sealer.seal(Ipv4Packet(SRC, DST, segment), SRC, DST))
+        assert opened.tcp.sack_blocks == ((3000, 4000),)
+
+    def _tcp_plaintext(self):
+        return Ipv4Packet(SRC, DST, TcpSegment(1025, 80, 5, 6, TcpFlags.ACK, 100, 4, b"data")).to_bytes()
+
+    def _open_altered(self, offset, value):
+        context = VpgKeyStore().context_for(5)
+        plaintext = bytearray(self._tcp_plaintext())
+        plaintext[offset] = value
+        return context.open(_seal_plaintext(context, bytes(plaintext)))
+
+    def test_bad_padding_rejected(self):
+        context = VpgKeyStore().context_for(5)
+        outer = _seal_plaintext(context, self._tcp_plaintext())
+        sealed = outer.payload
+        sealed.ciphertext = sealed.ciphertext[:-1] + bytes([sealed.ciphertext[-1] ^ 0xFF])
+        sealed.tag = compute_tag(context.key, sealed.header_bytes() + sealed.ciphertext)
+        with pytest.raises(VpgDecodeError):
+            context.open(outer)
+
+    def test_non_ipv4_version_rejected(self):
+        with pytest.raises(VpgDecodeError):
+            self._open_altered(0, 0x65)
+
+    def test_zero_ttl_rejected(self):
+        with pytest.raises(VpgDecodeError):
+            self._open_altered(8, 0)
+
+    def test_total_length_past_the_plaintext_keeps_the_bytes_present(self):
+        # Parsing stops at the plaintext's end, as Ipv4Packet.from_bytes does.
+        opened = self._open_altered(3, 44 + 10)
+        assert opened.tcp.data == b"data"
+        assert opened.tcp.payload_size == 4
+
+    def test_data_offset_past_the_fixed_header_is_read_as_options(self):
+        # Ipv4Packet.from_bytes skips a longer TCP header, options unread.
+        opened = self._open_altered(32, 0x60)
+        assert opened.tcp.data == b""
+        assert opened.tcp.payload_size == 0
+
+    def test_truncated_tcp_header_rejected(self):
+        context = VpgKeyStore().context_for(5)
+        with pytest.raises(VpgDecodeError):
+            context.open(_seal_plaintext(context, self._tcp_plaintext()[:30]))

@@ -69,6 +69,30 @@ class TestHandshake:
         assert listener.half_open == 2
         assert listener.dropped_syn_backlog == 8
 
+    def test_backlog_slot_released_by_handshake_and_by_giving_up(self, mininet):
+        from repro.net.addresses import Ipv4Address
+        from repro.net.packet import Ipv4Packet, TcpFlags, TcpSegment
+
+        alice, bob = mininet["alice"], mininet["bob"]
+        accepted = []
+        listener = bob.tcp.listen(5001, accepted.append, backlog=2)
+        conn = alice.tcp.connect(bob.ip, 5001)
+        mininet.run(0.5)
+        assert conn.state == TcpState.ESTABLISHED
+        assert listener.half_open == 0
+        # A spoofed SYN holds a slot until the SYN-ACK retries give up.
+        syn = Ipv4Packet(
+            src=Ipv4Address("172.16.0.1"),
+            dst=bob.ip,
+            payload=TcpSegment(src_port=1000, dst_port=5001, flags=TcpFlags.SYN),
+        )
+        alice.ip_layer.send_packet(syn)
+        mininet.run(1.0)
+        assert listener.half_open == 1
+        mininet.run(120.0)
+        assert accepted[-1].state == TcpState.CLOSED
+        assert listener.half_open == 0
+
     def test_stop_listening_refuses_new_connections(self, mininet):
         alice, bob = mininet["alice"], mininet["bob"]
         listener = bob.tcp.listen(5001, lambda conn: None)
