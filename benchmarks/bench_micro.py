@@ -1,7 +1,7 @@
 """Microbenchmarks of the simulator's hot paths.
 
 These are conventional pytest-benchmark measurements (many rounds): the
-event kernel, timer restarts (the cancel path), rule-set evaluation,
+event kernel, timer restarts (a deadline move), rule-set evaluation,
 building a flood frame, a known-unicast frame's trip through a switch,
 a wedged firewall card refusing frames, the toy cipher, a VPG seal and
 open round trip, and TCP goodput per wall-second — useful for catching
@@ -45,27 +45,38 @@ def test_event_kernel_throughput(benchmark):
 
 
 def test_timer_restart_churn(benchmark):
-    """TCP retransmit-timer restarts: each restart cancels the pending
-    deadline and schedules a new one, so this measures the cancel path
-    and the tombstones it leaves for the kernel to skip."""
+    """TCP retransmit-timer restarts: each restart only moves the
+    timer's deadline later, so 9,999 restarts cancel nothing, the timer
+    keeps at most one kernel entry queued, and the one firing lands 0.2 s
+    after the last restart.  This measures the restart call itself plus
+    the re-queue of an entry that fires before its deadline."""
 
     def churn():
         sim = Simulator()
-        timer = Timer(sim, lambda: None)
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
         sent = [0]
+        last = [0.0]
+        depth = [0]
 
         def send_segment():
             timer.restart(0.2)  # every segment pushes the deadline back
+            last[0] = sim.now
+            depth[0] = max(depth[0], sim.queue_depth())
             sent[0] += 1
             if sent[0] < 10_000:
                 sim.schedule(0.0001, send_segment)
 
         sim.schedule(0.0001, send_segment)
         sim.run()
-        return sim
+        return sim, fired, last[0], depth[0]
 
-    sim = benchmark(churn)
-    assert sim.events_cancelled == 9_999
+    sim, fired, last, depth = benchmark(churn)
+    assert sim.events_cancelled == 0
+    # Read before the next send is queued: the timer's one entry, and
+    # no tombstone behind it.
+    assert depth == 1
+    assert fired == [last + 0.2]
     assert sim.pending_count() == 0 and sim.queue_depth() == 0
 
 

@@ -132,7 +132,7 @@ class ChaosInjector:
     def disarm(self) -> None:
         """Stop pending timers and clear any still-active faults."""
         for timer in self._timers:
-            timer.stop()
+            timer.close()
         self._timers.clear()
         for fault in list(self.active):
             self._clear(fault)

@@ -840,9 +840,12 @@ class TcpConnection:
         self._release_backlog()
         already_closed = self.state is _CLOSED
         self.state = _CLOSED
-        self.retransmit_timer.stop()
-        self.delack_timer.stop()
-        self.time_wait_timer.stop()
+        # Closed, not stopped: each timer's callback is a bound method of
+        # this connection, and the cycle would keep it (and its buffers)
+        # alive until the cyclic collector ran.
+        self.retransmit_timer.close()
+        self.delack_timer.close()
+        self.time_wait_timer.close()
         self.manager.forget(self)
         if already_closed:
             return

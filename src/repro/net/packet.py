@@ -393,7 +393,11 @@ class Ipv4Packet:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Ipv4Packet":
-        """Parse a packet; known L4 protocols are parsed structurally."""
+        """Parse a packet; known L4 protocols are parsed structurally.
+
+        Raises :class:`ValueError` for an IP protocol number that
+        :class:`IpProtocol` does not name, rather than relabel it.
+        """
         if len(raw) < cls.HEADER_SIZE:
             raise ValueError("truncated IPv4 packet")
         (version_ihl, _tos, total_length, identification, _frag, ttl, protocol, _checksum,
@@ -402,7 +406,9 @@ class Ipv4Packet:
             raise ValueError("not an IPv4 packet")
         ihl = (version_ihl & 0x0F) * 4
         body = raw[ihl:total_length]
-        protocol_enum = IpProtocol(protocol) if protocol in IpProtocol._value2member_map_ else None
+        protocol_enum = IpProtocol._value2member_map_.get(protocol)
+        if protocol_enum is None:
+            raise ValueError(f"unknown IP protocol {protocol}")
         payload: L4Payload
         if protocol_enum is IpProtocol.TCP:
             payload = TcpSegment.from_bytes(body)
@@ -416,7 +422,7 @@ class Ipv4Packet:
             src=Ipv4Address(int.from_bytes(src_raw, "big")),
             dst=Ipv4Address(int.from_bytes(dst_raw, "big")),
             payload=payload,
-            protocol=protocol_enum if protocol_enum is not None else IpProtocol.UDP,
+            protocol=protocol_enum,
             ttl=ttl,
             identification=identification,
         )

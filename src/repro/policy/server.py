@@ -242,7 +242,7 @@ class PolicyServer:
     ) -> None:
         stale = self._awaiting_ack.pop(host_name, None)
         if stale is not None:
-            stale.stop()
+            stale.close()
         rng = self._backoff_rng(host_name) if schedule.jitter > 0.0 else None
         delay = schedule.delay(attempt, rng)
         outcome = self._push_state.get(host_name)
@@ -335,7 +335,7 @@ class PolicyServer:
         """Called by the agent when a networked push is installed."""
         pending = self._awaiting_ack.pop(host_name, None)
         if pending is not None:
-            pending.stop()
+            pending.close()
         outcome = self._push_state.get(host_name)
         if outcome is not None and outcome.policy == policy_name:
             outcome.status = ACKED

@@ -45,8 +45,11 @@ counters move exactly once per entry.
 Cancellation is lazy: a cancelled entry stays in its bucket as a
 tombstone until it surfaces, but the kernel keeps live counters of
 pending and cancelled entries so :meth:`Simulator.pending_count` is O(1),
-and compacts the buckets when tombstones dominate so long-running floods
-that cancel many timers do not grow the queue without bound.
+and compacts the buckets when tombstones dominate so a run that cancels
+many entries does not grow the queue without bound.  Few callers cancel
+at all: a :class:`~repro.sim.timer.Timer` restart or stop moves only the
+timer's deadline and leaves its entry queued (a live entry, not a
+tombstone), so TCP's per-ACK timer restarts neither cancel nor queue.
 """
 
 from __future__ import annotations

@@ -40,19 +40,40 @@ class Timer:
     :meth:`start` (or :meth:`restart`).  Starting a running timer is an
     error; use :meth:`restart` to reset the deadline.
 
-    The timer keeps the kernel's handle (the queue entry) only while it
-    is armed: :meth:`stop` cancels it through :meth:`Simulator.cancel`
-    and the firing clears it, so "armed" is "holds a handle".  A restart
-    leaves the old entry behind as a tombstone for the kernel to skip.
+    The timer is lazy: :meth:`start`, :meth:`restart` and :meth:`stop`
+    move only its deadline (``None`` while disarmed), and the one kernel
+    entry it keeps queued is looked at only when it fires.  An entry
+    that fires with no deadline does nothing; one that fires before the
+    deadline re-queues itself at it; one that fires at the deadline runs
+    the callback.  A new deadline earlier than the queued entry is the
+    only case that cancels and re-queues at once.  TCP restarts its
+    retransmission timer on nearly every ACK and stops its delayed-ACK
+    timer on every other segment; neither touches the queue.
+
+    Two consequences.  The deadline is the same float ``now + interval``
+    an eager ``schedule(interval)`` would use, but an entry re-queued
+    when an early entry fires joins that instant's bucket at the time
+    of the re-queue, so it may run in a different place among other
+    entries of that exact instant.  And a stopped timer's entry stays in
+    :meth:`Simulator.pending_count` until its old due time, so a
+    ``run()`` without ``until`` may end later than the last deadline,
+    and the entry keeps the timer reachable until then.  An owner that
+    discards a timer calls :meth:`close` instead of :meth:`stop`.
     """
 
-    __slots__ = ("_sim", "_callback", "_args", "_event", "_profile_category")
+    __slots__ = ("_sim", "_callback", "_args", "_deadline", "_entry", "_due",
+                 "_profile_category")
 
     def __init__(self, sim: Simulator, callback: Callable[..., Any], *args: Any):
         self._sim = sim
         self._callback = callback
         self._args = args
-        self._event: Optional[list] = None
+        #: Absolute time the callback is due, or None while disarmed.
+        self._deadline: Optional[float] = None
+        #: The one queued kernel entry (None when nothing is queued) and
+        #: its due time.
+        self._entry: Optional[list] = None
+        self._due = 0.0
         self._profile_category: Optional[str] = None
 
     @property
@@ -66,35 +87,71 @@ class Timer:
     @property
     def running(self) -> bool:
         """True while the timer is armed and has not fired."""
-        return self._event is not None
+        return self._deadline is not None
 
     def start(self, interval: float) -> None:
         """Arm the timer to fire after ``interval`` seconds."""
-        if self._event is not None:
+        if self._deadline is not None:
             raise RuntimeError("timer already running; use restart()")
-        self._event = self._sim.schedule(interval, self._fire)
+        self.restart(interval)
 
     def restart(self, interval: float) -> None:
-        """Cancel any pending deadline and arm for ``interval`` seconds.
+        """Arm for ``interval`` seconds from now, replacing any deadline.
 
-        The same cancel and schedule as :meth:`stop` then :meth:`start`,
-        without the two extra calls: TCP restarts its retransmission
-        timer on almost every ACK.
+        Queues nothing while the queued entry is due no later than the
+        new deadline: that entry re-queues itself when it fires.
         """
-        event = self._event
-        if event is not None:
-            self._sim.cancel(event)
-        self._event = self._sim.schedule(interval, self._fire)
+        sim = self._sim
+        deadline = sim.now + interval
+        entry = self._entry
+        if entry is None or self._due > deadline:
+            self._entry = sim.schedule_at(deadline, self._fire)
+            self._due = deadline
+            if entry is not None:
+                sim.cancel(entry)
+        self._deadline = deadline
 
     def stop(self) -> None:
-        """Disarm the timer.  Idempotent."""
-        if self._event is not None:
-            self._sim.cancel(self._event)
-            self._event = None
+        """Disarm the timer.  Idempotent; the queued entry stays queued
+        and fires as a no-op."""
+        self._deadline = None
+
+    def close(self) -> None:
+        """Stop the timer for good: cancel its queued entry and drop its
+        callback.  Idempotent.
+
+        For an owner that discards the timer.  A stopped timer's entry
+        would stay queued until its old due time and then run as a
+        no-op; a closed one leaves only a tombstone.  The callback is
+        usually a bound method of the owner, which also holds the timer:
+        dropping it breaks that cycle, so the owner is freed as soon as
+        its last reference goes instead of waiting for the cyclic
+        collector.  A closed timer must not be started again: its firing
+        would raise.
+        """
+        self._deadline = None
+        entry = self._entry
+        if entry is not None:
+            self._sim.cancel(entry)
+            self._entry = None
+        self._callback = _closed
+        self._args = ()
 
     def _fire(self) -> None:
-        self._event = None
-        self._callback(*self._args)
+        deadline = self._deadline
+        if deadline is None:
+            self._entry = None
+        elif deadline > self._sim.now:
+            self._entry = self._sim.schedule_at(deadline, self._fire)
+            self._due = deadline
+        else:
+            self._entry = None
+            self._deadline = None
+            self._callback(*self._args)
+
+
+def _closed() -> None:
+    raise RuntimeError("a closed Timer was started again")
 
 
 class PeriodicTimer:

@@ -171,6 +171,13 @@ class TestVpgContext:
         with pytest.raises(VpgDecodeError):
             opener.open(sealer.seal(inner, SRC, DST))
 
+    def test_unknown_inner_protocol_rejected_on_open(self):
+        # Parsed back as UDP, it would be matched against UDP rules.
+        sealer, opener = self._context_pair()
+        inner = Ipv4Packet(src=SRC, dst=DST, payload=RawPayload(size=8, data=b"x" * 8), protocol=99)
+        with pytest.raises(VpgDecodeError, match="unknown IP protocol 99"):
+            opener.open(sealer.seal(inner, SRC, DST))
+
     def test_outer_size_accounts_for_overhead_not_payload_blowup(self):
         sealer, _ = self._context_pair()
         inner = Ipv4Packet(

@@ -209,6 +209,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Ipv4Packet.from_bytes(b"\x60" + b"\x00" * 30)
 
+    def test_unknown_protocol_rejected_not_relabelled(self):
+        packet = Ipv4Packet(src=SRC, dst=DST, payload=RawPayload(size=8, data=b"x" * 8), protocol=99)
+        with pytest.raises(ValueError, match="unknown IP protocol 99"):
+            Ipv4Packet.from_bytes(packet.to_bytes())
+
     @given(
         src_port=st.integers(0, 65535),
         dst_port=st.integers(0, 65535),

@@ -1,5 +1,8 @@
 """Tests for one-shot and periodic timers."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.timer import PeriodicTimer, Timer, TimerWheel
@@ -59,6 +62,109 @@ class TestTimer:
         timer.stop()
         timer.stop()
         assert not timer.running
+
+
+class TestLazyTimer:
+    """Start, restart and stop move a deadline; the queued entry is
+    looked at only when it fires."""
+
+    def test_later_restart_queues_no_entry(self, sim):
+        timer = Timer(sim, lambda: None)
+        timer.start(1.0)
+        depth = sim.queue_depth()
+        sim.run(until=0.5)
+        timer.restart(1.0)
+        assert sim.queue_depth() == depth
+        assert sim.events_cancelled == 0
+
+    def test_earlier_restart_fires_at_the_earlier_time(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(5.0)
+        sim.run(until=1.0)
+        timer.restart(0.5)
+        sim.run(until=10.0)
+        assert fired == [1.5]
+
+    def test_stop_then_start_before_old_due_fires_once_at_new_deadline(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        sim.run(until=0.25)
+        timer.stop()
+        sim.run(until=0.5)
+        timer.start(2.0)
+        assert sim.queue_depth() == 1  # the old entry, re-queued when it fires
+        sim.run(until=10.0)
+        assert fired == [2.5]
+
+    def test_stopped_timer_never_calls_back(self, sim):
+        fired = []
+        timer = Timer(sim, fired.append, "x")
+        timer.start(1.0)
+        sim.run(until=0.5)
+        timer.restart(3.0)
+        sim.run(until=2.0)
+        timer.stop()
+        sim.run(until=10.0)
+        assert fired == []
+        assert not timer.running
+        assert sim.pending_count() == 0
+
+    @pytest.mark.parametrize(
+        "start, first, restart_after, second",
+        [
+            # Later deadlines: the entry fires early and re-queues.  The
+            # values make a re-queue computed as ``now + (deadline -
+            # now)`` round past the deadline.
+            (0.1, 0.35, 0.1, 2.9),
+            (0.3, 0.3, 0.2, 1.3),
+            # An earlier deadline: cancelled and queued at once.
+            (4.0, 0.7, 0.35, 0.3),
+        ],
+    )
+    def test_fire_times_are_bit_equal_to_now_plus_interval(
+        self, sim, start, first, restart_after, second
+    ):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        sim.run(until=start)
+        timer.start(first)
+        sim.run(until=start + restart_after)
+        expected = sim.now + second
+        timer.restart(second)
+        sim.run(until=start + 10.0)
+        assert fired == [expected]
+
+
+    def test_close_cancels_and_drops_the_owner_without_the_cycle_collector(self, sim):
+        class Owner:
+            def __init__(self):
+                self.timer = Timer(sim, self.expire)
+
+            def expire(self):
+                pass
+
+        owner = Owner()
+        owner.timer.start(1.0)
+        owner.timer.close()
+        assert sim.pending_count() == 0  # cancelled, not left to fire as a no-op
+        gone = weakref.ref(owner)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del owner
+            assert gone() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_closed_timer_started_again_raises_when_it_fires(self, sim):
+        timer = Timer(sim, lambda: None)
+        timer.close()
+        timer.start(1.0)
+        with pytest.raises(RuntimeError, match="closed Timer"):
+            sim.run()
 
 
 class TestPeriodicTimer:

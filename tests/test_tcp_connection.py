@@ -1,8 +1,13 @@
 """Tests for TCP connection lifecycle over the simulated network."""
 
+import gc
+
 import pytest
 
-from repro.host.tcp import TcpState
+from repro.apps.iperf import IperfClient, IperfServer
+from repro.core.testbed import DeviceKind, Testbed
+from repro.host.tcp import TcpConnection, TcpState
+from repro.sim.engine import Simulator
 
 
 def start_echo_listener(host, port=5001, sink=None):
@@ -202,8 +207,52 @@ class TestDataTransfer:
         assert max(received) <= 500
         assert sum(received) == 5000
 
+    def test_loss_free_bulk_transfer_cancels_almost_no_kernel_entry(self, monkeypatch):
+        # Every new ACK restarts the retransmission timer and every
+        # second segment stops the delayed-ACK timer; both only move a
+        # deadline.  What cancels: the retransmission timer re-armed
+        # after the handshake's RTT sample, earlier than the initial 1 s
+        # RTO entry still queued, and the teardown closing the timers
+        # whose entries are still queued (three here).
+        cancels = []
+        cancel = Simulator.cancel
+        monkeypatch.setattr(
+            Simulator, "cancel", lambda sim, handle: cancels.append(handle) or cancel(sim, handle)
+        )
+        bed = Testbed(DeviceKind.STANDARD)
+        IperfServer(bed.target)
+        session = IperfClient(bed.client).start_tcp(bed.target.ip, duration=0.2)
+        bed.run(0.25)
+        connection = session.connection
+        assert connection.bytes_acked > 2_000_000  # about 1,600 full segments
+        assert connection.segments_retransmitted == 0
+        assert len(cancels) <= 4
+
 
 class TestTeardown:
+    def test_closed_connections_are_freed_without_the_cycle_collector(self, mininet):
+        # Each connection holds timers whose callbacks are its own bound
+        # methods; teardown closes them, so nothing is left for the
+        # cyclic collector once both ends reach CLOSED.
+        alice, bob = mininet["alice"], mininet["bob"]
+        bob.tcp.listen(5001, lambda conn: setattr(conn, "on_data", lambda c, data, size: c.close()))
+        closed = []
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            conn = alice.tcp.connect(bob.ip, 5001)
+            conn.on_connected = lambda c: (c.send(100), c.close())
+            conn.on_closed = lambda c: closed.append(c.state)
+            del conn
+            mininet.run(3.0)
+            live = [obj for obj in gc.get_objects() if type(obj) is TcpConnection]
+        finally:
+            if enabled:
+                gc.enable()
+        assert closed == [TcpState.CLOSED]
+        assert live == []
+
     def test_graceful_close_reaches_closed_on_both_ends(self, mininet):
         alice, bob = mininet["alice"], mininet["bob"]
         server_conns = start_echo_listener(bob)
