@@ -1,7 +1,8 @@
 """Microbenchmarks of the simulator's hot paths.
 
 These are conventional pytest-benchmark measurements (many rounds): the
-event kernel, timer restarts (a deadline move), rule-set evaluation,
+event kernel (including dispatch of instants holding one event and of
+instants shared by several), timer restarts (a deadline move), rule-set evaluation,
 building a flood frame, a known-unicast frame's trip through a switch,
 a wedged firewall card refusing frames, the toy cipher, a VPG seal and
 open round trip, and TCP goodput per wall-second — useful for catching
@@ -42,6 +43,43 @@ def test_event_kernel_throughput(benchmark):
         return count[0]
 
     assert benchmark(run_events) == 10_000
+
+
+def test_lone_instant_dispatch(benchmark):
+    """10,000 events, each alone at its instant (a flood's link hops):
+    the kernel queues each entry as itself and runs it without a bucket."""
+
+    def run_events():
+        sim = Simulator()
+        noop = lambda: None  # noqa: E731
+        for index in range(10_000):
+            sim.schedule_at(index * 1e-6, noop)
+        assert len(sim._heap) == len(sim._buckets) == 10_000
+        sim.run()
+        return sim
+
+    sim = benchmark(run_events)
+    assert sim.events_executed == 10_000
+    assert sim.pending_count() == sim.queue_depth() == 0
+
+
+def test_shared_instant_dispatch(benchmark):
+    """10,000 events in 1,000 instants of 10 (generators ticking in
+    lockstep): one heap push and one pop per instant, each bucket run
+    back-to-back."""
+
+    def run_events():
+        sim = Simulator()
+        noop = lambda: None  # noqa: E731
+        for index in range(10_000):
+            sim.schedule_at((index // 10) * 1e-6, noop)
+        assert len(sim._heap) == len(sim._buckets) == 1_000
+        sim.run()
+        return sim
+
+    sim = benchmark(run_events)
+    assert sim.events_executed == 10_000
+    assert sim.pending_count() == sim.queue_depth() == 0
 
 
 def test_timer_restart_churn(benchmark):

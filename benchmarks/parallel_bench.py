@@ -33,7 +33,11 @@ median as ``reference_s``: the host's speed while the leg ran.  The
 profiler-on gate divides the profiler's extra wall time by the scopes
 it entered and rescales that cost to the speed at which the reference
 takes ``REFERENCE_NOMINAL_S``, so it reads the same on a faster or a
-slower host, and does not grow when the simulator gets faster.
+slower host, and does not grow when the simulator gets faster.  The
+invariants gate prices the monitors from their own time instead: after
+the leg, one more ``warn`` run times every ``InvariantMonitor.check``
+and a ``reference_work`` call right after each (:class:`CheckClock`),
+and the gate sets the one total against the other.
 
 This file is deliberately named ``parallel_bench.py`` (not ``bench_*``)
 so the pytest benchmark suite does not collect it.
@@ -57,6 +61,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chaos import ChaosCollector
+from repro.chaos.invariants import InvariantMonitor
 from repro.core.parallel import resolve_jobs
 from repro.experiments import RunConfig, runner
 from repro.obs import MetricsCollector, TraceCollector, TraceConfig
@@ -93,6 +98,14 @@ OVERHEAD_ID = "fig2"
 #: twice today's median fails.
 PROFILE_SCOPE_BUDGET_NS = 2500.0
 
+#: Budget of the ``warn``-mode invariant monitors, in ns per
+#: ``InvariantMonitor.check`` at the nominal host speed: see
+#: :func:`check_cost_ns`.  Ten fig2 legs on a shared 2-vCPU container
+#: (187 priced checks each) read 16,145 to 20,195 ns (median 17,677);
+#: the budget is about the largest times 1.5, so host noise passes and
+#: monitors whose checks cost 1.7 times today's median fail.
+CHECK_BUDGET_NS = 30000.0
+
 #: ``reference_work`` samples taken after every timed run of a leg.
 REFERENCE_SAMPLES = 5
 
@@ -100,12 +113,13 @@ REFERENCE_SAMPLES = 5
 #: string reference names another side of the same leg; a number is a
 #: recorded baseline in seconds.  With unit ``%`` the side's best wall
 #: time may exceed the reference by at most ``budget`` percent; with
-#: unit ``ns/scope`` its :func:`scope_cost_ns` may be at most ``budget``.
+#: unit ``ns/scope`` its :func:`scope_cost_ns` may be at most ``budget``,
+#: and with unit ``ns/check`` the leg's :func:`check_cost_ns`.
 GATES = (
     ("trace", "off", PRE_TRACE_BASELINE_S, 3.0, "%"),
     ("profile", "off", PRE_PROFILE_BASELINE_S, 3.0, "%"),
     ("profile", "on", "off", PROFILE_SCOPE_BUDGET_NS, "ns/scope"),
-    ("invariants", "warn", "off", 5.0, "%"),
+    ("invariants", "warn", "InvariantMonitor.check", CHECK_BUDGET_NS, "ns/check"),
 )
 
 Sides = Dict[str, Callable[[], RunConfig]]
@@ -151,6 +165,53 @@ def scope_cost_ns(leg: dict, side: str, reference: str) -> Optional[float]:
     sides = leg["sides"]
     extra_s = sides[side]["wall_s"] - sides[reference]["wall_s"]
     return round(1e9 * extra_s / scopes * REFERENCE_NOMINAL_S / leg["reference_s"], 1)
+
+
+def check_cost_ns(leg: dict) -> Optional[float]:
+    """What one ``InvariantMonitor.check`` cost, in ns at the nominal
+    host speed.
+
+    The wall time spent inside the checks over the time of the
+    ``reference_work`` call that followed each, times
+    ``REFERENCE_NOMINAL_S``.  Each check is set against the host's speed
+    at that moment: the check costs tens of microseconds, and a speed
+    sampled between runs varied as much as the checks did.  None when
+    no check ran.
+    """
+    if not leg.get("checks_run"):
+        return None
+    return round(1e9 * REFERENCE_NOMINAL_S * leg["check_s"] / leg["check_reference_s"], 1)
+
+
+class CheckClock:
+    """While installed (a ``with`` block), counts ``InvariantMonitor.check``
+    calls, the wall time spent inside them, and the time of a
+    ``reference_work`` call made right after each.  A monitor binds
+    ``check`` when it is built, so only monitors built inside the block
+    are timed."""
+
+    def __init__(self):
+        self.calls = 0
+        self.seconds = 0.0
+        self.reference_s = 0.0
+
+    def __enter__(self) -> "CheckClock":
+        original = self._original = InvariantMonitor.check
+
+        def check(monitor) -> None:
+            start = time.perf_counter()
+            original(monitor)
+            checked = time.perf_counter()
+            reference_work()
+            self.reference_s += time.perf_counter() - checked
+            self.seconds += checked - start
+            self.calls += 1
+
+        InvariantMonitor.check = check
+        return self
+
+    def __exit__(self, *exc) -> None:
+        InvariantMonitor.check = self._original
 
 
 def ab_leg(
@@ -247,6 +308,18 @@ def _profile_summary(configs: Dict[str, RunConfig]) -> dict:
     }
 
 
+def _invariants_summary(configs: Dict[str, RunConfig]) -> dict:
+    """Price the monitors: one more ``warn`` run under a :class:`CheckClock`
+    (its reference calls would inflate the leg's timed runs)."""
+    with CheckClock() as clock:
+        _timed_run(OVERHEAD_ID, RunConfig(jobs=1, probes=(ChaosCollector(invariants="warn"),)))
+    return {
+        "checks_run": clock.calls,
+        "check_s": round(clock.seconds, 6),
+        "check_reference_s": round(clock.reference_s, 6),
+    }
+
+
 #: The overhead legs: name -> (ordered sides, summary of what the
 #: instrumented sides' probes collected, or None).
 OVERHEAD_LEGS = {
@@ -265,7 +338,7 @@ OVERHEAD_LEGS = {
     ),
     "invariants": (
         {"off": _side(), "warn": _side(lambda: ChaosCollector(invariants="warn"))},
-        None,
+        _invariants_summary,
     ),
 }
 
@@ -291,6 +364,8 @@ def check_gates(legs: Dict[str, dict]) -> List[dict]:
         sides = legs[leg]["sides"]
         if unit == "ns/scope":
             value, against = scope_cost_ns(legs[leg], side, reference), reference
+        elif unit == "ns/check":
+            value, against = check_cost_ns(legs[leg]), reference
         elif isinstance(reference, str):
             value, against = _pct(sides[side]["wall_s"], sides[reference]["wall_s"]), reference
         else:
@@ -307,7 +382,7 @@ def check_gates(legs: Dict[str, dict]) -> List[dict]:
                 "passed": passed,
             }
         )
-        shown = "no scope entered" if value is None else f"{value:+}{unit}"
+        shown = "nothing measured" if value is None else f"{value:+}{unit}"
         print(
             f"{'ok' if passed else 'FAIL'}: {leg} {side} {shown} vs {against} "
             f"(budget {budget}{unit})",

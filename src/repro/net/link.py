@@ -37,11 +37,13 @@ The per-frame path reads what it needs from the port itself: each
 :class:`LinkPort` holds the link's kernel, tracer, taps list and delay
 memo, and its delivery callback bound once.  Only a frame that finds
 the wire busy touches the transmit queue's bookkeeping; on an idle wire
-no booked slot can still be waiting, so the queue cannot be full.  A
-frame object may be sent many times (a flood template's frame), so the
-link writes into a frame only the trace stamps of an armed tracer
-(under which a flood builds a fresh packet, and so a fresh frame, per
-send); an impairment that corrupts a frame transmits a corrupted copy.
+no booked slot can still be waiting, so the queue cannot be full.  The
+drop test reads one slot start, the capacity-th latest, because slot
+starts only increase.  A frame object may be sent many times (a flood
+template's frame), so the link writes into a frame only the trace
+stamps of an armed tracer (under which a flood builds a fresh packet,
+and so a fresh frame, per send); an impairment that corrupts a frame
+transmits a corrupted copy.
 """
 
 from __future__ import annotations
@@ -265,12 +267,15 @@ class LinkPort:
         if start > earliest:
             # Only a frame that finds the wire busy ever waits, and only
             # a waiting frame can find the queue full: on an idle wire
-            # every booked slot has started by ``earliest``.
+            # every booked slot has started by ``earliest``.  Slot starts
+            # only increase, so ``capacity`` frames wait as of
+            # ``earliest`` exactly when the capacity-th latest start is
+            # after it (every earlier booking has left its sender by then).
             waiting = self._waiting
             while waiting and waiting[0] <= now:
                 waiting.popleft()
             capacity = self.queue_capacity
-            if len(waiting) >= capacity and self._waiting_after(earliest) >= capacity:
+            if len(waiting) >= capacity and waiting[-capacity] > earliest:
                 self.dropped_frames += 1
                 tracer = self.tracer
                 if tracer.hot:
@@ -326,18 +331,6 @@ class LinkPort:
         while entering and entering[0] <= now:
             entering.popleft()
         return len(waiting) - len(entering)
-
-    def _waiting_after(self, t: float) -> int:
-        """Booked frames whose slot starts after ``t``.  For the capacity
-        check at a frame's ``earliest``, every earlier booking has left
-        its sender by ``t``, so this is the depth as of ``t``.  Slots
-        already started by ``now`` must have been dropped first."""
-        started = 0
-        for start in self._waiting:
-            if start > t:
-                break
-            started += 1
-        return len(self._waiting) - started
 
     # ------------------------------------------------------------------
 

@@ -12,44 +12,45 @@ simulator and schedule their own callbacks.
 Queue layout (the fleet-scale dispatch optimisation)
 ----------------------------------------------------
 
-The kernel keeps
-
-* a min-heap of *distinct* firing times (plain floats), and
-* a dict mapping each firing time to its FIFO **bucket** of entries.
-
-An entry is a plain two-slot list ``[callback, args]``.  Scheduling at an
-already-pending time is a dict hit plus a list append — no heap
-operation at all — and every heap comparison is a C-speed float
-comparison.  Dispatch pops one time, sets the clock once, and runs its
-whole bucket back-to-back ("batched same-timestamp dispatch"):
-synchronized periodic work — hundreds of flood generators ticking in
-lockstep across a fleet — collapses from N heap pushes and N heap pops
-per tick into one of each.  Execution order is exactly (time, insertion
-order).  Because each bucket is FIFO, an entry carries neither its time
-nor a sequence number and is never compared: order within an instant is
-the bucket's append order, kept across ``max_events`` truncation (the
-unrun tail is re-queued ahead of newer same-instant entries) and
-tombstone compaction (which filters buckets in place).
+The kernel keeps a min-heap of *distinct* firing times (plain floats)
+and a dict mapping each time to what is due then: the lone entry, a
+plain two-slot list ``[callback, args]``, or — once a second entry
+lands on the instant — a FIFO **bucket** list of entries.  An entry's
+slot 0 is a callable (or ``None``) and a bucket's is an entry, so one
+``type(...) is list`` test tells them apart.  Scheduling at an
+already-pending time is a dict hit plus a list append, with no heap
+operation, and every heap comparison is a C-speed float comparison.
+Dispatch pops one time, sets the clock once, and runs the lone entry,
+or the whole bucket back-to-back ("batched same-timestamp dispatch"):
+hundreds of flood generators ticking in lockstep across a fleet cost one
+heap push and one pop per tick, and the common instant holding a single
+event (a flood's link hop) pays for no bucket at all.  Execution order
+is exactly (time, insertion order): an entry carries neither its time
+nor a sequence number and is never compared, and order within an
+instant is the bucket's append order, kept across ``max_events``
+truncation (the unrun tail is re-queued ahead of newer same-instant
+entries) and tombstone compaction (which filters buckets in place).
 
 Handles
 -------
 
 :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at` return the
-entry itself as the handle; most callers (link deliveries, NIC service
-completions) drop it at once, so scheduling allocates nothing beyond the
-list.  A keeper passes it back to :meth:`Simulator.cancel` or
-:meth:`Simulator.is_pending`.  An entry's callback slot is ``None`` once
-it has run or been cancelled, so a late cancel is a no-op and the live
-counters move exactly once per entry.
+entry itself as the handle, queued alone or in a bucket; most callers
+(link deliveries, NIC service completions) drop it at once, so
+scheduling allocates nothing beyond the entry.  A keeper passes it back
+to :meth:`Simulator.cancel` or :meth:`Simulator.is_pending`.  An entry's
+callback slot is ``None`` once it has run or been cancelled, so a late
+cancel is a no-op and each entry is counted once, as run or cancelled.
 
-Cancellation is lazy: a cancelled entry stays in its bucket as a
-tombstone until it surfaces, but the kernel keeps live counters of
-pending and cancelled entries so :meth:`Simulator.pending_count` is O(1),
-and compacts the buckets when tombstones dominate so a run that cancels
-many entries does not grow the queue without bound.  Few callers cancel
-at all: a :class:`~repro.sim.timer.Timer` restart or stop moves only the
-timer's deadline and leaves its entry queued (a live entry, not a
-tombstone), so TCP's per-ACK timer restarts neither cancel nor queue.
+Cancellation is lazy: a cancelled entry stays queued as a tombstone
+until it surfaces.  :meth:`Simulator.pending_count` is O(1) from the
+counts of entries scheduled, run and cancelled (the dispatch loop writes
+no pending counter), and the queue is compacted when tombstones dominate
+so a run that cancels many entries does not grow it without bound.  Few
+callers cancel at all: a :class:`~repro.sim.timer.Timer` restart or stop
+moves only the timer's deadline and leaves its entry queued (a live
+entry, not a tombstone), so TCP's per-ACK timer restarts neither cancel
+nor queue.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class Simulator:
         "_heap",
         "_buckets",
         "_running",
-        "_pending",
+        "_scheduled",
         "_tombstones",
         "events_executed",
         "events_cancelled",
@@ -109,15 +110,16 @@ class Simulator:
         #: every hop; only the kernel's dispatch loop writes it.
         self.now = float(start_time)
         #: Min-heap of distinct pending firing times (floats).  Each time
-        #: appears at most once; its events live in ``_buckets[time]``.
+        #: appears at most once; what is due then lives in ``_buckets[time]``.
         self._heap: List[float] = []
-        #: time -> FIFO list of ``[callback, args]`` entries scheduled for
-        #: that instant.
-        self._buckets: Dict[float, List[list]] = {}
+        #: time -> the lone ``[callback, args]`` entry scheduled for that
+        #: instant, or the FIFO list of its entries once it holds two.
+        self._buckets: Dict[float, list] = {}
         self._running = False
-        #: Live count of scheduled, not-yet-cancelled, not-yet-run events.
-        self._pending = 0
-        #: Cancelled events still sitting in buckets (lazy deletion).
+        #: Entries ever scheduled; with the two counters below it gives
+        #: :meth:`pending_count` without a write per dispatched event.
+        self._scheduled = 0
+        #: Cancelled events still sitting in the queue (lazy deletion).
         self._tombstones = 0
         self.events_executed = 0
         #: Cumulative count of cancellations (tombstone compaction resets
@@ -156,13 +158,16 @@ class Simulator:
         # now + delay is already a valid float time.
         time = self.now + delay
         entry = [callback, args]
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [entry]
+        buckets = self._buckets
+        queued = buckets.get(time)
+        if queued is None:
+            buckets[time] = entry
             heapq.heappush(self._heap, time)
+        elif type(queued[0]) is list:
+            queued.append(entry)
         else:
-            bucket.append(entry)
-        self._pending += 1
+            buckets[time] = [queued, entry]
+        self._scheduled += 1
         return entry
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> list:
@@ -174,13 +179,16 @@ class Simulator:
         if type(time) is not float:
             time = float(time)
         entry = [callback, args]
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [entry]
+        buckets = self._buckets
+        queued = buckets.get(time)
+        if queued is None:
+            buckets[time] = entry
             heapq.heappush(self._heap, time)
+        elif type(queued[0]) is list:
+            queued.append(entry)
         else:
-            bucket.append(entry)
-        self._pending += 1
+            buckets[time] = [queued, entry]
+        self._scheduled += 1
         return entry
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> list:
@@ -191,15 +199,15 @@ class Simulator:
         """Prevent a scheduled callback from running.  Idempotent, and a
         no-op once the callback has run.
 
-        The entry stays in its bucket as a tombstone (lazy deletion) and
-        is skipped when it surfaces; the pending/tombstone counters are
-        updated immediately.  When tombstones dominate, the buckets are
-        compacted: filtered and the time-heap rebuilt *in place* (slice
-        assignment) so a ``run()`` loop holding local references keeps
-        seeing the live queue.  A bucket currently being dispatched has
-        already been popped and is skipped; its tombstones are settled
-        when they surface in the dispatch loop, so compaction subtracts
-        only what it actually purged.
+        The entry stays queued as a tombstone (lazy deletion) and is
+        skipped when it surfaces; the counters are updated immediately.
+        When tombstones dominate, the queue is compacted: buckets
+        filtered, lone tombstones dropped and the time-heap rebuilt *in
+        place* (slice assignment) so a ``run()`` loop holding local
+        references keeps seeing the live queue.  A bucket currently being
+        dispatched has already been popped and is skipped; its tombstones
+        are settled when they surface in the dispatch loop, so compaction
+        subtracts only what it actually purged.
         """
         if handle[0] is None:
             return
@@ -207,20 +215,24 @@ class Simulator:
         # buffers or closures in memory until they surface in the queue.
         handle[0] = None
         handle[1] = ()
-        self._pending -= 1
         self._tombstones += 1
         self.events_cancelled += 1
-        if self._tombstones >= _COMPACT_MIN_TOMBSTONES and self._tombstones > self._pending:
+        if self._tombstones >= _COMPACT_MIN_TOMBSTONES and self._tombstones > self.pending_count():
             buckets = self._buckets
             purged = 0
             for time in list(buckets):
-                bucket = buckets[time]
-                live = [entry for entry in bucket if entry[0] is not None]
-                removed = len(bucket) - len(live)
+                queued = buckets[time]
+                if type(queued[0]) is not list:
+                    if queued[0] is None:
+                        purged += 1
+                        del buckets[time]
+                    continue
+                live = [entry for entry in queued if entry[0] is not None]
+                removed = len(queued) - len(live)
                 if removed:
                     purged += removed
                     if live:
-                        bucket[:] = live
+                        queued[:] = live
                     else:
                         del buckets[time]
             if purged:
@@ -239,47 +251,13 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Run the single next pending event.
+        """Run the single next pending event: ``run(max_events=1)``.
 
-        Returns ``True`` if an event ran, ``False`` if the queue is empty.
+        Returns ``True`` if an event ran, ``False`` if none was pending.
         """
-        heap = self._heap
-        buckets = self._buckets
-        while heap:
-            time = heap[0]
-            bucket = buckets.get(time)
-            if bucket is None:
-                heapq.heappop(heap)  # stale entry left by compaction
-                continue
-            index = 0
-            size = len(bucket)
-            while index < size and bucket[index][0] is None:
-                self._tombstones -= 1
-                index += 1
-            if index == size:
-                heapq.heappop(heap)
-                del buckets[time]
-                continue
-            entry = bucket[index]
-            if index + 1 < size:
-                bucket[:] = bucket[index + 1:]
-            else:
-                heapq.heappop(heap)
-                del buckets[time]
-            callback, args = entry
-            entry[0] = None
-            self._pending -= 1
-            self.now = time
-            self.events_executed += 1
-            profiler = self.profiler
-            if profiler.enabled:
-                profiler.enter_callback(callback)
-                callback(*args)
-                profiler.exit()
-            else:
-                callback(*args)
-            return True
-        return False
+        executed = self.events_executed
+        self.run(max_events=1)
+        return self.events_executed > executed
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
@@ -292,8 +270,8 @@ class Simulator:
         truncation that leaves unexecuted events at or before ``until``:
         advancing past them would let a resumed run move the clock
         backwards, so the clock then stays at the last executed event.
-        ``now`` never exceeds ``until`` and never moves backwards, and a
-        bucket holding only tombstones does not move it.
+        ``now`` never exceeds ``until`` and never moves backwards, and an
+        instant holding only tombstones does not move it.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -304,7 +282,9 @@ class Simulator:
         buckets = self._buckets
         heappop = heapq.heappop
         executed = 0
-        truncated = False
+        # The run stops once ``executed`` reaches ``limit`` (never, at -1;
+        # a ``max_events`` below 1 still runs one event).
+        limit = -1 if max_events is None else max(max_events, 1)
         # Profiling guard, hoisted: with the null profiler the whole
         # cost is this one local-bool test per event.  A live profiler
         # wraps the loop in a "sim.run" root scope whose *self* time is
@@ -320,22 +300,41 @@ class Simulator:
                 if until is not None and time > until:
                     break
                 heappop(heap)
-                bucket = buckets.pop(time, None)
-                if bucket is None:
+                queued = buckets.pop(time, None)
+                if queued is None:
                     continue  # stale entry left by compaction
+                callback = queued[0]
+                if type(callback) is not list:
+                    # A lone entry: run it with no bucket loop.
+                    if callback is None:
+                        self._tombstones -= 1
+                        continue  # a tombstone does not move the clock
+                    queued[0] = None
+                    self.now = time
+                    self.events_executed += 1
+                    if profiling:
+                        profiler.enter_callback(callback)
+                        callback(*queued[1])
+                        profiler.exit()
+                    else:
+                        callback(*queued[1])
+                    executed += 1
+                    if executed == limit:
+                        break
+                    continue
                 # Batched same-timestamp dispatch: the whole bucket runs
                 # back-to-back with one heap pop and one clock write.
-                # Callbacks that schedule *at* this instant open a fresh
-                # bucket (picked up by the outer loop, preserving
-                # insertion order); compaction cannot touch this popped
-                # bucket, so iterating by index is safe.
+                # Callbacks that schedule *at* this instant queue afresh
+                # (picked up by the outer loop, preserving insertion
+                # order); compaction cannot touch this popped bucket, so
+                # iterating by index is safe.
                 earlier = self.now
                 self.now = time
                 before = executed
                 index = 0
-                size = len(bucket)
+                size = len(queued)
                 while index < size:
-                    entry = bucket[index]
+                    entry = queued[index]
                     index += 1
                     callback, args = entry
                     if callback is None:
@@ -344,7 +343,6 @@ class Simulator:
                     # Cleared before the call: the handle reads "not
                     # pending" from here on, and a cancel is a no-op.
                     entry[0] = None
-                    self._pending -= 1
                     self.events_executed += 1
                     if profiling:
                         profiler.enter_callback(callback)
@@ -353,23 +351,25 @@ class Simulator:
                     else:
                         callback(*args)
                     executed += 1
-                    if max_events is not None and executed >= max_events:
-                        truncated = True
+                    if executed == limit:
                         break
                 if executed == before:
                     self.now = earlier  # the bucket held only tombstones
-                if truncated:
+                if executed == limit:
                     if index < size:
-                        # Re-queue the unexecuted tail ahead of any events
+                        # Re-queue the unexecuted tail ahead of anything
                         # scheduled at this instant during the batch (the
-                        # tail was inserted before them).
-                        rest = bucket[index:]
+                        # tail was inserted before it).
+                        rest = queued[index:]
                         existing = buckets.get(time)
                         if existing is None:
                             buckets[time] = rest
                             heapq.heappush(heap, time)
-                        else:
+                        elif type(existing[0]) is list:
                             existing[:0] = rest
+                        else:
+                            rest.append(existing)
+                            buckets[time] = rest
                     break
             if until is not None and until > self.now:
                 next_time = self._next_pending_time()
@@ -382,11 +382,11 @@ class Simulator:
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events in the queue.  O(1)."""
-        return self._pending
+        return self._scheduled - self.events_executed - self.events_cancelled
 
     def queue_depth(self) -> int:
         """Events sitting in the queue, including lazy tombstones.  O(1)."""
-        return self._pending + self._tombstones
+        return self.pending_count() + self._tombstones
 
     # ------------------------------------------------------------------
     # Internals
@@ -398,18 +398,23 @@ class Simulator:
         buckets = self._buckets
         while heap:
             time = heap[0]
-            bucket = buckets.get(time)
-            if bucket is None:
+            queued = buckets.get(time)
+            if queued is None:
                 heapq.heappop(heap)
                 continue
-            for entry in bucket:
-                if entry[0] is not None:
+            if type(queued[0]) is not list:
+                if queued[0] is not None:
                     return time
-            # Bucket holds only tombstones: drop it whole.
-            self._tombstones -= len(bucket)
+                self._tombstones -= 1
+            else:
+                for entry in queued:
+                    if entry[0] is not None:
+                        return time
+                self._tombstones -= len(queued)
+            # The instant holds only tombstones: drop it whole.
             heapq.heappop(heap)
             del buckets[time]
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self.now:.6f} pending={self._pending}>"
+        return f"<Simulator t={self.now:.6f} pending={self.pending_count()}>"

@@ -9,6 +9,7 @@ every failed gate — is checked without running a simulation.
 
 import importlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -66,24 +67,34 @@ class TestAbLeg:
             bench.ab_leg("fig2", sides, runs=1)
 
 
-def _leg(reference_s=None, scopes=None, **walls):
+def _leg(reference_s=None, scopes=None, priced=None, **walls):
     leg = {"sides": {side: {"wall_s": wall} for side, wall in walls.items()}}
     if reference_s is not None:
         leg["reference_s"] = reference_s
     if scopes is not None:
         leg["scopes_entered"] = scopes
+    if priced is not None:
+        leg["checks_run"], leg["check_s"], leg["check_reference_s"] = priced
     return leg
+
+
+def _run_checks(bench, count):
+    """What a warn-mode run does to the (patched) monitor checks."""
+    for _ in range(count):
+        bench.InvariantMonitor.check(None)
 
 
 class TestGates:
     @staticmethod
-    def _legs(bench, trace_off, profile_off, profile_on, invariants_off, invariants_warn):
+    def _legs(bench, trace_off, profile_off, profile_on, check_s):
         return {
             "trace": _leg(off=trace_off),
             "profile": _leg(
                 bench.REFERENCE_NOMINAL_S, 1_000_000, off=profile_off, on=profile_on
             ),
-            "invariants": _leg(off=invariants_off, warn=invariants_warn),
+            "invariants": _leg(
+                priced=(1000, check_s, 1000 * bench.REFERENCE_NOMINAL_S), off=10.0, warn=10.0
+            ),
         }
 
     def test_budget_maths(self, bench):
@@ -93,8 +104,7 @@ class TestGates:
             trace_off=bench.PRE_TRACE_BASELINE_S * 1.03,  # exactly at budget
             profile_off=bench.PRE_PROFILE_BASELINE_S * 1.031,  # just over
             profile_on=bench.PRE_PROFILE_BASELINE_S * 1.031 + budget_s,  # at budget
-            invariants_off=10.0,
-            invariants_warn=10.6,
+            check_s=bench.CHECK_BUDGET_NS * 1e-9 * 1000 * 1.1,  # 10% over
         )
         gates = {(g["leg"], g["side"]): g for g in bench.check_gates(legs)}
         assert gates[("trace", "off")]["value"] == 3.0
@@ -105,7 +115,8 @@ class TestGates:
         assert gates[("profile", "on")]["reference"] == "off"
         assert gates[("profile", "on")]["unit"] == "ns/scope"
         assert gates[("profile", "on")]["value"] == pytest.approx(bench.PROFILE_SCOPE_BUDGET_NS, abs=0.1)
-        assert gates[("invariants", "warn")]["value"] == 6.0
+        assert gates[("invariants", "warn")]["unit"] == "ns/check"
+        assert gates[("invariants", "warn")]["value"] == pytest.approx(1.1 * bench.CHECK_BUDGET_NS, abs=0.1)
         assert not gates[("invariants", "warn")]["passed"]
 
     def test_scope_cost_is_rescaled_to_the_nominal_host_speed(self, bench):
@@ -146,19 +157,67 @@ class TestGates:
         assert not slowed["passed"]
         assert slowed["value"] == pytest.approx(2.0 * bench.PROFILE_SCOPE_BUDGET_NS, rel=0.01)
 
+    def test_check_cost_is_rescaled_to_the_nominal_host_speed(self, bench):
+        nominal = bench.REFERENCE_NOMINAL_S
+        # 0.05 s inside 1,000 checks is 50,000 ns each on a nominal host,
+        # and on a host twice as slow, whose reference calls take twice
+        # as long too.
+        fast = _leg(priced=(1000, 0.05, 1000 * nominal), off=5.0, warn=5.0)
+        slow = _leg(priced=(1000, 0.1, 2000 * nominal), off=10.0, warn=10.0)
+        assert bench.check_cost_ns(fast) == 50_000.0
+        assert bench.check_cost_ns(slow) == 50_000.0
+        assert bench.check_cost_ns(_leg(off=5.0, warn=5.0)) is None
+
+    def test_the_check_clock_times_each_check_and_its_reference(self, bench, monkeypatch):
+        monkeypatch.setattr(bench.InvariantMonitor, "check", lambda monitor: time.sleep(0.002))
+        monkeypatch.setattr(bench, "reference_work", lambda: time.sleep(0.001))
+        original = bench.InvariantMonitor.check
+        with bench.CheckClock() as clock:
+            time.sleep(0.01)  # outside every check: not counted
+            _run_checks(bench, 3)
+        assert bench.InvariantMonitor.check is original  # uninstalled
+        assert clock.calls == 3
+        assert 0.006 <= clock.seconds < 0.009
+        assert 0.003 <= clock.reference_s < 0.006
+
+    @pytest.mark.parametrize("extra_s", [0.0, 0.002])
+    def test_monitors_whose_checks_do_extra_work_fail(self, bench, monkeypatch, extra_s):
+        # The stub runner plays a fig2 leg whose warn side runs five
+        # checks per run, on a host where a reference call takes its
+        # nominal time; only checks that sleep fail the budget.
+        monkeypatch.setattr(
+            bench.InvariantMonitor, "check", lambda monitor: extra_s and time.sleep(extra_s)
+        )
+        monkeypatch.setattr(bench, "reference_work", lambda: time.sleep(bench.REFERENCE_NOMINAL_S))
+
+        def wall_of(config):
+            if config.probes:
+                _run_checks(bench, 5)
+            return 1.0
+
+        _stub_runner(monkeypatch, bench, wall_of)
+        legs = bench.overhead_legs(["invariants"], runs=2)
+        # Only the extra priced run is timed: 5 checks, not the leg's 15.
+        assert legs["invariants"]["checks_run"] == 5
+        (gate,) = bench.check_gates(legs)
+        assert gate["passed"] == (extra_s == 0.0), gate
+        if extra_s:
+            assert gate["value"] >= 1e9 * extra_s
+
     def test_a_profiler_that_entered_no_scope_fails(self, bench):
         legs = {"profile": _leg(bench.REFERENCE_NOMINAL_S, 0, off=6.0, on=6.0)}
         (gate,) = [g for g in bench.check_gates(legs) if g["side"] == "on"]
         assert gate["value"] is None and not gate["passed"]
 
     def test_only_gates_whose_leg_ran_are_checked(self, bench):
-        legs = {"invariants": _leg(off=1.0, warn=1.0)}
+        legs = {"invariants": _leg(priced=(1, 0.0, 0.003), off=1.0, warn=1.0)}
         assert [g["leg"] for g in bench.check_gates(legs)] == ["invariants"]
 
     def test_every_failed_gate_is_reported(self, bench, monkeypatch, tmp_path, capsys):
         # Every instrumented side costs double, and the off sides are far
         # over their recorded baselines: all four gates fail (the stub's
-        # profiler enters no scope, which fails its gate too).
+        # profiler enters no scope and its monitors run no check, which
+        # fails those two gates too).
         _stub_runner(monkeypatch, bench, lambda config: 200.0 if config.probes else 100.0)
         output = tmp_path / "summary.json"
         assert bench.main(["--gates", "-o", str(output)]) == 1
@@ -173,7 +232,13 @@ class TestGates:
         ]
 
     def test_passing_gates_exit_zero(self, bench, monkeypatch, tmp_path):
-        _stub_runner(monkeypatch, bench, lambda config: 1.0)
+        monkeypatch.setattr(bench.InvariantMonitor, "check", lambda monitor: None)
+
+        def wall_of(config):
+            _run_checks(bench, 5)
+            return 1.0
+
+        _stub_runner(monkeypatch, bench, wall_of)
         sides, _summary = bench.OVERHEAD_LEGS["profile"]
         monkeypatch.setitem(
             bench.OVERHEAD_LEGS, "profile", (sides, lambda configs: {"scopes_entered": 1000})

@@ -1,6 +1,8 @@
 """Tests for links, the learning switch, topology and capture taps."""
 
 import dataclasses
+import random
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -295,6 +297,90 @@ class TestVirtualTimeSerializer:
         # Booked frames count as sent before they arrive.
         assert any(rx < tx for rx, tx in seen)
         assert peer.rx_frames == port.tx_frames == len(seen) == 12 - port.dropped_frames
+
+
+class _ReferenceQueue:
+    """The transmit-queue rule as a plain model: prune the slots that
+    have started, then count the waiting slots that start after the
+    frame's ``earliest``; depth leaves out frames still inside the
+    sender."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.busy_until = 0.0
+        self.waiting = deque()
+        self.entering = deque()
+
+    @staticmethod
+    def _prune(queue, now):
+        while queue and queue[0] <= now:
+            queue.popleft()
+
+    def send(self, now, earliest, tx_delay):
+        earliest = max(earliest, now)
+        start = self.busy_until
+        if start > earliest:
+            self._prune(self.waiting, now)
+            if sum(1 for slot in self.waiting if slot > earliest) >= self.capacity:
+                return False
+            self.waiting.append(start)
+            if earliest > now:
+                self._prune(self.entering, now)
+                self.entering.append(earliest)
+        else:
+            start = earliest
+        self.busy_until = start + tx_delay
+        return True
+
+    def depth(self, now):
+        self._prune(self.waiting, now)
+        self._prune(self.entering, now)
+        return len(self.waiting) - len(self.entering)
+
+
+class TestQueueBookkeepingMatchesReference:
+    """Random send sequences through a port and through the reference
+    rule: the same accept/drop verdicts, the same ``queue_depth`` after
+    every burst of sends and at probe times between them."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_sends_match_the_reference(self, sim, seed):
+        rnd = random.Random(seed)
+        capacity = rnd.choice((1, 2, 3, 5))
+        link = Link(sim, queue_capacity=capacity, propagation_delay=1e-6)
+        link.port_b.attach(Sink(sim))
+        port = link.port_a
+        reference = _ReferenceQueue(capacity)
+        slot = link.serialization_delay(64)
+        # One sender per port, booking a fixed latency ahead: none, less
+        # than a slot, or many slots (more frames inside the sender than
+        # the queue holds).
+        latency = rnd.choice((0.0, 0.4 * slot, 3 * slot, 9 * slot))
+        seen = []
+
+        def burst():
+            for _ in range(rnd.randint(1, 4)):
+                frame = make_frame(payload_size=rnd.choice((0, 0, 100, 700)))
+                now = sim.now
+                tx_delay = link.serialization_delay(frame.wire_size)
+                expected = reference.send(now, now + latency, tx_delay)
+                seen.append(("send", port.send(frame, now + latency), expected))
+            seen.append(("depth", port.queue_depth, reference.depth(sim.now)))
+
+        def probe():
+            seen.append(("probe", port.queue_depth, reference.depth(sim.now)))
+
+        gap = rnd.choice((1.0, 2.5)) * slot  # overload, or bursts that drain
+        when = 0.0
+        for _ in range(60):
+            when += rnd.choice((0.0, 0.3, 0.9, 1.0, 1.7, 4.0)) * gap
+            sim.schedule_at(when, burst)
+            sim.schedule_at(when + rnd.random() * 3 * slot, probe)
+        sim.run()
+        assert all(got == expected for _, got, expected in seen), seen
+        verdicts = [got for kind, got, _ in seen if kind == "send"]
+        assert False in verdicts  # every sequence fills the queue at times
+        assert port.queue_depth == reference.depth(sim.now) == 0
 
 
 class TestImpairmentDropAccounting:

@@ -1,6 +1,8 @@
 """Tests for the discrete-event kernel."""
 
 import gc
+import heapq
+import random
 import weakref
 
 import pytest
@@ -482,3 +484,259 @@ class TestFifoWithoutSequenceNumbers:
         sim.schedule_at(1.0, fired.append, "after-compaction")
         sim.run()
         assert fired == survivors + ["after-compaction"]
+
+
+class TestLoneInstants:
+    """An instant holding one entry maps straight to that entry; a second
+    entry turns it into a FIFO bucket.  Nothing else about the queue
+    changes: order, tombstones, compaction, truncation and the clock."""
+
+    def test_a_lone_entry_is_queued_as_itself(self, sim):
+        fired = []
+        handle = sim.schedule(1.0, fired.append, "x")
+        assert sim._buckets[1.0] is handle
+        sim.run()
+        assert fired == ["x"]
+        assert sim.now == 1.0
+        assert not sim.is_pending(handle)
+        assert sim.pending_count() == sim.queue_depth() == 0
+
+    def test_a_second_entry_promotes_the_instant_to_a_bucket(self, sim):
+        fired = []
+        first = sim.schedule(1.0, fired.append, "a")
+        second = sim.schedule_at(1.0, fired.append, "b")
+        assert sim._buckets[1.0] == [first, second]
+        assert sim._buckets[1.0][0] is first
+        third = sim.schedule(1.0, fired.append, "c")
+        assert sim._buckets[1.0][2] is third
+        assert len(sim._heap) == 1  # one heap entry per instant
+        sim.run()
+        assert fired == ["a", "b", "c"]
+        assert sim.pending_count() == sim.queue_depth() == 0
+
+    def test_a_tombstone_promoted_by_a_later_entry(self, sim):
+        fired = []
+        sim.cancel(sim.schedule(1.0, fired.append, "never"))
+        sim.schedule(1.0, fired.append, "b")
+        assert sim.pending_count() == 1 and sim.queue_depth() == 2
+        sim.run()
+        assert fired == ["b"]
+        assert sim.now == 1.0
+        assert sim.queue_depth() == 0
+
+    def test_cancelling_a_lone_entry(self, sim):
+        fired = []
+        handle = sim.schedule(2.0, fired.append, "x")
+        sim.cancel(handle)
+        assert sim._buckets[2.0] is handle  # a lone tombstone
+        assert sim.pending_count() == 0 and sim.queue_depth() == 1
+        sim.run()
+        assert fired == []
+        assert sim.now == 0.0  # a tombstone does not move the clock
+        assert sim.queue_depth() == 0
+        assert sim.events_cancelled == 1 and sim.events_executed == 0
+
+    def test_a_lone_tombstone_under_run_until(self, sim):
+        fired = []
+        sim.cancel(sim.schedule(1.0, fired.append, "never"))
+        sim.schedule(4.0, fired.append, "late")
+        sim.run(until=2.0)
+        assert fired == [] and sim.now == 2.0
+        assert sim.queue_depth() == 1  # the tombstone was purged
+        sim.cancel(sim.schedule(5.0, fired.append, "never"))
+        sim.run(until=4.5)
+        assert fired == ["late"] and sim.now == 4.5
+        # Beyond until, the surfaced lone tombstone is purged too.
+        assert sim.queue_depth() == 0
+
+    def test_truncation_before_a_lone_entry_keeps_the_clock(self, sim):
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(2.0, fired.append, "b")
+        sim.run(until=3.0, max_events=1)
+        assert fired == ["a"] and sim.now == 1.0
+        sim.run(until=3.0, max_events=1)
+        assert fired == ["a", "b"] and sim.now == 3.0
+
+    def test_compaction_purges_lone_tombstones(self, sim):
+        fired = []
+        handles = [sim.schedule(1.0 + index, fired.append, index) for index in range(1500)]
+        for index, handle in enumerate(handles):
+            if index % 100:
+                sim.cancel(handle)
+        survivors = list(range(0, 1500, 100))
+        # Each of those instants held one entry: compaction drops the
+        # whole instant, and the heap is rebuilt without it.
+        assert sim.queue_depth() < 512 + len(survivors)
+        assert len(sim._buckets) == len(sim._heap) == sim.queue_depth()
+        assert sim.pending_count() == len(survivors)
+        sim.run()
+        assert fired == survivors
+        assert sim.queue_depth() == 0
+
+    def test_truncated_tail_requeued_onto_a_lone_entry(self, sim):
+        fired = []
+
+        def head():
+            fired.append("head")
+            # The bucket was popped: this lands alone at the instant.
+            sim.call_soon(fired.append, "inner")
+
+        sim.schedule(1.0, head)
+        tail = [sim.schedule(1.0, fired.append, tag) for tag in ("t1", "t2")]
+        sim.run(max_events=1)
+        assert fired == ["head"]
+        # The unrun tail goes ahead of the lone entry, in one bucket.
+        queued = sim._buckets[1.0]
+        assert queued[:2] == tail and len(queued) == 3
+        assert len(sim._heap) == 1
+        assert sim.pending_count() == sim.queue_depth() == 3
+        sim.run()
+        assert fired == ["head", "t1", "t2", "inner"]
+
+    def test_truncated_tail_requeued_onto_a_lone_tombstone(self, sim):
+        fired = []
+
+        def head():
+            fired.append("head")
+            sim.cancel(sim.call_soon(fired.append, "never"))
+
+        sim.schedule(1.0, head)
+        sim.schedule(1.0, fired.append, "t1")
+        sim.run(until=1.0, max_events=1)
+        assert sim.now == 1.0
+        assert sim.pending_count() == 1 and sim.queue_depth() == 2
+        sim.run()
+        assert fired == ["head", "t1"]
+        assert sim.queue_depth() == 0
+
+    def test_step_runs_one_event_of_a_bucket(self, sim):
+        fired = []
+        for tag in ("a", "b"):
+            sim.schedule(1.0, fired.append, tag)
+        sim.cancel(sim.schedule(2.0, fired.append, "never"))
+        assert sim.step() and fired == ["a"]
+        assert sim.step() and fired == ["a", "b"]
+        assert not sim.step()  # only a tombstone is left
+        assert sim.now == 1.0
+        assert sim.queue_depth() == 0
+
+
+class _HeapKernel:
+    """Reference scheduler: one heap of ``(time, seq, entry)``, popped
+    one entry at a time, with the kernel's clock contract."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = 0
+
+    def schedule_at(self, time, callback, *args):
+        entry = [callback, args]
+        heapq.heappush(self._heap, (float(time), self._seq, entry))
+        self._seq += 1
+        return entry
+
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def call_soon(self, callback, *args):
+        return self.schedule_at(self.now, callback, *args)
+
+    @staticmethod
+    def cancel(handle):
+        handle[0] = None
+
+    def pending_count(self):
+        return sum(1 for _, _, entry in self._heap if entry[0] is not None)
+
+    def queue_depth(self):
+        return len(self._heap)
+
+    def run(self, until=None, max_events=None):
+        heap = self._heap
+        executed = 0
+        while heap:
+            time, _, entry = heap[0]
+            if until is not None and time > until:
+                break
+            heapq.heappop(heap)
+            callback, args = entry
+            if callback is None:
+                continue
+            entry[0] = None
+            self.now = time
+            callback(*args)
+            executed += 1
+            if max_events is not None and executed >= max_events:
+                break
+        if until is not None and until > self.now:
+            # Instants holding only tombstones surface and are dropped.
+            while heap:
+                first = heap[0][0]
+                if any(e[0] is not None for t, _, e in heap if t == first):
+                    break
+                while heap and heap[0][0] == first:
+                    heapq.heappop(heap)
+            if not heap or heap[0][0] > until:
+                self.now = float(until)
+
+
+class TestAgainstAReferenceHeap:
+    """Random programs of schedules, absolute schedules, cancels,
+    same-instant scheduling from callbacks, truncated runs and
+    ``until`` windows: the kernel and a plain ``(time, seq)`` heap run
+    the same callbacks in the same order, with the same clock and
+    counters inside every callback and after every run."""
+
+    @staticmethod
+    def _drive(kernel, seed):
+        rnd = random.Random(seed)
+        log = []
+        handles = []
+
+        def observe(tag):
+            log.append((tag, kernel.now, kernel.pending_count(), kernel.queue_depth()))
+
+        def queue(delay, absolute):
+            tag = len(handles)
+            if absolute:
+                handles.append(kernel.schedule_at(kernel.now + delay, event, tag))
+            elif delay == 0.0 and tag % 3 == 0:
+                handles.append(kernel.call_soon(event, tag))
+            else:
+                handles.append(kernel.schedule(delay, event, tag))
+
+        def event(tag):
+            observe(tag)
+            # The event's own actions depend only on its tag, so both
+            # kernels act alike as long as they run the same events.
+            actions = random.Random(seed * 7919 + tag)
+            if len(handles) < 400:
+                for _ in range(actions.choice((0, 1, 1, 2, 3))):
+                    queue(actions.choice((0.0, 0.0, 0.25, 0.5, 1.0, 1.5)), actions.random() < 0.3)
+            if handles and actions.random() < 0.3:
+                kernel.cancel(handles[actions.randrange(len(handles))])
+
+        for _ in range(rnd.randint(1, 30)):
+            queue(rnd.choice((0.0, 0.5, 1.0, 1.0, 2.0, 3.5)), rnd.random() < 0.5)
+        for round_ in range(rnd.randint(3, 8)):
+            for _ in range(rnd.randint(0, 3)):
+                if handles and rnd.random() < 0.5:
+                    kernel.cancel(handles[rnd.randrange(len(handles))])
+                else:
+                    queue(rnd.choice((0.0, 0.5, 1.0, 2.5)), rnd.random() < 0.5)
+            until = rnd.choice((None, kernel.now, kernel.now + rnd.choice((0.5, 1.0, 1.25, 3.0))))
+            max_events = rnd.choice((None, None, 1, 2, 5, 17))
+            kernel.run(until=until, max_events=max_events)
+            observe(("run", round_, until, max_events))
+        kernel.run()
+        observe("drained")
+        return log
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_programs_match_the_reference(self, seed):
+        expected = self._drive(_HeapKernel(), seed)
+        got = self._drive(Simulator(), seed)
+        assert len(got) > 20
+        assert got == expected
