@@ -30,9 +30,9 @@ bench-quick:
 # The overhead gates on the fig2 quick preset, every side interleaved
 # with identical tables required: disabled tracer <=3% over the recorded
 # pre-tracing baseline, absent profiler <=3% over the pre-profiler
-# baseline, fully-on profiler <=35% over absent, invariants=warn <=5%
-# over absent.  Every gate is printed; exits 1 if any failed (CI runs
-# this).
+# baseline, fully-on profiler within its ns-per-scope budget, and each
+# InvariantMonitor.check of a warn run within its ns-per-check budget.
+# Every gate is printed; exits 1 if any failed (CI runs this).
 bench-gates:
 	$(PYTHON) benchmarks/parallel_bench.py --gates
 

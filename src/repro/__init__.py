@@ -27,7 +27,6 @@ from repro.core import (
     DeviceKind,
     FloodToleranceValidator,
     HttpMeasurement,
-    LatencyMeasurement,
     MeasurementSettings,
     MinimumFloodResult,
     Testbed,
@@ -41,7 +40,6 @@ __all__ = [
     "DeviceKind",
     "FloodToleranceValidator",
     "HttpMeasurement",
-    "LatencyMeasurement",
     "MeasurementSettings",
     "MinimumFloodResult",
     "Testbed",

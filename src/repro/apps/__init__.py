@@ -13,7 +13,6 @@ from repro.apps.http_load import (
     HttpLoadSession,
 )
 from repro.apps.httpd import DEFAULT_PAGE_SIZE, HttpServer
-from repro.apps.ping import PingResult, PingSession, ping
 from repro.apps.iperf import (
     DEFAULT_PORT,
     IperfClient,
@@ -37,9 +36,6 @@ __all__ = [
     "IperfClient",
     "IperfResult",
     "IperfServer",
-    "PingResult",
-    "PingSession",
-    "ping",
     "TcpIperfSession",
     "UdpIperfSession",
 ]

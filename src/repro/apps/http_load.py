@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.core.metrics import mean
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address
 from repro.obs.registry import LATENCY_MS_BUCKETS
@@ -71,9 +72,7 @@ class HttpLoadResult:
     def mean_connect_ms(self) -> float:
         """Mean TCP connect latency in milliseconds."""
         samples = [f.connect_time for f in self.fetches if f.connect_time is not None]
-        if not samples:
-            return float("nan")
-        return sum(samples) / len(samples) * 1e3
+        return mean(samples) * 1e3
 
     @property
     def mean_first_response_ms(self) -> float:
@@ -81,9 +80,7 @@ class HttpLoadResult:
         samples = [
             f.first_response_time for f in self.fetches if f.first_response_time is not None
         ]
-        if not samples:
-            return float("nan")
-        return sum(samples) / len(samples) * 1e3
+        return mean(samples) * 1e3
 
 
 class HttpLoadSession:

@@ -23,7 +23,6 @@ from repro.core.methodology import (
     BandwidthMeasurement,
     FloodToleranceValidator,
     HttpMeasurement,
-    LatencyMeasurement,
     MeasurementSettings,
     MinimumFloodResult,
     ValidationReport,
@@ -51,7 +50,6 @@ __all__ = [
     "FleetTestbed",
     "FloodToleranceValidator",
     "HttpMeasurement",
-    "LatencyMeasurement",
     "MeasurementSettings",
     "MinimumFloodResult",
     "PointFailure",

@@ -106,7 +106,7 @@ class FleetResult:
     @property
     def aggregate_goodput_mbps(self) -> float:
         """Fleet-wide goodput (sum over targets)."""
-        return sum(self.goodput_mbps.values())
+        return metrics.sum_in_order(self.goodput_mbps.values())
 
     @property
     def dos_fraction(self) -> float:

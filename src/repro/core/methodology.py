@@ -108,17 +108,6 @@ class MinimumFloodResult:
 
 
 @dataclass
-class LatencyMeasurement:
-    """Outcome of a ping-under-flood measurement."""
-
-    avg_ms: float
-    max_ms: float
-    loss_ratio: float
-    flood_rate_pps: float
-    rule_depth: int
-
-
-@dataclass
 class HttpMeasurement:
     """Outcome of one HTTP application-performance measurement."""
 
@@ -355,61 +344,6 @@ class FloodToleranceValidator:
                 low = middle
         return MinimumFloodResult(
             rule_depth=depth, flood_allowed=flood_allowed, rate_pps=high
-        )
-
-    # ------------------------------------------------------------------
-    # Supplementary: latency under flood
-    # ------------------------------------------------------------------
-
-    def latency_under_flood(
-        self,
-        flood_rate_pps: float = 0.0,
-        depth: int = 1,
-        count: int = 30,
-        interval: float = 0.02,
-    ) -> LatencyMeasurement:
-        """ICMP round-trip latency through the device during a flood.
-
-        Not one of the paper's experiments, but the natural companion to
-        its latency observations: queueing in the card's ring inflates
-        RTT well before outright loss begins.  The ICMP allow rule sits
-        at ``depth``; the flood (when enabled) is *allowed* traffic to
-        the iperf port, whose rule follows the ICMP rule.
-        """
-        from repro.apps.ping import ping
-
-        bed = self._build_testbed()
-        icmp_rule = Rule(
-            action=Action.ALLOW, protocol=IpProtocol.ICMP, name="icmp-echo"
-        )
-        ruleset = padded_ruleset(depth, action_rule=icmp_rule)
-        with ruleset.mutate() as edit:
-            edit.append(self.service_action_rule(self.settings.iperf_port))
-        bed.install_target_policy(ruleset)
-        if flood_rate_pps > 0:
-            # Jittered, not metronomic: realistic inter-packet spacing is
-            # what creates the queueing delay this measurement exists to
-            # observe (a perfectly periodic sub-saturation flood leaves
-            # the ring in a constant-phase steady state).
-            flood = FloodGenerator(
-                bed.attacker,
-                spec=FloodSpec(
-                    kind=FloodKind.TCP_ACK,
-                    dst_port=self.settings.iperf_port,
-                    jitter=0.9,
-                ),
-            )
-            flood.start(bed.target.ip, flood_rate_pps)
-            bed.run(self.settings.flood_lead)
-        session = ping(bed.client, bed.target.ip, count=count, interval=interval)
-        bed.run(count * interval + 0.5)
-        result = session.result
-        return LatencyMeasurement(
-            avg_ms=result.avg_ms,
-            max_ms=result.max_ms,
-            loss_ratio=result.loss_ratio,
-            flood_rate_pps=flood_rate_pps,
-            rule_depth=depth,
         )
 
     # ------------------------------------------------------------------

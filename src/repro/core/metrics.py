@@ -9,7 +9,7 @@ explicit threshold.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 #: Measured bandwidth below this is "approximately 0 Mbps" (a successful
 #: denial of service).
@@ -42,8 +42,18 @@ def is_significant_loss(baseline_mbps: float, measured_mbps: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """Sum left to right, one rounding per addition, as ``sum()`` did
+    before CPython 3.12 began compensating float sums: a result summed
+    here has the same bits on every supported Python."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; NaN for empty input."""
     if not values:
         return float("nan")
-    return sum(values) / len(values)
+    return sum_in_order(values) / len(values)

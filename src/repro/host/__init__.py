@@ -6,7 +6,6 @@ http_load/Apache), UDP datagrams (iperf UDP, flood), and ICMP (echo and
 the port-unreachable errors that answer UDP floods).
 """
 
-from repro.host.arp import ArpLayer
 from repro.host.host import Host
 from repro.host.icmp import IcmpLayer
 from repro.host.ip import IpLayer
@@ -22,7 +21,6 @@ from repro.host.tcp import (
 from repro.host.udp import UdpManager, UdpSocket
 
 __all__ = [
-    "ArpLayer",
     "Host",
     "IcmpLayer",
     "IpLayer",

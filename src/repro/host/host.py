@@ -59,7 +59,6 @@ class Host:
         self.rng = rng if rng is not None else RngRegistry(seed=0)
         self.nic = None  # set by attach_nic
         self.iptables = None  # set by install_iptables
-        self.arp = None  # set by enable_arp
         self.ip_layer = IpLayer(self)
         self.tcp = TcpManager(self)
         self.udp = UdpManager(self)
@@ -84,17 +83,6 @@ class Host:
         """Install a host-resident netfilter-style packet filter."""
         self.iptables = iptables_filter
         iptables_filter.bind_host(self)
-
-    def enable_arp(self, **options):
-        """Turn on dynamic ARP resolution (see :mod:`repro.host.arp`).
-
-        Static ARP-table entries still take precedence, so testbeds with
-        pre-populated tables are unaffected.
-        """
-        from repro.host.arp import ArpLayer
-
-        self.arp = ArpLayer(self, **options)
-        return self.arp
 
     # ------------------------------------------------------------------
     # Egress

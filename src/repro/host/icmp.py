@@ -1,4 +1,4 @@
-"""ICMP: echo (ping) and destination-unreachable generation.
+"""ICMP: echo replies and destination-unreachable generation.
 
 Port-unreachable messages are rate-limited per destination, mirroring the
 Linux ``icmp_ratelimit`` behaviour; without the limit, a UDP flood to a
@@ -8,9 +8,6 @@ one ICMP error per jiffy bucket; we model a token bucket.)
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-from repro.net.addresses import Ipv4Address
 from repro.net.packet import (
     ICMP_CODE_PORT_UNREACHABLE,
     IcmpMessage,
@@ -25,9 +22,6 @@ ICMP_ERROR_RATE = 10.0
 #: Bucket depth.
 ICMP_ERROR_BURST = 10.0
 
-#: Handler signature for echo replies: (source_ip, identifier, sequence, rtt_hint_size)
-EchoReplyHandler = Callable[[Ipv4Address, int, int, int], None]
-
 
 class IcmpLayer:
     """Per-host ICMP processing."""
@@ -37,8 +31,6 @@ class IcmpLayer:
     def __init__(self, host) -> None:
         self.host = host
         self.sim = host.sim
-        self._echo_handlers: Dict[int, EchoReplyHandler] = {}
-        self._next_identifier = 1
         # Token bucket for error generation.
         self._tokens = ICMP_ERROR_BURST
         self._last_refill = 0.0
@@ -47,31 +39,6 @@ class IcmpLayer:
         self.echo_replies_received = 0
         self.errors_sent = 0
         self.errors_suppressed = 0
-
-    # ------------------------------------------------------------------
-    # Echo
-    # ------------------------------------------------------------------
-
-    def ping(
-        self,
-        dst_ip: Ipv4Address,
-        payload_size: int = 56,
-        sequence: int = 0,
-        on_reply: Optional[EchoReplyHandler] = None,
-    ) -> int:
-        """Send an echo request; returns the identifier used."""
-        identifier = self._next_identifier
-        self._next_identifier = (self._next_identifier % 0xFFFF) + 1
-        if on_reply is not None:
-            self._echo_handlers[identifier] = on_reply
-        message = IcmpMessage(
-            icmp_type=IcmpType.ECHO_REQUEST,
-            identifier=identifier,
-            sequence=sequence,
-            payload_size=payload_size,
-        )
-        self.host.ip_layer.send(dst_ip, message)
-        return identifier
 
     # ------------------------------------------------------------------
     # Error generation
@@ -123,6 +90,3 @@ class IcmpLayer:
             self.host.ip_layer.send(packet.src, reply)
         elif message.icmp_type == IcmpType.ECHO_REPLY:
             self.echo_replies_received += 1
-            handler = self._echo_handlers.get(message.identifier)
-            if handler is not None:
-                handler(packet.src, message.identifier, message.sequence, message.payload_size)

@@ -1,4 +1,4 @@
-"""The host IP layer: output path, input dispatch, and ARP resolution.
+"""The host IP layer: output path, input dispatch, and MAC resolution.
 
 All stations share one LAN segment (the paper's testbed has no router),
 so "routing" is MAC resolution from a static ARP table populated by the
@@ -49,15 +49,7 @@ class IpLayer:
         tracer = self.host.sim.tracer
         if tracer.active:
             self._trace_send(tracer, packet)
-        static = self.arp_table.get(packet.dst)
-        if static is not None:
-            self.host.transmit(packet, static)
-            return
-        if self.host.arp is not None:
-            # Dynamic resolution: queue behind an ARP exchange.
-            self.host.arp.send_when_resolved(packet)
-            return
-        self.host.transmit(packet, BROADCAST_MAC)
+        self.host.transmit(packet, self.arp_table.get(packet.dst, BROADCAST_MAC))
 
     def _trace_send(self, tracer, packet: Ipv4Packet) -> None:
         """Root every sampled packet's span chain at the sending host.
@@ -87,16 +79,8 @@ class IpLayer:
             packet.trace_parent = record.span_id
 
     def resolve(self, dst_ip: Ipv4Address) -> MacAddress:
-        """Best-known MAC for ``dst_ip``: static table, then the dynamic
-        ARP cache, then broadcast."""
-        static = self.arp_table.get(dst_ip)
-        if static is not None:
-            return static
-        if self.host.arp is not None:
-            cached = self.host.arp.lookup(dst_ip)
-            if cached is not None:
-                return cached
-        return BROADCAST_MAC
+        """MAC for ``dst_ip`` from the static table, else broadcast."""
+        return self.arp_table.get(dst_ip, BROADCAST_MAC)
 
     # ------------------------------------------------------------------
     # Input

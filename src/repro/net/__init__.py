@@ -12,18 +12,13 @@ multi-switch fleet fabric it is the smallest case of.  It provides
   serialization and propagation delay and bounded transmit queues,
 * :mod:`~repro.net.switch` -- a store-and-forward learning switch,
 * :mod:`~repro.net.topology` -- the spine/leaf fabric builder, whose
-  ``leaf_count=0`` case is the single-switch segment,
-* :mod:`~repro.net.capture` -- packet capture taps for tests and debugging.
+  ``leaf_count=0`` case is the single-switch segment.
 """
 
 from repro.net.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
-from repro.net.capture import CaptureTap
 from repro.net.link import Link, LinkPort
 from repro.net.packet import (
-    ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
-    ArpMessage,
-    ArpOp,
     EthernetFrame,
     IcmpMessage,
     IpProtocol,
@@ -38,10 +33,6 @@ from repro.net.topology import FabricTopology
 
 __all__ = [
     "BROADCAST_MAC",
-    "ArpMessage",
-    "ArpOp",
-    "CaptureTap",
-    "ETHERTYPE_ARP",
     "ETHERTYPE_IPV4",
     "EthernetFrame",
     "EthernetSwitch",

@@ -29,28 +29,28 @@ pipeline) declares it as ``rx_latency``, and the delivery event fires
 that much after the frame arrives, at ``(slot_end + delay) +
 rx_latency`` -- the instant a hand-off event scheduled at arrival would
 have fired at -- so the device hands the frame on at once.  Everything
-the delivery does (port counters, taps, the receiving device's work)
-then happens at that later instant; the taps and the ``link.tx`` trace
-span report the arrival, recovered as ``now - rx_latency``.
+the delivery does (port counters, the receiving device's work) then
+happens at that later instant; the ``link.tx`` trace span reports the
+arrival, recovered as ``now - rx_latency``.
 
 The per-frame path reads what it needs from the port itself: each
-:class:`LinkPort` holds the link's kernel, tracer, taps list and delay
-memo, and its delivery callback bound once.  Only a frame that finds
-the wire busy touches the transmit queue's bookkeeping; on an idle wire
-no booked slot can still be waiting, so the queue cannot be full.  The
-drop test reads one slot start, the capacity-th latest, because slot
-starts only increase.  A frame object may be sent many times (a flood
-template's frame), so the link writes into a frame only the trace
-stamps of an armed tracer (under which a flood builds a fresh packet,
-and so a fresh frame, per send); an impairment that corrupts a frame
-transmits a corrupted copy.
+:class:`LinkPort` holds the link's kernel, tracer and delay memo, and
+its delivery callback bound once.  Only a frame that finds the wire busy
+touches the transmit queue's bookkeeping; on an idle wire no booked slot
+can still be waiting, so the queue cannot be full.  The drop test reads
+one slot start, the capacity-th latest, because slot starts only
+increase.  A frame object may be sent many times (a flood template's
+frame), so the link writes into a frame only the trace stamps of an
+armed tracer (under which a flood builds a fresh packet, and so a fresh
+frame, per send); an impairment that corrupts a frame transmits a
+corrupted copy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Deque, Dict, List, Optional, Protocol
+from typing import Deque, Dict, Optional, Protocol
 
 from repro.net.packet import EthernetFrame, Ipv4Packet
 from repro.obs.profiling import core as _profiling
@@ -164,8 +164,7 @@ class LinkPort:
     wire is next free, but no earlier than the ``earliest`` start the
     sender gives, and the frame reaches the far end's device after the
     propagation delay.  A sender books at most one latency ahead, in
-    nondecreasing ``earliest`` order (a standard NIC's ARP frames take
-    its pipeline latency too), so the slots stay FIFO.
+    nondecreasing ``earliest`` order, so the slots stay FIFO.
 
     Queue depth at time ``t`` counts the frames that have left the
     sender (``earliest <= t``) and whose slot has not started; a frame
@@ -181,12 +180,11 @@ class LinkPort:
 
     def __init__(self, link: "Link", name: str, queue_capacity: int):
         self.link = link
-        # The link's kernel, tracer, taps and delay memo, held for the
+        # The link's kernel, tracer and delay memo, held for the
         # per-frame path (the tracer is configured in place, never
-        # replaced, and the taps list and memo are only ever added to).
+        # replaced, and the memo is only ever added to).
         self.sim = link.sim
         self.tracer = link.sim.tracer
-        self._taps = link.taps
         self._tx_delays = link._tx_delays
         self.name = name
         self.queue_capacity = queue_capacity
@@ -338,7 +336,7 @@ class LinkPort:
         peer = self.peer
         peer.rx_frames += 1
         peer.rx_bytes += size
-        if self._taps or self.tracer.active:
+        if self.tracer.active:
             self._observe(frame, size, peer)
         device = peer.device
         if device is None:
@@ -356,23 +354,21 @@ class LinkPort:
             profiler.exit()
 
     def _observe(self, frame: EthernetFrame, size: int, peer: "LinkPort") -> None:
-        """Close the frame's ``link.tx`` span and feed the taps, both at
-        the frame's arrival."""
-        arrival = self.sim.now - peer.rx_latency
+        """Close the frame's ``link.tx`` span at the frame's arrival."""
         packet = frame.payload
         ctx = getattr(packet, "trace_ctx", None)
-        if ctx is not None and self.tracer.active:
-            record = self.tracer.span(
-                ctx, "link.tx", self.name,
-                getattr(frame, "trace_t0", arrival), arrival,
-                parent=getattr(frame, "trace_parent", None),
-                bytes=size,
-            )
-            # Re-stamp before the synchronous hand-off so the receiving
-            # device captures this hop as its parent.
-            packet.trace_parent = record.span_id
-        for tap in self._taps:
-            tap.observe(arrival, frame, self, peer)
+        if ctx is None:
+            return
+        arrival = self.sim.now - peer.rx_latency
+        record = self.tracer.span(
+            ctx, "link.tx", self.name,
+            getattr(frame, "trace_t0", arrival), arrival,
+            parent=getattr(frame, "trace_parent", None),
+            bytes=size,
+        )
+        # Re-stamp before the synchronous hand-off so the receiving
+        # device captures this hop as its parent.
+        packet.trace_parent = record.span_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LinkPort {self.name} q={self.queue_depth}/{self.queue_capacity}>"
@@ -412,7 +408,6 @@ class Link:
         self.name = name
         self.bandwidth_bps = float(bandwidth_bps)
         self.propagation_delay = float(propagation_delay)
-        self.taps: List = []
         #: Chaos-injected degradation (:class:`LinkImpairment`), or None
         #: for a healthy link — the only per-frame cost when no fault is
         #: active is this attribute's ``is None`` check.
@@ -433,10 +428,6 @@ class Link:
                 wire_size + units.ETHERNET_WIRE_OVERHEAD, self.bandwidth_bps
             )
         return delay
-
-    def add_tap(self, tap) -> None:
-        """Attach a capture tap observing both directions of the link."""
-        self.taps.append(tap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} {units.to_mbps(self.bandwidth_bps):.0f}Mbps>"

@@ -439,64 +439,6 @@ _FRAME_OVERHEAD = units.ETHERNET_HEADER + units.ETHERNET_FCS
 #: EtherType for IPv4.
 ETHERTYPE_IPV4 = 0x0800
 
-#: EtherType for ARP.
-ETHERTYPE_ARP = 0x0806
-
-
-class ArpOp(IntEnum):
-    """ARP operation codes."""
-
-    REQUEST = 1
-    REPLY = 2
-
-
-@_slotted()
-class ArpMessage:
-    """An ARP request or reply (RFC 826, Ethernet/IPv4 only)."""
-
-    SIZE = 28
-
-    op: ArpOp
-    sender_mac: MacAddress
-    sender_ip: Ipv4Address
-    target_mac: MacAddress
-    target_ip: Ipv4Address
-
-    @property
-    def size(self) -> int:
-        """Wire size of the ARP body."""
-        return self.SIZE
-
-    def to_bytes(self) -> bytes:
-        """Wire representation (hardware type 1, protocol 0x0800)."""
-        return (
-            struct.pack("!HHBBH", 1, ETHERTYPE_IPV4, 6, 4, int(self.op))
-            + self.sender_mac.to_bytes()
-            + self.sender_ip.to_bytes()
-            + self.target_mac.to_bytes()
-            + self.target_ip.to_bytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "ArpMessage":
-        """Parse an ARP body."""
-        if len(raw) < cls.SIZE:
-            raise ValueError("truncated ARP message")
-        _htype, _ptype, _hlen, _plen, op = struct.unpack("!HHBBH", raw[:8])
-        return cls(
-            op=ArpOp(op),
-            sender_mac=MacAddress(int.from_bytes(raw[8:14], "big")),
-            sender_ip=Ipv4Address(int.from_bytes(raw[14:18], "big")),
-            target_mac=MacAddress(int.from_bytes(raw[18:24], "big")),
-            target_ip=Ipv4Address(int.from_bytes(raw[24:28], "big")),
-        )
-
-    def describe(self) -> str:
-        """Human-readable one-liner."""
-        if self.op == ArpOp.REQUEST:
-            return f"ARP who-has {self.target_ip} tell {self.sender_ip}"
-        return f"ARP {self.sender_ip} is-at {self.sender_mac}"
-
 
 @_slotted("trace_t0", "trace_parent")
 class EthernetFrame:
@@ -510,7 +452,7 @@ class EthernetFrame:
 
     src_mac: MacAddress
     dst_mac: MacAddress
-    payload: Union[Ipv4Packet, ArpMessage, RawPayload]
+    payload: Union[Ipv4Packet, RawPayload]
     ethertype: int = ETHERTYPE_IPV4
     #: Bit-flipped serialized IPv4 header carried by the copy of a
     #: frame that an in-flight corruption fault transmits

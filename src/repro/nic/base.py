@@ -30,7 +30,7 @@ from typing import Optional
 from repro.net.addresses import MacAddress
 from repro.net.checksum import verify_checksum
 from repro.net.link import LinkPort
-from repro.net.packet import ArpMessage, EthernetFrame, Ipv4Packet
+from repro.net.packet import EthernetFrame, Ipv4Packet
 from repro.sim.engine import Simulator
 
 #: The I/G (group) bit of a MAC address: set for multicast and broadcast.
@@ -46,9 +46,8 @@ class BaseNic:
 
     #: Fixed pipeline latency, each direction: 0 on the embedded cards,
     #: whose latency is their processor queue (see
-    #: :class:`~repro.nic.standard.StandardNic`).  ARP frames take it on
-    #: egress like IP frames, and the link folds it into every delivery
-    #: to this NIC as :attr:`rx_latency`.
+    #: :class:`~repro.nic.standard.StandardNic`).  The link folds it into
+    #: every delivery to this NIC as :attr:`rx_latency`.
     latency = 0.0
 
     def __init__(self, sim: Simulator, name: str):
@@ -133,15 +132,6 @@ class BaseNic:
             frame = self._last_frame = EthernetFrame(self.host.mac, dst_mac, packet)
         port.send(frame, earliest)
 
-    def send_arp_frame(self, frame: EthernetFrame) -> None:
-        """Transmit an ARP frame, bypassing the policy engine, after the
-        same fixed latency as an IP frame."""
-        port = self.port
-        if port is None:
-            raise RuntimeError(f"NIC {self.name} not attached to a link")
-        self.frames_sent += 1
-        port.send(frame, self.sim.now + self.latency)
-
     # ------------------------------------------------------------------
     # Ingress (wire -> host)
     # ------------------------------------------------------------------
@@ -154,10 +144,6 @@ class BaseNic:
             return
         packet = frame.payload
         if type(packet) is not Ipv4Packet:
-            if type(packet) is ArpMessage and self.host.arp is not None:
-                # ARP bypasses the firewall engine: the EFW/ADF filter at
-                # the IP layer, and link-layer resolution must always work.
-                self.host.arp.message_arrived(packet)
             return
         if frame.corrupt_header is not None and not verify_checksum(
             frame.corrupt_header

@@ -35,8 +35,8 @@ class StandardNic(BaseNic):
       does) and books its wire slot from ``now + latency``
       (:meth:`LinkPort.send`'s ``earliest``): one fixed latency keeps
       frames in order, so the slot is the one a later hand-off would
-      have booked.  ARP frames take the same pipeline, so
-      this NIC books its port in nondecreasing ``earliest`` order.
+      have booked, and this NIC books its port in nondecreasing
+      ``earliest`` order.
       ``frames_sent`` counts, and the link's egress state is read, as
       the host hands the frame down;
     * ingress latency is folded into the link's delivery event

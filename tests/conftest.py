@@ -1,4 +1,5 @@
-"""Shared fixtures: a simulation kernel and a minimal two-host network."""
+"""Shared fixtures: a simulation kernel and a minimal two-host network,
+and a probe that records the frames a device receives."""
 
 from __future__ import annotations
 
@@ -54,6 +55,24 @@ class MiniNet:
 
     def run(self, duration: float) -> None:
         self.sim.run(until=self.sim.now + duration)
+
+
+def record_arrivals(device, port=None):
+    """Wrap ``device.receive_frame`` to record ``(now, frame)`` for every
+    frame the link hands it (only those arriving on ``port`` when given),
+    then pass the frame on.  ``now`` is the delivery instant, which is
+    a receiving standard NIC's latency after the frame's arrival."""
+    arrivals = []
+    receive = device.receive_frame
+    sim = device.sim
+
+    def record(frame, ingress):
+        if port is None or ingress is port:
+            arrivals.append((sim.now, frame))
+        receive(frame, ingress)
+
+    device.receive_frame = record
+    return arrivals
 
 
 @pytest.fixture

@@ -85,34 +85,3 @@ class TestTenMbpsNetwork:
         assert bed.target.nic.processor.utilisation(bed.sim.now) < 0.6
         assert bed.target.nic.ring_drops == 0
         assert not bed.target.nic.wedged
-
-
-class TestLatencyUnderFlood:
-    """The supplementary ping-under-flood study (methodology extra)."""
-
-    def test_clean_lan_rtt_is_sub_millisecond(self):
-        validator = FloodToleranceValidator(DeviceKind.EFW, FAST)
-        clean = validator.latency_under_flood(flood_rate_pps=0, depth=8, count=20)
-        assert clean.loss_ratio == 0.0
-        assert clean.avg_ms < 1.0
-
-    def test_rtt_inflates_with_load_before_loss(self):
-        validator = FloodToleranceValidator(DeviceKind.EFW, FAST)
-        clean = validator.latency_under_flood(flood_rate_pps=0, depth=8, count=40)
-        loaded = validator.latency_under_flood(flood_rate_pps=18000, depth=8, count=40)
-        assert loaded.loss_ratio < 0.2  # below the DoS point
-        assert loaded.avg_ms > clean.avg_ms
-        assert loaded.max_ms > 2 * clean.max_ms
-
-    def test_saturating_flood_drops_echoes(self):
-        validator = FloodToleranceValidator(DeviceKind.EFW, FAST)
-        saturated = validator.latency_under_flood(
-            flood_rate_pps=40000, depth=8, count=30
-        )
-        assert saturated.loss_ratio > 0.5
-
-    def test_deeper_rules_raise_the_clean_rtt(self):
-        validator = FloodToleranceValidator(DeviceKind.EFW, FAST)
-        shallow = validator.latency_under_flood(flood_rate_pps=0, depth=1, count=20)
-        deep = validator.latency_under_flood(flood_rate_pps=0, depth=64, count=20)
-        assert deep.avg_ms > shallow.avg_ms

@@ -13,6 +13,7 @@ from repro.apps.http_load import HttpLoadClient
 from repro.apps.httpd import HttpServer
 from repro.apps.iperf import IperfClient, IperfServer
 from repro.net.addresses import Ipv4Address
+from tests.conftest import record_arrivals
 
 
 class TestIperfTcp:
@@ -148,15 +149,12 @@ class TestFloodGenerator:
 
     def test_default_packets_are_minimum_frames(self, trinet):
         mallory, bob = trinet["mallory"], trinet["bob"]
-        from repro.net.capture import CaptureTap
-
-        tap = CaptureTap()
-        trinet.topology.link_for("bob").add_tap(tap)
+        arrivals = record_arrivals(bob.nic)
         flood = FloodGenerator(mallory)
         flood.start(bob.ip, rate_pps=1000, duration=0.1)
         trinet.run(0.2)
-        assert tap.frames
-        assert all(captured.wire_size == 64 for captured in tap.frames)
+        assert len(arrivals) == flood.packets_sent
+        assert all(frame.wire_size == 64 for _, frame in arrivals)
 
     def test_tcp_flood_elicits_rst_responses(self, trinet):
         mallory, bob = trinet["mallory"], trinet["bob"]
@@ -229,16 +227,13 @@ class TestFloodGenerator:
     def test_achieved_rate_bounded_by_wire(self, trinet):
         # Ask for 1M pps; the 100 Mbps link caps near 148.8k pps.
         mallory, bob = trinet["mallory"], trinet["bob"]
-        from repro.net.capture import CaptureTap
-
-        # Count only the flood direction; the tap sees bob's RST
-        # responses too (both directions cross the same link).
-        tap = CaptureTap(
-            frame_filter=lambda frame: frame.ip is not None and frame.ip.dst == bob.ip
-        )
-        trinet.topology.link_for("bob").add_tap(tap)
+        # Only the flood direction: bob's NIC receives, it does not see
+        # its own RST responses.
+        arrivals = record_arrivals(bob.nic)
         flood = FloodGenerator(mallory)
         flood.start(bob.ip, rate_pps=1_000_000, duration=0.1)
         trinet.run(0.25)
-        delivered_rate = tap.rate_pps(0.02, 0.1)  # steady-state window
+        start, end = 0.02, 0.1  # steady-state window
+        delivered = sum(1 for time, _ in arrivals if start <= time < end)
+        delivered_rate = delivered / (end - start)
         assert 100_000 < delivered_rate < 150_000

@@ -1,8 +1,7 @@
-"""Tests for connection tracking, the stateful iptables, and ping."""
+"""Tests for connection tracking and the stateful iptables."""
 
 import pytest
 
-from repro.apps.ping import ping
 from repro.firewall.builders import deny_all, padded_ruleset
 from repro.firewall.conntrack import (
     ConnState,
@@ -190,51 +189,3 @@ class TestStatefulIptables:
         mininet.run(0.2)
         assert filt.dropped_conntrack_full > 0
         assert len(got) < 20
-
-
-class TestPing:
-    def test_bounded_run_reports_statistics(self, mininet):
-        alice, bob = mininet["alice"], mininet["bob"]
-        session = ping(alice, bob.ip, count=5, interval=0.05)
-        mininet.run(1.0)
-        result = session.result
-        assert result.sent == 5
-        assert result.received == 5
-        assert result.loss_ratio == 0.0
-        assert 0 < result.min_ms <= result.avg_ms <= result.max_ms < 5
-        assert "5 sent, 5 received" in result.summary()
-
-    def test_loss_counted_for_silent_target(self, mininet):
-        alice = mininet["alice"]
-        session = ping(alice, Ipv4Address("192.168.1.99"), count=3, interval=0.05)
-        mininet.run(1.0)
-        assert session.result.sent == 3
-        assert session.result.received == 0
-        assert session.result.loss_ratio == 1.0
-
-    def test_stop_halts_stream(self, mininet):
-        alice, bob = mininet["alice"], mininet["bob"]
-        session = ping(alice, bob.ip, count=1000, interval=0.05)
-        mininet.run(0.2)
-        session.stop()
-        sent_at_stop = session.result.sent
-        mininet.run(0.5)
-        assert session.result.sent == sent_at_stop
-
-    def test_latency_grows_behind_deep_efw_ruleset(self, sim):
-        from tests.test_nic_models import build_pair
-        from repro.nic.efw import EfwNic
-        from repro.firewall.builders import padded_ruleset
-        from repro.firewall.rules import Action, Rule
-        from repro.net.packet import IpProtocol
-
-        def rtt_at_depth(depth):
-            local_sim = type(sim)()
-            alice, bob = build_pair(local_sim, lambda: EfwNic(local_sim))
-            icmp_allow = Rule(action=Action.ALLOW, protocol=IpProtocol.ICMP)
-            bob.nic.install_policy(padded_ruleset(depth, action_rule=icmp_allow))
-            session = ping(alice, bob.ip, count=10, interval=0.02)
-            local_sim.run(until=1.0)
-            return session.result.avg_ms
-
-        assert rtt_at_depth(64) > rtt_at_depth(1)

@@ -31,6 +31,13 @@ class TestStatistics:
         assert metrics.mean([1, 2, 3]) == 2
         assert math.isnan(metrics.mean([]))
 
+    def test_mean_sums_left_to_right_on_every_python(self):
+        # 1e16 + 1.0 rounds back to 1e16, so an ordered sum reads 0.0;
+        # a compensated sum (``sum()`` from CPython 3.12) would keep the
+        # 1.0 and move every pinned digest built on a mean.
+        assert metrics.mean([1e16, 1.0, -1e16]) == 0.0
+        assert metrics.sum_in_order([1e16, 1.0, -1e16]) == 0.0
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
     def test_mean_within_bounds_property(self, values):
         centre = metrics.mean(values)

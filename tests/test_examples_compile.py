@@ -2,10 +2,11 @@
 
 The examples are exercised end-to-end by humans; here we keep them from
 rotting: each must compile, carry a main() entry point and a docstring,
-and import only the public package surface.
+and import only the standard library and names that ``repro`` still has.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -43,6 +44,26 @@ class TestExamples:
                 assert root in ("repro",) or root in _STDLIB, (
                     f"{path.name} imports unexpected module {module}"
                 )
+                if root != "repro":
+                    continue
+                # Raises if the module is gone.
+                imported = importlib.import_module(module)
+                if isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        assert _resolves(imported, alias.name), (
+                            f"{path.name}: {module} has no {alias.name}"
+                        )
+
+
+def _resolves(module, name):
+    """True when ``from module import name`` would succeed."""
+    if hasattr(module, name):
+        return True
+    try:
+        importlib.import_module(f"{module.__name__}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
 
 
 _STDLIB = {"argparse", "sys", "os", "time", "math", "json", "io", "struct"}

@@ -15,6 +15,7 @@ from repro.core.testbed import DeviceKind, Testbed
 from repro.firewall.builders import allow_all, oracle_ruleset, padded_ruleset
 from repro.firewall.rules import Action, PortRange, Rule
 from repro.net.packet import IpProtocol
+from tests.conftest import record_arrivals
 
 
 class TestDosStory:
@@ -148,26 +149,23 @@ class TestVpgChannelStory:
         validator._install_vpg_policies(bed, 1, port=80)
         HttpServer(bed.target, port=80, pages={"/": 8192})
 
-        from repro.net.capture import CaptureTap
-
-        tap = CaptureTap(frame_filter=lambda frame: frame.ip is not None)
-        bed.topology.link_for("target").add_tap(tap)
+        # Both directions of the target's link: what its NIC receives,
+        # and what the switch receives on the target's port.
+        switch_port = bed.target.nic.port.peer
+        inbound = record_arrivals(bed.target.nic)
+        outbound = record_arrivals(switch_port.device, switch_port)
 
         session = HttpLoadClient(bed.client).start(bed.target.ip, duration=0.5)
         bed.run(0.6)
         result = session.result()
         assert result.completed > 5
+        assert inbound and outbound
+        ip_frames = [frame for _, frame in inbound + outbound if frame.ip is not None]
         # Every HTTP frame on the wire is VPG-encapsulated.
-        http_frames = [
-            captured
-            for captured in tap.frames
-            if captured.frame.ip.protocol != IpProtocol.VPG
-        ]
-        assert http_frames == []
+        assert [f for f in ip_frames if f.ip.protocol != IpProtocol.VPG] == []
         # And no plaintext of the request leaked.
-        for captured in tap.frames:
-            wire = captured.frame.ip.payload.to_bytes()
-            assert b"GET /" not in wire
+        for frame in ip_frames:
+            assert b"GET /" not in frame.ip.payload.to_bytes()
 
     def test_vpg_protects_against_unauthorized_peer(self):
         validator = FloodToleranceValidator(

@@ -1,4 +1,4 @@
-"""Tests for links, the learning switch, topology and capture taps."""
+"""Tests for links, the learning switch and topology."""
 
 import dataclasses
 import random
@@ -9,11 +9,8 @@ import pytest
 
 from repro.chaos import LinkFlap
 from repro.net.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
-from repro.net.capture import CaptureTap
 from repro.net.link import Link
 from repro.net.packet import (
-    ArpMessage,
-    ArpOp,
     EthernetFrame,
     IcmpMessage,
     IcmpType,
@@ -173,7 +170,6 @@ class TestSerializerExactness:
     @staticmethod
     def _payloads():
         src, dst = Ipv4Address("10.0.0.1"), Ipv4Address("10.0.0.2")
-        mac = MacAddress.from_index(1)
         return [
             Ipv4Packet(src, dst, TcpSegment(1, 2, flags=TcpFlags.SYN)),
             Ipv4Packet(src, dst, TcpSegment(1, 2, payload_size=1460)),
@@ -181,7 +177,7 @@ class TestSerializerExactness:
             Ipv4Packet(src, dst, UdpDatagram(1, 2, payload_size=19)),
             Ipv4Packet(src, dst, IcmpMessage(IcmpType.ECHO_REQUEST, payload_size=56)),
             Ipv4Packet(src, dst, RawPayload(size=300), protocol=IpProtocol.VPG),
-            ArpMessage(ArpOp.REQUEST, mac, src, MacAddress(0), dst),
+            RawPayload(size=46),
             RawPayload(size=10),
         ]
 
@@ -197,7 +193,8 @@ class TestSerializerExactness:
             assert dataclasses.replace(frame).wire_size == fresh
             sizes.append(frame.wire_size)
         # SYN, full TCP, UDP at and just past the 64-byte padding edge,
-        # ICMP, raw IP, ARP (padded), raw Ethernet payload (padded).
+        # ICMP, raw IP, raw Ethernet payloads at and under the 64-byte
+        # edge (the second padded).
         assert sizes == [64, 1518, 64, 65, 102, 338, 64, 64]
 
     def test_replace_recomputes_the_cached_size(self):
@@ -673,53 +670,3 @@ class TestTopology:
         topo.add_station("y")
         assert topo.station_names() == ["x", "y"]
         assert topo.link_for("x").name.endswith(".x")
-
-
-class TestCaptureTap:
-    def test_tap_records_frames_with_direction(self, sim):
-        link = Link(sim)
-        tap = CaptureTap()
-        link.add_tap(tap)
-        sink = Sink(sim)
-        link.port_b.attach(sink)
-        link.port_a.send(make_frame())
-        sim.run()
-        assert tap.total_frames == 1
-        assert tap.frames[0].dst_port_name == link.port_b.name
-
-    def test_filter_excludes_frames(self, sim):
-        link = Link(sim)
-        tap = CaptureTap(frame_filter=lambda frame: frame.wire_size > 1000)
-        link.add_tap(tap)
-        link.port_b.attach(Sink(sim))
-        link.port_a.send(make_frame(payload_size=10))
-        link.port_a.send(make_frame(payload_size=1400))
-        sim.run()
-        assert tap.total_frames == 1
-
-    def test_window_queries_and_rate(self, sim):
-        link = Link(sim)
-        tap = CaptureTap()
-        link.add_tap(tap)
-        link.port_b.attach(Sink(sim))
-        for delay in (0.1, 0.2, 0.9):
-            sim.schedule(delay, link.port_a.send, make_frame())
-        sim.run()
-        assert len(tap.frames_between(0.0, 0.5)) == 2
-        assert tap.rate_pps(0.0, 1.0) == pytest.approx(3.0)
-
-    def test_rate_rejects_bad_window(self):
-        tap = CaptureTap()
-        with pytest.raises(ValueError):
-            tap.rate_pps(1.0, 1.0)
-
-    def test_clear(self, sim):
-        link = Link(sim)
-        tap = CaptureTap()
-        link.add_tap(tap)
-        link.port_b.attach(Sink(sim))
-        link.port_a.send(make_frame())
-        sim.run()
-        tap.clear()
-        assert tap.total_frames == 0
-        assert len(tap) == 0

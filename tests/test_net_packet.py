@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.checksum import internet_checksum, verify_checksum
 from repro.net.packet import (
-    ArpMessage,
-    ArpOp,
     EthernetFrame,
     IcmpMessage,
     IcmpType,
@@ -70,23 +68,15 @@ class TestSizes:
 
 
 def _one_of_each():
-    """An instance of each of the seven packet and frame classes."""
+    """An instance of each of the six packet and frame classes."""
     tcp = TcpSegment(src_port=1, dst_port=2)
     packet = Ipv4Packet(src=SRC, dst=DST, payload=tcp)
-    arp = ArpMessage(
-        op=ArpOp.REQUEST,
-        sender_mac=MacAddress.from_index(1),
-        sender_ip=SRC,
-        target_mac=MacAddress(0),
-        target_ip=DST,
-    )
     return [
         RawPayload(size=4),
         UdpDatagram(src_port=1, dst_port=2),
         tcp,
         IcmpMessage(icmp_type=IcmpType.ECHO_REQUEST),
         packet,
-        arp,
         EthernetFrame(MacAddress.from_index(1), MacAddress.from_index(2), packet),
     ]
 

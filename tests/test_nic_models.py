@@ -10,12 +10,14 @@ from repro.firewall.ruleset import RuleSet
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.link import Link, LinkImpairment
-from repro.net.packet import ETHERTYPE_ARP, IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram
+from repro.net.packet import IpProtocol, Ipv4Packet, TcpSegment, UdpDatagram
 from repro.net.topology import FabricTopology
 from repro.nic.adf import AdfNic
 from repro.nic.efw import EfwNic
 from repro.nic.standard import StandardNic
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from tests.conftest import record_arrivals
 
 
 def build_pair(sim, target_nic_factory):
@@ -133,33 +135,6 @@ class TestStandardNicFixedLatency:
         assert (nic_rx.start, nic_rx.end) == (link_tx.end, arrival + bob.nic.latency)
         assert nic_rx.parent_id == link_tx.span_id
         assert deliver.start == nic_rx.end and deliver.parent_id == nic_rx.span_id
-
-    def test_arp_frame_takes_the_same_pipeline_as_ip(self, sim):
-        alice, bob = build_pair(sim, lambda: StandardNic(sim))
-        alice.enable_arp()
-        port = alice.nic.port
-        switch = port.peer.device
-        arrivals = []
-        receive = switch.receive_frame
-
-        def record(frame, ingress):
-            if ingress is port.peer:
-                arrivals.append((sim.now, frame.ethertype == ETHERTYPE_ARP))
-            receive(frame, ingress)
-
-        switch.receive_frame = record
-        udp_to(alice, bob, 7000)
-        # Unresolved destination: an ARP request while the UDP frame is
-        # still inside the NIC.
-        alice.ip_layer.send_packet(
-            Ipv4Packet(src=alice.ip, dst=Ipv4Address("10.0.0.9"), payload=UdpDatagram(4000, 7000))
-        )
-        assert port.queue_depth == 0
-        sim.run(until=0.001)
-        # The request books behind the UDP frame from now + latency
-        # (before it skipped the latency and left first, at 7.22 us).
-        assert [is_arp for _t, is_arp in arrivals] == [False, True]
-        assert [t for t, _is_arp in arrivals] == pytest.approx([8.22e-06, 1.494e-05], abs=1e-12)
 
 
 class TestEmbeddedPolicyEnforcement:
@@ -298,6 +273,24 @@ class TestEmbeddedCostModel:
         sim.run(until=0.5)
         assert bob.nic.ring_drops > 0
 
+    def test_latency_grows_behind_deep_efw_ruleset(self):
+        # Every rule the classifier walks costs processor time, so a
+        # datagram whose allow rule sits deep in the table arrives later.
+        def delivery_time(depth):
+            sim = Simulator()
+            alice, bob = build_pair(sim, lambda: EfwNic(sim))
+            udp_allow = Rule(action=Action.ALLOW, protocol=IpProtocol.UDP)
+            bob.nic.install_policy(padded_ruleset(depth, action_rule=udp_allow))
+            delivered = []
+            bob.udp.bind(7000, lambda *args: delivered.append(sim.now))
+            udp_to(alice, bob, 7000)
+            sim.run(until=0.1)
+            [time] = delivered
+            return time
+
+        shallow, deep = delivery_time(1), delivery_time(64)
+        assert deep - shallow == pytest.approx(63 * calibration.EFW_COST_MODEL.c_rule)
+
 
 class TestVpgDataPath:
     def _vpg_pair(self, sim):
@@ -332,11 +325,8 @@ class TestVpgDataPath:
         got = []
         bob.udp.bind(7000, lambda src, sport, size, data: got.append((size, data)))
 
-        # Tap the wire: frames must be protocol-50 with no visible ports.
-        from repro.net.capture import CaptureTap
-
-        tap = CaptureTap()
-        topo.link_for("bob").add_tap(tap)
+        # Probe the wire: frames must be protocol-50 with no visible ports.
+        arrivals = record_arrivals(bob.nic)
 
         sock = alice.udp.bind(0)
         sock.send(bob.ip, 7000, size=32, data=b"secret")
@@ -344,11 +334,8 @@ class TestVpgDataPath:
         assert got == [(32, b"secret")]
         assert bob.nic.vpg_opened == 1
         assert alice.nic.tx_allowed == 1
-        data_frames = [
-            captured for captured in tap.frames if captured.frame.ip is not None
-        ]
-        assert data_frames
-        wire_packet = data_frames[0].frame.ip
+        [(_, frame)] = arrivals
+        wire_packet = frame.ip
         assert wire_packet.protocol == IpProtocol.VPG
         assert wire_packet.flow()[2] == 0 and wire_packet.flow()[4] == 0
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.host.icmp import ICMP_ERROR_BURST
 from repro.net.addresses import Ipv4Address
-from repro.net.packet import IcmpType, Ipv4Packet, UdpDatagram
+from repro.net.packet import IcmpMessage, IcmpType, Ipv4Packet, UdpDatagram
 
 
 class TestUdp:
@@ -57,14 +57,19 @@ class TestUdp:
 class TestIcmp:
     def test_ping_round_trip(self, mininet):
         alice, bob = mininet["alice"], mininet["bob"]
-        replies = []
-        alice.icmp.ping(
-            bob.ip,
-            sequence=5,
-            on_reply=lambda src, ident, seq, size: replies.append((src, seq)),
+        seen = []
+        original = alice.deliver_packet
+        alice.deliver_packet = lambda packet: (seen.append(packet), original(packet))
+        request = IcmpMessage(
+            icmp_type=IcmpType.ECHO_REQUEST, identifier=7, sequence=5, payload_size=56
         )
+        alice.ip_layer.send(bob.ip, request)
         mininet.run(0.1)
-        assert replies == [(bob.ip, 5)]
+        [reply] = seen
+        assert reply.src == bob.ip
+        assert (reply.icmp.icmp_type, reply.icmp.identifier, reply.icmp.sequence) == (
+            IcmpType.ECHO_REPLY, 7, 5
+        )
         assert bob.icmp.echo_requests_received == 1
         assert alice.icmp.echo_replies_received == 1
 
