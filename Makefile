@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation experiments experiments-quick examples timings clean
+.PHONY: install test test-slow test-all bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation experiments experiments-quick examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -91,13 +91,6 @@ examples:
 		$(PYTHON) $$script || exit 1; \
 		echo; \
 	done
-
-# Regenerate the committed full-preset reference artefacts: the tables
-# (experiments_output.txt) and the per-experiment serial timing log
-# (experiments_timing.txt).  Serial so the recorded timings are
-# comparable across revisions; expect tens of minutes.
-timings:
-	$(PYTHON) -m repro.experiments all --jobs 1 --no-progress > experiments_output.txt 2> experiments_timing.txt
 
 clean:
 	rm -rf src/repro.egg-info .pytest_cache .hypothesis

@@ -4,7 +4,8 @@ These are conventional pytest-benchmark measurements (many rounds): the
 event kernel (including dispatch of instants holding one event and of
 instants shared by several), timer restarts (a deadline move), rule-set evaluation,
 building a flood frame, a known-unicast frame's trip through a switch,
-a wedged firewall card refusing frames, the toy cipher, a VPG seal and
+a TCP segment and its ACK crossing a firewall card's processor, a
+wedged firewall card refusing frames, the toy cipher, a VPG seal and
 open round trip, and TCP goodput per wall-second — useful for catching
 performance regressions that would make the experiment sweeps
 impractical.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from repro.crypto.cipher import KeystreamCipher
 from repro.crypto.keys import VpgKeyStore
 from repro.firewall.builders import padded_ruleset, service_rule
-from repro.firewall.rules import Action, Direction
+from repro.firewall.rules import Action, Direction, PortRange, Rule
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.link import Link
@@ -246,6 +247,38 @@ def test_fabric_unicast_hop(benchmark):
     benchmark(hop)
     assert sink.frames == switch.forwarded_frames > 0
     assert sim.events_executed == 2 * sink.frames
+
+
+def test_card_processor_trip(benchmark):
+    """A full-size TCP segment in and its ACK out through an EFW at rule
+    depth 64: each is classified when its service starts and, allowed,
+    handed to the host or framed for the link when it completes."""
+    sim = Simulator()
+    link = Link(sim)
+    nic = EfwNic(sim)
+    nic.attach(link.port_b)
+    host = Host(sim, "target", Ipv4Address("10.0.0.3"), MacAddress.from_index(2))
+    host.attach_nic(nic)
+    sink = _Counter()
+    link.port_a.attach(sink)
+    action = Rule(Action.ALLOW, IpProtocol.TCP, dst_ports=PortRange.single(5001), symmetric=True)
+    nic.install_policy(padded_ruleset(64, action_rule=action))
+    delivered = []
+    host.deliver_packet = delivered.append
+    sender, target = Ipv4Address("10.0.0.2"), Ipv4Address("10.0.0.3")
+    data = Ipv4Packet(sender, target, TcpSegment(40000, 5001, 1, 1, TcpFlags.ACK, payload_size=1460))
+    frame = EthernetFrame(MacAddress.from_index(1), MacAddress.from_index(2), data)
+    ack = Ipv4Packet(target, sender, TcpSegment(5001, 40000, 1, 1461, TcpFlags.ACK))
+    port, sender_mac = link.port_b, MacAddress.from_index(1)
+
+    def trip():
+        nic.receive_frame(frame, port)
+        nic.send_packet(ack, sender_mac)
+        sim.run()
+
+    benchmark(trip)
+    assert len(delivered) == nic.rx_allowed == nic.tx_allowed == sink.frames > 0
+    assert nic.rules_evaluated == 128 * len(delivered)
 
 
 def test_wedged_ring_refusal(benchmark):

@@ -7,7 +7,7 @@ raw-packet flooder.)
 
 Features the experiments use:
 
-* fixed packet rate with optional jitter,
+* a fixed packet rate,
 * minimum-size (64-byte) frames by default — the cheapest packets for the
   attacker and the highest achievable rate,
 * TCP (bare ACK / SYN) or UDP packets to a configurable port — TCP floods
@@ -66,11 +66,6 @@ class FloodSpec:
     #: Randomise the source address per packet (defeats source-based
     #: early-deny rules).
     randomize_src: bool = False
-    #: Inter-packet jitter as a fraction of the nominal interval (0 sends
-    #: perfectly periodically; 0.5 draws each gap uniformly from
-    #: [0.5, 1.5] x interval).  Real flood tools are never metronomes,
-    #: and the jitter is what creates realistic queueing at the victim.
-    jitter: float = 0.0
 
 
 class FloodGenerator:
@@ -80,9 +75,7 @@ class FloodGenerator:
     :class:`~repro.sim.timer.TimerWheel` instead of a dedicated
     :class:`~repro.sim.timer.PeriodicTimer` — fleets of attackers on one
     wheel cost a single kernel event per tick instead of one per
-    attacker per packet.  The rate is then quantized to the wheel's tick
-    (and jitter is unavailable: batching and per-packet jitter are
-    mutually exclusive by construction).
+    attacker per packet.  The rate is then quantized to the wheel's tick.
 
     Every packet of a flood with a fixed source is the same, so
     :meth:`start` builds it once and each send transmits that one
@@ -105,14 +98,10 @@ class FloodGenerator:
         self.host = host
         self.sim = host.sim
         self.spec = spec if spec is not None else FloodSpec()
-        if wheel is not None and self.spec.jitter > 0:
-            raise ValueError("wheel pacing does not support jitter")
         self._wheel = wheel
         self._rng = host.rng.stream(f"{host.name}.flood")
         self._timer: Optional[PeriodicTimer] = None
         self._wheel_timer: Optional[WheelTimer] = None
-        #: Kernel handle of the next jittered send, while one is queued.
-        self._jitter_event: Optional[list] = None
         #: The flood packet :meth:`start` built, or None when every send
         #: builds its own (``randomize_src``).
         self._template: Optional[Ipv4Packet] = None
@@ -128,8 +117,6 @@ class FloodGenerator:
     @property
     def running(self) -> bool:
         """True while the flood is active."""
-        if self._jitter_event is not None:
-            return True
         if self._wheel_timer is not None and not self._wheel_timer.cancelled:
             return True
         return self._timer is not None and self._timer.running
@@ -156,8 +143,6 @@ class FloodGenerator:
             self._wheel_timer = self._wheel.schedule_periodic(
                 self._interval, self._send_one, initial_delay=self._interval
             )
-        elif self.spec.jitter > 0:
-            self._jitter_event = self.sim.schedule(0.0, self._send_one_jittered)
         else:
             self._timer = PeriodicTimer(self.sim, self._interval, self._send_one)
             self._timer.start(initial_delay=0.0)
@@ -174,9 +159,6 @@ class FloodGenerator:
         if self._wheel_timer is not None:
             self._wheel_timer.cancel()
             self._wheel_timer = None
-        if self._jitter_event is not None:
-            self.sim.cancel(self._jitter_event)
-            self._jitter_event = None
 
     # ------------------------------------------------------------------
 
@@ -186,12 +168,6 @@ class FloodGenerator:
             packet = self._build_packet()
         self.packets_sent += 1
         self.host.ip_layer.send_packet(packet)
-
-    def _send_one_jittered(self) -> None:
-        self._send_one()
-        spread = max(0.0, min(self.spec.jitter, 1.0))
-        gap = self._interval * (1.0 + self._rng.uniform(-spread, spread))
-        self._jitter_event = self.sim.schedule(gap, self._send_one_jittered)
 
     def _build_packet(self) -> Ipv4Packet:
         spec = self.spec

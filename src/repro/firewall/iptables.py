@@ -115,13 +115,12 @@ class IptablesFilter:
         # Pre-compute the verdict so the service time reflects the rules
         # actually traversed; stash it on the work item for _completed.
         result = chain.evaluate(packet, direction)
-        item_cost = self.cost_model.service_time(
-            frame_bytes=packet.size, rules_traversed=result.rules_traversed
-        )
         self._pending_result = result
         self._pending_engine = chain.last_engine
         self._pending_t0 = self.sim.now
-        return item_cost
+        # NicCostModel.service_time, inline and in its float order.
+        model = self.cost_model
+        return model.c0 + model.c_rule * result.rules_traversed + model.c_byte * packet.size
 
     def _completed(self, item) -> None:
         packet, direction, dst_mac = item

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from repro.firewall.compiled import ClassifierStats, CompiledClassifier
 from repro.firewall.rules import Action, Direction, Rule, VpgRule
-from repro.net.packet import Ipv4Packet
+from repro.net.packet import Ipv4Packet, TcpSegment, UdpDatagram
 from repro.obs.profiling import core as _profiling
 
 
@@ -270,7 +270,12 @@ class RuleSet:
         if profiler is not None:
             profiler.enter("firewall.evaluate")
         try:
-            flow = packet.flow()
+            # Ipv4Packet.flow, inline: this runs once per classified packet.
+            payload = packet.payload
+            if type(payload) is TcpSegment or type(payload) is UdpDatagram:
+                flow = (packet.protocol, packet.src, payload.src_port, packet.dst, payload.dst_port)
+            else:
+                flow = (packet.protocol, packet.src, 0, packet.dst, 0)
             cache_key = (flow, direction)
             cache = self._flow_cache
             cached = cache.pop(cache_key, None)

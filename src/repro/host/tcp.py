@@ -516,17 +516,23 @@ class TcpConnection:
                 # retransmit it immediately rather than stalling to RTO.
                 self._retransmit_next_hole()
                 self.retransmit_timer.restart(self.rto)
-                self._maybe_finish_close(ack)
+                if self.fin_seq is not None and ack > self.fin_seq:
+                    self._fin_acked()
                 self._try_send()
                 return
             self.recovery_point = None
             self._sack_scoreboard.clear()
-        self._grow_cwnd(newly_acked)
+        cwnd = self.cwnd
+        if cwnd < self.ssthresh:
+            self.cwnd = cwnd + min(newly_acked, self.mss)  # slow start
+        else:
+            self.cwnd = cwnd + max(1, self.mss * self.mss // cwnd)  # congestion avoidance
         if self.snd_nxt == self.snd_una:
             self.retransmit_timer.stop()
         else:
             self.retransmit_timer.restart(self.rto)
-        self._maybe_finish_close(ack)
+        if self.fin_seq is not None and ack > self.fin_seq:
+            self._fin_acked()
         self._try_send()
 
     def _process_payload(self, segment: TcpSegment) -> None:
@@ -557,7 +563,7 @@ class TcpConnection:
                 self.segments_since_ack += 1
                 if self.segments_since_ack >= 2:
                     self._send_ack_now()
-                elif not self.delack_timer.running:
+                elif self.delack_timer._deadline is None:  # not running
                     self.delack_timer.start(DELAYED_ACK_TIMEOUT)
 
     def _peer_closed(self) -> None:
@@ -617,7 +623,8 @@ class TcpConnection:
         ):
             self._send_fin()
             sent_something = True
-        if sent_something and self.snd_nxt > self.snd_una and not self.retransmit_timer.running:
+        # The retransmit timer's deadline is None while it is not running.
+        if sent_something and self.snd_nxt > self.snd_una and self.retransmit_timer._deadline is None:
             self.retransmit_timer.start(self.rto)
 
     def _send_fin(self) -> None:
@@ -632,10 +639,8 @@ class TcpConnection:
         if not self.retransmit_timer.running:
             self.retransmit_timer.start(self.rto)
 
-    def _maybe_finish_close(self, ack: int) -> None:
-        if self.fin_seq is None or ack <= self.fin_seq:
-            return
-        # Our FIN is acknowledged.
+    def _fin_acked(self) -> None:
+        """Our FIN is acknowledged (the caller checks the ACK covers it)."""
         if self.state is TcpState.FIN_WAIT_1:
             self.state = TcpState.FIN_WAIT_2
         elif self.state is TcpState.CLOSING:
@@ -782,12 +787,6 @@ class TcpConnection:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
         self.rto = min(MAX_RTO, max(MIN_RTO, self.srtt + 4 * self.rttvar))
-
-    def _grow_cwnd(self, newly_acked: int) -> None:
-        if self.cwnd < self.ssthresh:
-            self.cwnd += min(newly_acked, self.mss)  # slow start
-        else:
-            self.cwnd += max(1, self.mss * self.mss // self.cwnd)  # congestion avoidance
 
     # ------------------------------------------------------------------
     # Plumbing

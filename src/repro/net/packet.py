@@ -22,6 +22,12 @@ Design notes
   ``wire_size`` includes the 14-byte header, the 4-byte FCS, and
   minimum-frame padding -- it is the number that the link serialization
   delay and the NIC per-byte cost are computed from.
+* :class:`TcpSegment`, :class:`UdpDatagram`, :class:`Ipv4Packet` and
+  :class:`EthernetFrame` define their own ``__init__`` (the dataclass
+  keeps it): building one validates it and, for the packet and the
+  frame, computes ``size``/``wire_size`` in that one call.  Its
+  parameters are the fields in field order, so
+  :func:`dataclasses.replace` rebuilds, revalidates and resizes.
 """
 
 from __future__ import annotations
@@ -114,11 +120,15 @@ class UdpDatagram:
     payload_size: int = 0
     data: bytes = b""
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.src_port <= 0xFFFF and 0 <= self.dst_port <= 0xFFFF):
-            raise ValueError(f"port out of range: {self.src_port} -> {self.dst_port}")
-        if self.payload_size < 0:
-            raise ValueError(f"payload size must be >= 0, got {self.payload_size}")
+    def __init__(self, src_port: int, dst_port: int, payload_size: int = 0, data: bytes = b""):
+        if not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
+            raise ValueError(f"port out of range: {src_port} -> {dst_port}")
+        if payload_size < 0:
+            raise ValueError(f"payload size must be >= 0, got {payload_size}")
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.payload_size = payload_size
+        self.data = data
 
     @property
     def size(self) -> int:
@@ -162,11 +172,31 @@ class TcpSegment:
     data: bytes = b""
     sack_blocks: tuple = ()
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.src_port <= 0xFFFF and 0 <= self.dst_port <= 0xFFFF):
-            raise ValueError(f"port out of range: {self.src_port} -> {self.dst_port}")
-        if self.payload_size < 0:
-            raise ValueError(f"payload size must be >= 0, got {self.payload_size}")
+    def __init__(
+        self,
+        src_port: int,
+        dst_port: int,
+        seq: int = 0,
+        ack: int = 0,
+        flags: TcpFlags = TcpFlags.NONE,
+        window: int = 65535,
+        payload_size: int = 0,
+        data: bytes = b"",
+        sack_blocks: tuple = (),
+    ):
+        if not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF):
+            raise ValueError(f"port out of range: {src_port} -> {dst_port}")
+        if payload_size < 0:
+            raise ValueError(f"payload size must be >= 0, got {payload_size}")
+        self.src_port = src_port
+        self.dst_port = dst_port
+        self.seq = seq
+        self.ack = ack
+        self.flags = flags
+        self.window = window
+        self.payload_size = payload_size
+        self.data = data
+        self.sack_blocks = sack_blocks
 
     @property
     def size(self) -> int:
@@ -319,17 +349,28 @@ class Ipv4Packet:
     #: hop and cost model reads it.
     size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.protocol is None:
-            inferred = _PROTOCOL_FOR_TYPE.get(type(self.payload))
-            if inferred is None:
-                raise ValueError(
-                    "protocol must be given explicitly for raw payloads"
-                )
-            self.protocol = inferred
-        if not 0 < self.ttl <= 255:
-            raise ValueError(f"ttl out of range: {self.ttl}")
-        self.size = self.HEADER_SIZE + self.payload.size
+    def __init__(
+        self,
+        src: Ipv4Address,
+        dst: Ipv4Address,
+        payload: L4Payload,
+        protocol: Optional[IpProtocol] = None,
+        ttl: int = 64,
+        identification: int = 0,
+    ):
+        if protocol is None:
+            protocol = _PROTOCOL_FOR_TYPE.get(type(payload))
+            if protocol is None:
+                raise ValueError("protocol must be given explicitly for raw payloads")
+        if not 0 < ttl <= 255:
+            raise ValueError(f"ttl out of range: {ttl}")
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.protocol = protocol
+        self.ttl = ttl
+        self.identification = identification
+        self.size = self.HEADER_SIZE + payload.size
 
     @property
     def tcp(self) -> Optional[TcpSegment]:
@@ -435,6 +476,7 @@ class Ipv4Packet:
 
 #: Ethernet header plus FCS, the bytes a frame adds to its payload.
 _FRAME_OVERHEAD = units.ETHERNET_HEADER + units.ETHERNET_FCS
+_MIN_FRAME = units.ETHERNET_MIN_FRAME
 
 #: EtherType for IPv4.
 ETHERTYPE_IPV4 = 0x0800
@@ -466,9 +508,21 @@ class EthernetFrame:
     #: packets with :func:`dataclasses.replace`).
     wire_size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        size = self.payload.size + _FRAME_OVERHEAD
-        self.wire_size = size if size > units.ETHERNET_MIN_FRAME else units.ETHERNET_MIN_FRAME
+    def __init__(
+        self,
+        src_mac: MacAddress,
+        dst_mac: MacAddress,
+        payload: Union[Ipv4Packet, RawPayload],
+        ethertype: int = ETHERTYPE_IPV4,
+        corrupt_header: Optional[bytes] = None,
+    ):
+        self.src_mac = src_mac
+        self.dst_mac = dst_mac
+        self.payload = payload
+        self.ethertype = ethertype
+        self.corrupt_header = corrupt_header
+        size = payload.size + _FRAME_OVERHEAD
+        self.wire_size = size if size > _MIN_FRAME else _MIN_FRAME
 
     @property
     def ip(self) -> Optional[Ipv4Packet]:

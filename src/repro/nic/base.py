@@ -12,8 +12,9 @@ Subclasses implement the device-specific processing by overriding
 ``_process_egress`` and ``_process_ingress``.  The link's delivery event
 opens the NIC's ``profile_rx_scope`` around ``receive_frame``.
 
-Framing reuses the NIC's last :class:`~repro.net.packet.EthernetFrame`
-while it is handed the same packet object for the same destination MAC.
+Each device frames inline on its egress path, and reuses the NIC's last
+:class:`~repro.net.packet.EthernetFrame` while it is handed the same
+packet object for the same destination MAC.
 Only a fixed-source flood sends one packet object again and again (its
 template; see :class:`~repro.apps.flood.FloodGenerator`), so all its
 frames are one object too.  That is sound because nothing writes into
@@ -117,20 +118,6 @@ class BaseNic:
 
     def _process_egress(self, packet: Ipv4Packet, dst_mac: MacAddress) -> None:
         raise NotImplementedError
-
-    def _transmit_frame(
-        self, packet: Ipv4Packet, dst_mac: MacAddress, earliest: float = 0.0
-    ) -> None:
-        """Frame the packet and hand it to the link, its wire slot starting
-        no earlier than ``earliest``."""
-        port = self.port
-        if port is None:
-            raise RuntimeError(f"NIC {self.name} not attached to a link")
-        self.frames_sent += 1
-        frame = self._last_frame
-        if frame is None or frame.payload is not packet or frame.dst_mac != dst_mac:
-            frame = self._last_frame = EthernetFrame(self.host.mac, dst_mac, packet)
-        port.send(frame, earliest)
 
     # ------------------------------------------------------------------
     # Ingress (wire -> host)

@@ -20,6 +20,14 @@ Everything the paper measured falls out of this one mechanism:
   required flood rate (Figure 3b),
 * VPG rules charge real crypto time only when they match — lazy
   decryption — so non-matching VPGs above the action rule are nearly free.
+
+A work item crosses the processor in two calls, whatever its direction:
+:meth:`EmbeddedFirewallNic._classify` fills in its verdict and returns
+its service time when service starts, and
+:meth:`EmbeddedFirewallNic._complete` applies the verdict when service
+ends (an allowed ingress packet goes to the host, opened first under a
+VPG; an allowed egress one is sealed under a VPG and framed for the
+link).
 """
 
 from __future__ import annotations
@@ -45,6 +53,8 @@ _UDP = IpProtocol.UDP
 _VPG = IpProtocol.VPG
 _INBOUND = Direction.INBOUND
 _OUTBOUND = Direction.OUTBOUND
+_FRAME_OVERHEAD = units.ETHERNET_HEADER + units.ETHERNET_FCS
+_MIN_FRAME = units.ETHERNET_MIN_FRAME
 
 
 class _WorkItem:
@@ -115,8 +125,8 @@ class EmbeddedFirewallNic(BaseNic):
             sim,
             name=f"{name}.proc",
             capacity=ring_size,
-            service_time=self._service_time,
-            on_complete=self._serviced,
+            service_time=self._classify,
+            on_complete=self._complete,
             profile_category=f"{self.profile_category}.proc",
         )
         # Counters
@@ -260,7 +270,7 @@ class EmbeddedFirewallNic(BaseNic):
             return
         processor = self.processor
         tracer = self.sim.tracer
-        if processor.refuses() and not tracer.hot:
+        if (processor._paused or len(processor._queue) >= processor.capacity) and not tracer.hot:
             # A wedged card or a full ring refuses the frame: offer counts
             # the refusal (dropped_paused or dropped_full) and reads
             # nothing of what it is offered, so no work item is built.
@@ -281,10 +291,9 @@ class EmbeddedFirewallNic(BaseNic):
         processor.offer(item)
 
     def _process_egress(self, packet: Ipv4Packet, dst_mac: MacAddress) -> None:
-        frame_bytes = max(
-            packet.size + units.ETHERNET_HEADER + units.ETHERNET_FCS,
-            units.ETHERNET_MIN_FRAME,
-        )
+        frame_bytes = packet.size + _FRAME_OVERHEAD
+        if frame_bytes < _MIN_FRAME:
+            frame_bytes = _MIN_FRAME
         item = _WorkItem(_TX, packet, frame_bytes, dst_mac)
         tracer = self.sim.tracer
         if tracer.active:
@@ -299,38 +308,33 @@ class EmbeddedFirewallNic(BaseNic):
     # Processor service
     # ------------------------------------------------------------------
 
-    # The classifiers below compute NicCostModel.service_time inline, in
-    # its float order: c0 + c_rule * rules + c_byte * bytes, then
-    # += c_vpg0 + c_vpg_byte * vpg_bytes when a VPG rule matched.  With
-    # no rule walked the rule term is left out: it would add exactly 0.0.
+    def _classify(self, item: _WorkItem) -> float:
+        """The processor's service time for ``item``, its verdict filled in.
 
-    def _service_time(self, item: _WorkItem) -> float:
-        if self.policy is None:
-            item.allowed = True
-            model = self.cost_model
-            return model.c0 + model.c_byte * item.frame_bytes
-        if item.kind == _RX:
-            return self._classify_ingress(item)
-        return self._classify_egress(item)
-
-    def _classify_ingress(self, item: _WorkItem) -> float:
-        packet = item.packet
+        The cost is :meth:`NicCostModel.service_time` inline, in its float
+        order: c0 + c_rule * rules + c_byte * bytes, then += c_vpg0 +
+        c_vpg_byte * vpg_bytes when a VPG rule matched.  With no rule
+        walked the rule term is left out: it would add exactly 0.0.
+        """
         model = self.cost_model
+        policy = self.policy
+        packet = item.packet
         protocol = packet.protocol
-        if protocol == _UDP and policy_ports.is_control_traffic(packet):
-            # The firewall agent's channel to the policy server is
-            # reserved: it bypasses the rule table (but still costs
-            # processor time, so a wedged card silences it).
+        if policy is None or (protocol == _UDP and policy_ports.is_control_traffic(packet)):
+            # No policy passes everything.  The firewall agent's channel to
+            # the policy server is reserved: it bypasses the rule table
+            # (but still costs processor time, so a wedged card silences it).
             item.allowed = True
             return model.c0 + model.c_byte * item.frame_bytes
+        rx = item.kind == _RX
         sealed = packet.payload
-        if type(sealed) is VpgSealedPayload and protocol == _VPG:
-            result = self.policy.evaluate_encrypted(sealed.spi)
+        if rx and type(sealed) is VpgSealedPayload and protocol == _VPG:
+            result = policy.evaluate_encrypted(sealed.spi)
             rules = result.rules_traversed
             self.rules_evaluated += rules
             if getattr(item, "ctx", None) is not None:
                 item.rules = rules
-                item.engine = self.policy.last_engine
+                item.engine = policy.last_engine
             vpg_matched = result.is_vpg and result.allowed
             item.allowed = vpg_matched
             cost = model.c0 + model.c_rule * rules + model.c_byte * item.frame_bytes
@@ -343,35 +347,23 @@ class EmbeddedFirewallNic(BaseNic):
                 extra_attempts = max(0, self._vpg_rules_traversed(result) - 1)
                 cost += extra_attempts * (model.c_vpg0 + model.c_vpg_byte * sealed.size)
             return cost
-        result = self.policy.evaluate(packet, _INBOUND)
+        result = policy.evaluate(packet, _INBOUND if rx else _OUTBOUND)
         rules = result.rules_traversed
         self.rules_evaluated += rules
         if getattr(item, "ctx", None) is not None:
             item.rules = rules
-            item.engine = self.policy.last_engine
-        # A plaintext packet matching a VPG rule's selector is spoofed
-        # traffic: group members always encrypt, so admission requires a
-        # valid VPG encapsulation (sender authentication).
-        item.allowed = result.allowed and not result.is_vpg
-        return model.c0 + model.c_rule * rules + model.c_byte * item.frame_bytes
-
-    def _classify_egress(self, item: _WorkItem) -> float:
-        packet = item.packet
-        model = self.cost_model
-        if packet.protocol == _UDP and policy_ports.is_control_traffic(packet):
-            item.allowed = True
-            return model.c0 + model.c_byte * item.frame_bytes
-        result = self.policy.evaluate(packet, _OUTBOUND)
-        rules = result.rules_traversed
-        self.rules_evaluated += rules
-        if getattr(item, "ctx", None) is not None:
-            item.rules = rules
-            item.engine = self.policy.last_engine
-        allowed = item.allowed = result.allowed
+            item.engine = policy.last_engine
         cost = model.c0 + model.c_rule * rules + model.c_byte * item.frame_bytes
-        if allowed and result.is_vpg:
-            item.vpg_id = result.rule.vpg_id
-            cost += model.c_vpg0 + model.c_vpg_byte * packet.size
+        if rx:
+            # A plaintext packet matching a VPG rule's selector is spoofed
+            # traffic: group members always encrypt, so admission requires
+            # a valid VPG encapsulation (sender authentication).
+            item.allowed = result.allowed and not result.is_vpg
+        elif result.allowed:
+            item.allowed = True
+            if result.is_vpg:
+                item.vpg_id = result.rule.vpg_id
+                cost += model.c_vpg0 + model.c_vpg_byte * packet.size
         return cost
 
     def _vpg_rules_traversed(self, result) -> int:
@@ -388,52 +380,48 @@ class EmbeddedFirewallNic(BaseNic):
     # Verdict application
     # ------------------------------------------------------------------
 
-    def _serviced(self, item: _WorkItem) -> None:
-        if item.kind == _RX:
-            self._finish_ingress(item)
-        else:
-            self._finish_egress(item)
-
-    def _finish_ingress(self, item: _WorkItem) -> None:
-        if not item.allowed:
-            self.rx_denied += 1
-            tracer = self.sim.tracer
-            if tracer.hot:
-                self._trace_verdict(tracer, item, "nic.rx", "rx-deny")
-            if self.fault is not None:
-                self.fault.record_deny(self.sim.now)
-            return
+    def _complete(self, item: _WorkItem) -> None:
+        """Apply ``item``'s verdict: deliver an allowed ingress packet to
+        the host (opened first, under a VPG) or frame an allowed egress
+        one for the link (sealed first, under a VPG)."""
         packet = item.packet
-        if item.vpg_id is not None:
-            context = self.vpg_contexts.get(item.vpg_id)
-            if context is None:
+        if item.kind == _RX:
+            if not item.allowed:
                 self.rx_denied += 1
+                tracer = self.sim.tracer
+                if tracer.hot:
+                    self._trace_verdict(tracer, item, "nic.rx", "rx-deny")
+                if self.fault is not None:
+                    self.fault.record_deny(self.sim.now)
                 return
-            try:
-                packet = context.open(packet)
-            except VpgError:
-                self.vpg_auth_failures += 1
-                return
-            self.vpg_opened += 1
-        ctx = getattr(item, "ctx", None)
-        if ctx is not None:
-            if packet is not item.packet:
-                # VPG decapsulation produced a new packet object; the
-                # trace context follows the payload, not the wrapper.
-                packet.trace_ctx = ctx
-            self._trace_stage(item, "nic.rx", "allow", packet)
-        self.rx_allowed += 1
-        self.packets_delivered += 1
-        self.host.deliver_packet(packet)
-
-    def _finish_egress(self, item: _WorkItem) -> None:
+            if item.vpg_id is not None:
+                context = self.vpg_contexts.get(item.vpg_id)
+                if context is None:
+                    self.rx_denied += 1
+                    return
+                try:
+                    packet = context.open(packet)
+                except VpgError:
+                    self.vpg_auth_failures += 1
+                    return
+                self.vpg_opened += 1
+            ctx = getattr(item, "ctx", None)
+            if ctx is not None:
+                if packet is not item.packet:
+                    # VPG decapsulation produced a new packet object; the
+                    # trace context follows the payload, not the wrapper.
+                    packet.trace_ctx = ctx
+                self._trace_stage(item, "nic.rx", "allow", packet)
+            self.rx_allowed += 1
+            self.packets_delivered += 1
+            self.host.deliver_packet(packet)
+            return
         if not item.allowed:
             self.tx_denied += 1
             tracer = self.sim.tracer
             if tracer.hot:
                 self._trace_verdict(tracer, item, "nic.tx", "tx-deny")
             return
-        packet = item.packet
         if item.vpg_id is not None:
             context = self.vpg_contexts.get(item.vpg_id)
             if context is None:
@@ -446,7 +434,17 @@ class EmbeddedFirewallNic(BaseNic):
                 packet.trace_ctx = ctx
             self._trace_stage(item, "nic.tx", "allow", packet)
         self.tx_allowed += 1
-        self._transmit_frame(packet, item.dst_mac)
+        # Framed as StandardNic._process_egress frames: the last frame is
+        # reused for the same packet object and destination MAC.
+        port = self.port
+        if port is None:
+            raise RuntimeError(f"NIC {self.name} not attached to a link")
+        self.frames_sent += 1
+        dst_mac = item.dst_mac
+        frame = self._last_frame
+        if frame is None or frame.payload is not packet or frame.dst_mac != dst_mac:
+            frame = self._last_frame = EthernetFrame(self.host.mac, dst_mac, packet)
+        port.send(frame)
 
     # ------------------------------------------------------------------
     # Tracing helpers (reached only when the tracer is armed)

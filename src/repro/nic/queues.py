@@ -11,12 +11,17 @@ function; items offered while the queue is at capacity are dropped and
 counted.  This is exactly the mechanism by which an offered packet flood
 starves legitimate traffic: the flood keeps the server busy and the ring
 full, so legitimate frames are tail-dropped.
+
+An item offered to an idle server goes into service inside
+:meth:`ServiceQueue.offer`; every later one is started by the completion
+event of the item before it (:meth:`ServiceQueue._finish`), so one item
+costs one kernel event.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque
 
 from repro.sim.engine import Simulator
 
@@ -76,7 +81,6 @@ class ServiceQueue:
         self.dropped_full = 0
         self.dropped_paused = 0
         self.busy_time = 0.0
-        self._service_started: Optional[float] = None
         # Callback-backed instruments read the plain counters above at
         # sample time only; pause transitions are rare enough to count
         # directly at event time.
@@ -96,7 +100,11 @@ class ServiceQueue:
     # ------------------------------------------------------------------
 
     def offer(self, item: Any) -> bool:
-        """Submit an item.  Returns False (and counts) if it was dropped."""
+        """Submit an item.  Returns False (and counts) if it was dropped.
+
+        An idle server starts the item at once: its service time is
+        taken and its completion scheduled inside this call.
+        """
         if self._paused:
             self.dropped_paused += 1
             tracer = self.sim.tracer
@@ -106,25 +114,29 @@ class ServiceQueue:
                     getattr(item, "ctx", None),
                 )
             return False
-        if len(self._queue) >= self.capacity:
-            self.dropped_full += 1
-            tracer = self.sim.tracer
-            if tracer.hot:
-                tracer.event(
-                    self.sim.now, self.name, "drop-full",
-                    getattr(item, "ctx", None),
-                )
-            return False
+        if self._busy:
+            queue = self._queue
+            if len(queue) >= self.capacity:
+                self.dropped_full += 1
+                tracer = self.sim.tracer
+                if tracer.hot:
+                    tracer.event(
+                        self.sim.now, self.name, "drop-full",
+                        getattr(item, "ctx", None),
+                    )
+                return False
+            self.accepted += 1
+            queue.append(item)
+            return True
+        # An unpaused idle server has nothing queued (see _finish), so
+        # the item goes straight into service.
         self.accepted += 1
-        self._queue.append(item)
-        if not self._busy:
-            self._start_next()
+        self._busy = True
+        duration = self.service_time(item)
+        if duration < 0:
+            raise ValueError(f"negative service time {duration} from {self.name}")
+        self._service_event = self.sim.schedule(duration, self._on_finish, item, duration)
         return True
-
-    def refuses(self) -> bool:
-        """True when :meth:`offer` would drop an item offered now (paused,
-        or at capacity), so a caller can skip building it."""
-        return self._paused or len(self._queue) >= self.capacity
 
     @property
     def depth(self) -> int:
@@ -159,7 +171,6 @@ class ServiceQueue:
             self._pause_metric.inc()
         self._paused = True
         self._busy = False
-        self._service_started = None
         if self._service_event is not None:
             # The in-service item is abandoned: its completion must never
             # fire, even if the server is later resumed.
@@ -174,30 +185,24 @@ class ServiceQueue:
         if not self._paused:
             return
         self._paused = False
-        if self._queue and not self._busy:
-            self._start_next()
+        queue = self._queue
+        if queue and not self._busy:
+            self._busy = True
+            item = queue.popleft()
+            duration = self.service_time(item)
+            if duration < 0:
+                raise ValueError(f"negative service time {duration} from {self.name}")
+            self._service_event = self.sim.schedule(duration, self._on_finish, item, duration)
 
     # ------------------------------------------------------------------
-
-    def _start_next(self) -> None:
-        if self._paused or not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        item = self._queue.popleft()
-        duration = self.service_time(item)
-        if duration < 0:
-            raise ValueError(f"negative service time {duration} from {self.name}")
-        self._service_started = self.sim.now
-        self._service_event = self.sim.schedule(duration, self._on_finish, item, duration)
 
     def _finish(self, item: Any, duration: float) -> None:
         self._service_event = None
         self.completed += 1
         self.busy_time += duration
-        self._service_started = None
         self.on_complete(item)
-        # _start_next, inline: this runs once per serviced item.
+        # Items offered during on_complete queued behind this one: the
+        # server stays busy until the queue is empty.
         queue = self._queue
         if self._paused or not queue:
             self._busy = False
@@ -206,9 +211,7 @@ class ServiceQueue:
         duration = self.service_time(item)
         if duration < 0:
             raise ValueError(f"negative service time {duration} from {self.name}")
-        sim = self.sim
-        self._service_started = sim.now
-        self._service_event = sim.schedule(duration, self._on_finish, item, duration)
+        self._service_event = self.sim.schedule(duration, self._on_finish, item, duration)
 
     def utilisation(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds the server spent busy."""

@@ -31,8 +31,8 @@ class StandardNic(BaseNic):
     event of its own:
 
     * egress frames the packet at once (inline, reusing the last frame
-      for the same packet and MAC as :meth:`BaseNic._transmit_frame`
-      does) and books its wire slot from ``now + latency``
+      for the same packet and MAC as the embedded cards do) and books
+      its wire slot from ``now + latency``
       (:meth:`LinkPort.send`'s ``earliest``): one fixed latency keeps
       frames in order, so the slot is the one a later hand-off would
       have booked, and this NIC books its port in nondecreasing
@@ -70,7 +70,6 @@ class StandardNic(BaseNic):
                         parent=getattr(packet, "trace_parent", None),
                     )
                     packet.trace_parent = record.span_id
-            # _transmit_frame, inlined: this runs once per sent frame.
             port = self.port
             if port is None:
                 raise RuntimeError(f"NIC {self.name} not attached to a link")

@@ -1,9 +1,10 @@
 """Named, independently-seeded random streams.
 
-Every stochastic component (flood jitter, HTTP think time, initial TCP
-sequence numbers, ...) draws from its own named stream so that adding or
-reordering components never perturbs another component's draws.  Streams
-are derived deterministically from a single experiment seed.
+Every stochastic component (spoofed flood sources, initial TCP sequence
+numbers, chaos fault draws, ...) draws from its own named stream so that
+adding or reordering components never perturbs another component's
+draws.  Streams are derived deterministically from a single experiment
+seed.
 """
 
 from __future__ import annotations

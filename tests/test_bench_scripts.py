@@ -169,16 +169,29 @@ class TestGates:
         assert bench.check_cost_ns(_leg(off=5.0, warn=5.0)) is None
 
     def test_the_check_clock_times_each_check_and_its_reference(self, bench, monkeypatch):
-        monkeypatch.setattr(bench.InvariantMonitor, "check", lambda monitor: time.sleep(0.002))
-        monkeypatch.setattr(bench, "reference_work", lambda: time.sleep(0.001))
+        # Each fake records how long its sleep actually took, so the
+        # bounds hold on a loaded host, where a 2 ms sleep may take 4.
+        slept = {"check": [], "reference": [], "outside": []}
+
+        def sleep(kind, seconds):
+            start = time.perf_counter()
+            time.sleep(seconds)
+            slept[kind].append(time.perf_counter() - start)
+
+        monkeypatch.setattr(bench.InvariantMonitor, "check", lambda monitor: sleep("check", 0.002))
+        monkeypatch.setattr(bench, "reference_work", lambda: sleep("reference", 0.001))
         original = bench.InvariantMonitor.check
         with bench.CheckClock() as clock:
-            time.sleep(0.01)  # outside every check: not counted
+            sleep("outside", 0.01)  # outside every check: not counted
             _run_checks(bench, 3)
         assert bench.InvariantMonitor.check is original  # uninstalled
         assert clock.calls == 3
-        assert 0.006 <= clock.seconds < 0.009
-        assert 0.003 <= clock.reference_s < 0.006
+        # The clock adds only its own bookkeeping to the sleeps it times,
+        # far less than half the sleep outside the checks.
+        margin = slept["outside"][0] / 2
+        checks, references = sum(slept["check"]), sum(slept["reference"])
+        assert checks <= clock.seconds < checks + margin
+        assert references <= clock.reference_s < references + margin
 
     @pytest.mark.parametrize("extra_s", [0.0, 0.002])
     def test_monitors_whose_checks_do_extra_work_fail(self, bench, monkeypatch, extra_s):

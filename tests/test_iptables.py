@@ -8,6 +8,7 @@ from repro.firewall.iptables import IptablesFilter
 from repro.firewall.rules import Action, Direction, PortRange, Rule
 from repro.firewall.ruleset import RuleSet
 from repro.net.packet import IpProtocol
+from tests.conftest import MiniNet
 
 
 def udp_to(host, target, port, size=10):
@@ -78,6 +79,23 @@ class TestIptablesFiltering:
         mininet.run(0.5)
         expected_min = 100 * calibration.IPTABLES_COST_MODEL.service_time(38, 64)
         assert filt.utilisation_time >= expected_min * 0.9
+
+    def test_service_time_is_the_cost_models_to_the_bit(self, sim, rng):
+        # One packet at a time: the busy time is its service time, which
+        # must equal NicCostModel.service_time exactly (same float order).
+        model = calibration.IPTABLES_COST_MODEL
+        for depth in (1, 3, 7, 64):
+            for size in (0, 10, 333, 1472):
+                net = MiniNet(sim, rng)
+                alice, bob = net["alice"], net["bob"]
+                chain = padded_ruleset(depth, action_rule=Rule(action=Action.ALLOW))
+                filt = IptablesFilter(sim, input_chain=chain)
+                bob.install_iptables(filt)
+                bob.udp.bind(7000, lambda *args: None)
+                udp_to(alice, bob, 7000, size=size)
+                net.run(0.1)
+                assert filt.accepted_in == 1
+                assert filt.utilisation_time == model.service_time(28 + size, depth), (depth, size)
 
     def test_backlog_bound_drops(self, mininet):
         alice, bob = mininet["alice"], mininet["bob"]

@@ -106,6 +106,138 @@ class TestSlots:
         assert dataclasses.replace(bigger, ttl=3).size == 140
 
 
+MAC_A, MAC_B = MacAddress.from_index(1), MacAddress.from_index(2)
+
+
+class TestConstruction:
+    """The constructors validate, and compute the sizes, in one call;
+    every check, message, default and computed size is pinned from the
+    tree whose dataclass-generated ``__init__`` ran a ``__post_init__``."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TcpSegment(70000, 1), "port out of range: 70000 -> 1"),
+            (lambda: TcpSegment(1, -1), "port out of range: 1 -> -1"),
+            (lambda: TcpSegment(1, 2, payload_size=-1), "payload size must be >= 0, got -1"),
+            # The port check comes first.
+            (lambda: TcpSegment(70000, 2, payload_size=-1), "port out of range: 70000 -> 2"),
+            (lambda: UdpDatagram(1, 70000), "port out of range: 1 -> 70000"),
+            (lambda: UdpDatagram(1, 2, -3), "payload size must be >= 0, got -3"),
+            (lambda: Ipv4Packet(SRC, DST, RawPayload(4)),
+             "protocol must be given explicitly for raw payloads"),
+            (lambda: Ipv4Packet(SRC, DST, UdpDatagram(1, 2), ttl=0), "ttl out of range: 0"),
+            (lambda: Ipv4Packet(SRC, DST, UdpDatagram(1, 2), ttl=256), "ttl out of range: 256"),
+            # The protocol check comes first.
+            (lambda: Ipv4Packet(SRC, DST, RawPayload(4), ttl=0),
+             "protocol must be given explicitly for raw payloads"),
+        ],
+    )
+    def test_validation_errors_and_messages(self, build, message):
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TcpSegment(1),
+            lambda: TcpSegment(1, 2, wrong=3),
+            lambda: TcpSegment(1, 2, 3, 4, TcpFlags.ACK, 5, 6, b"", (), "extra"),
+            lambda: UdpDatagram(1, 2, size=3),
+            lambda: Ipv4Packet(SRC, DST),
+            lambda: Ipv4Packet(SRC, DST, UdpDatagram(1, 2), size=3),
+            lambda: EthernetFrame(MAC_A, MAC_B),
+            lambda: EthernetFrame(MAC_A, MAC_B, RawPayload(4), wire_size=64),
+        ],
+    )
+    def test_missing_extra_and_computed_arguments_are_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_positional_arguments_follow_field_order(self):
+        segment = TcpSegment(1, 2, 3, 4, TcpFlags.ACK, 100, 10, b"ab", ((5, 6),))
+        assert segment == TcpSegment(
+            src_port=1, dst_port=2, seq=3, ack=4, flags=TcpFlags.ACK, window=100,
+            payload_size=10, data=b"ab", sack_blocks=((5, 6),),
+        )
+        packet = Ipv4Packet(SRC, DST, segment, IpProtocol.TCP, 7, 9)
+        assert (packet.protocol, packet.ttl, packet.identification) == (IpProtocol.TCP, 7, 9)
+        frame = EthernetFrame(MAC_A, MAC_B, packet, 0x86DD, b"\x45")
+        assert (frame.ethertype, frame.corrupt_header) == (0x86DD, b"\x45")
+        assert UdpDatagram(5, 6, 7, b"x") == UdpDatagram(
+            src_port=5, dst_port=6, payload_size=7, data=b"x"
+        )
+
+    def test_defaults(self):
+        segment = TcpSegment(1, 2)
+        assert (segment.seq, segment.ack, segment.flags, segment.window, segment.payload_size,
+                segment.data, segment.sack_blocks) == (0, 0, TcpFlags.NONE, 65535, 0, b"", ())
+        datagram = UdpDatagram(1, 2)
+        assert (datagram.payload_size, datagram.data, datagram.size) == (0, b"", 8)
+        packet = Ipv4Packet(SRC, DST, datagram)
+        assert (packet.protocol, packet.ttl, packet.identification) == (IpProtocol.UDP, 64, 0)
+        frame = EthernetFrame(MAC_A, MAC_B, packet)
+        assert (frame.ethertype, frame.corrupt_header) == (0x0800, None)
+
+    def test_explicit_protocol_is_kept_and_raw_payload_sized(self):
+        packet = Ipv4Packet(SRC, DST, RawPayload(30), protocol=IpProtocol.VPG)
+        assert (packet.protocol, packet.size) == (IpProtocol.VPG, 50)
+        relabelled = Ipv4Packet(SRC, DST, UdpDatagram(1, 2), protocol=IpProtocol.ICMP)
+        assert relabelled.protocol is IpProtocol.ICMP
+        assert EthernetFrame(MAC_A, MAC_B, RawPayload(46)).wire_size == 64
+        assert EthernetFrame(MAC_A, MAC_B, RawPayload(47)).wire_size == 65
+
+    def test_replace_recomputes_every_size(self):
+        packet = Ipv4Packet(SRC, DST, TcpSegment(1, 2))
+        frame = EthernetFrame(MAC_A, MAC_B, packet)
+        bigger = dataclasses.replace(packet, payload=TcpSegment(1, 2, payload_size=1000))
+        assert (frame.wire_size, dataclasses.replace(frame, payload=bigger).wire_size) == (
+            64, 1058,
+        )
+        segment = dataclasses.replace(TcpSegment(1, 2), payload_size=30)
+        assert segment.size == 50
+        assert dataclasses.replace(UdpDatagram(1, 2), payload_size=30).size == 38
+        with pytest.raises(ValueError, match="ttl out of range: 0"):
+            dataclasses.replace(packet, ttl=0)
+        with pytest.raises(ValueError, match="port out of range"):
+            dataclasses.replace(segment, dst_port=-1)
+
+    def test_equality_ignores_the_computed_sizes_and_corrupt_header(self):
+        segment = TcpSegment(1, 2, payload_size=10)
+        assert segment == TcpSegment(1, 2, payload_size=10) != TcpSegment(1, 2, payload_size=11)
+        packet = Ipv4Packet(SRC, DST, segment)
+        assert packet == Ipv4Packet(SRC, DST, TcpSegment(1, 2, payload_size=10))
+        assert packet != Ipv4Packet(SRC, DST, segment, ttl=63)
+        frame = EthernetFrame(MAC_A, MAC_B, packet)
+        assert frame == EthernetFrame(MAC_A, MAC_B, packet, corrupt_header=b"\x00")
+        assert frame != EthernetFrame(MAC_B, MAC_A, packet)
+        assert UdpDatagram(1, 2, 3) == UdpDatagram(1, 2, 3) != UdpDatagram(1, 2, 4)
+
+    def test_repr_is_unchanged(self):
+        segment = TcpSegment(1, 2, 3, 4, TcpFlags.ACK, 100, 10, b"ab", ((5, 6),))
+        packet = Ipv4Packet(SRC, DST, segment, None, 7, 9)
+        frame = EthernetFrame(MAC_A, MAC_B, packet)
+        segment_repr = (
+            "TcpSegment(src_port=1, dst_port=2, seq=3, ack=4, flags=<TcpFlags.ACK: 16>, "
+            "window=100, payload_size=10, data=b'ab', sack_blocks=((5, 6),))"
+        )
+        packet_repr = (
+            "Ipv4Packet(src=Ipv4Address('10.0.0.1'), dst=Ipv4Address('10.0.0.2'), "
+            f"payload={segment_repr}, protocol=<IpProtocol.TCP: 6>, ttl=7, identification=9)"
+        )
+        assert repr(segment) == segment_repr
+        assert repr(packet) == packet_repr
+        assert repr(frame) == (
+            "EthernetFrame(src_mac=MacAddress('02:00:00:00:00:01'), "
+            "dst_mac=MacAddress('02:00:00:00:00:02'), "
+            f"payload={packet_repr}, ethertype=2048, corrupt_header=None)"
+        )
+        assert repr(UdpDatagram(5, 6, 7, b"x")) == (
+            "UdpDatagram(src_port=5, dst_port=6, payload_size=7, data=b'x')"
+        )
+
+
 class TestFlowAndAccessors:
     def test_flow_tuple_tcp(self):
         packet = Ipv4Packet(

@@ -141,3 +141,58 @@ class TestPauseResume:
         assert queue.paused
         queue.resume()
         assert not queue.paused
+
+
+class TestOfferStartsService:
+    """An idle server starts an offered item inside ``offer``; a busy
+    or refusing one does not (pinned from the tree in which ``offer``
+    called a separate start helper)."""
+
+    def test_idle_offer_is_served_at_once(self, sim):
+        served = []
+        queue = ServiceQueue(
+            sim, name="q", capacity=2,
+            service_time=lambda item: served.append((sim.now, item)) or 0.25,
+            on_complete=lambda item: None,
+        )
+        sim.run(until=1.0)
+        assert queue.offer("a")
+        # Service time is taken and the completion queued in the call.
+        assert served == [(1.0, "a")]
+        assert (queue.busy, queue.depth, queue.accepted, sim.pending_count()) == (True, 0, 1, 1)
+        assert queue.offer("b")
+        assert served == [(1.0, "a")]  # queued behind "a"
+        assert (queue.depth, sim.pending_count()) == (1, 1)
+        sim.run()
+        assert served == [(1.0, "a"), (1.25, "b")]
+        assert (queue.busy, queue.completed, queue.busy_time) == (False, 2, 0.5)
+
+    def test_pause_and_resume_with_items_queued(self, sim):
+        queue, done = make_queue(sim, capacity=4, service=0.1)
+        for item in "abc":
+            queue.offer(item)
+        sim.run(until=0.15)  # "a" done, "b" in service, "c" queued
+        queue.pause(drop_queued=False)
+        assert (queue.busy, queue.depth, queue.dropped_paused) == (False, 1, 0)
+        assert not queue.offer("d")
+        assert queue.dropped_paused == 1
+        sim.run(until=0.5)
+        queue.resume()
+        # Resuming starts the queued item at once; the abandoned one is lost.
+        assert (queue.busy, queue.depth) == (True, 0)
+        assert queue.offer("e")
+        sim.run()
+        assert done == [
+            (pytest.approx(0.1), "a"), (pytest.approx(0.6), "c"), (pytest.approx(0.7), "e"),
+        ]
+        assert (queue.accepted, queue.completed) == (4, 3)
+
+    def test_refused_offers_return_false_and_count(self, sim):
+        queue, done = make_queue(sim, capacity=1, service=0.1)
+        assert [queue.offer(item) for item in "abc"] == [True, True, False]
+        assert (queue.dropped_full, queue.dropped_paused) == (1, 0)
+        queue.pause(drop_queued=True)
+        assert queue.offer("d") is False
+        assert (queue.dropped_full, queue.dropped_paused, queue.accepted) == (1, 2, 2)
+        sim.run()
+        assert done == []

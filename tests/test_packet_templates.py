@@ -21,6 +21,7 @@ from repro.firewall.builders import deny_all
 from repro.host.host import Host
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.net.link import LinkImpairment
+from repro.net.packet import Ipv4Packet, UdpDatagram
 from repro.net.topology import FabricTopology
 from repro.nic import embedded
 from repro.nic.efw import EfwNic
@@ -196,6 +197,20 @@ def test_embedded_card_frames_a_repeated_packet_once(sim):
     sim.run(until=0.1)
     assert len(frames) == flood.packets_sent == mallory.nic.tx_allowed > 10
     assert all(frame is frames[0] for frame in frames)
+
+
+def test_embedded_card_frames_the_same_packet_to_another_mac_again(sim):
+    mallory, bob = _pair(sim, EfwNic(sim, name="mallory.efw"), StandardNic(sim))
+    frames = _frames_sent_by(mallory)
+    packet = Ipv4Packet(mallory.ip, bob.ip, UdpDatagram(4000, 9999))
+    other = MacAddress.from_index(9)
+    for dst_mac in (bob.mac, bob.mac, other, bob.mac):
+        mallory.nic.send_packet(packet, dst_mac)
+    sim.run(until=0.01)
+    first, second, third, fourth = frames
+    assert second is first and third is not first and fourth is not third
+    assert [frame.dst_mac for frame in frames] == [bob.mac, bob.mac, other, bob.mac]
+    assert all(frame.payload is packet for frame in frames)
 
 
 def _flooded_efw(sim, tracer_spans=False):

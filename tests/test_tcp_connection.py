@@ -276,6 +276,28 @@ class TestTeardown:
         assert conn.state == TcpState.CLOSED
         assert server.state == TcpState.CLOSED
 
+    def test_fin_wait_1_lasts_until_the_fin_itself_is_acked(self, mininet):
+        from repro.net.packet import TcpFlags, TcpSegment
+
+        alice, bob = mininet["alice"], mininet["bob"]
+        start_echo_listener(bob)
+        conn = alice.tcp.connect(bob.ip, 5001)
+        mininet.run(0.5)
+        conn.send(1000)
+        conn.close()  # the data and the FIN leave at once, both unacked
+        assert conn.state == TcpState.FIN_WAIT_1 and conn.snd_una < conn.fin_seq
+
+        def ack(number):
+            conn.segment_arrived(TcpSegment(
+                conn.remote_port, conn.local_port, conn.receive_buffer.rcv_nxt, number,
+                TcpFlags.ACK,
+            ))
+
+        ack(conn.fin_seq)  # covers the data, not the FIN
+        assert conn.state == TcpState.FIN_WAIT_1 and conn.snd_una == conn.fin_seq
+        ack(conn.fin_seq + 1)
+        assert conn.state == TcpState.FIN_WAIT_2
+
     def test_abort_sends_rst(self, mininet):
         alice, bob = mininet["alice"], mininet["bob"]
         server_conns = start_echo_listener(bob)
