@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-slow test-all bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke bench-mitigation experiments experiments-quick examples clean
+.PHONY: install test test-slow test-all bench bench-quick bench-gates bench-digests quick-digests bench-fleet bench-fleet-smoke experiments experiments-quick examples clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -72,12 +72,6 @@ bench-fleet:
 
 bench-fleet-smoke:
 	$(PYTHON) benchmarks/fleet_bench.py --smoke
-
-# Closed-loop flood defense: recovery fraction + detection/mitigation
-# latency per (device, defense mode) -> merged into BENCH_parallel.json.
-# The recovery claims themselves are rows of repro.experiments.claims.
-bench-mitigation:
-	$(PYTHON) benchmarks/mitigation_bench.py
 
 experiments:
 	$(PYTHON) -m repro.experiments all

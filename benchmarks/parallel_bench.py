@@ -8,8 +8,8 @@ side must render a byte-identical table — parallelism and
 instrumentation may cost host time but must never change a result — and
 each side is reported as an overhead against the first side.
 
-The legs, merged into ``BENCH_parallel.json`` (so the ``fleet`` and
-``mitigation`` sections other scripts write there survive):
+The legs, merged into ``BENCH_parallel.json`` (so the ``fleet`` section
+``fleet_bench.py`` writes there survives):
 
 * ``experiments`` / ``total`` — each requested id at ``jobs=1`` vs
   ``jobs=N`` (``--jobs``, ``REPRO_JOBS``, or all cores), one round.

@@ -1,10 +1,10 @@
 """The shared writer for ``BENCH_parallel.json``.
 
-Three scripts write sections of the one summary file:
-``parallel_bench.py`` (quick-preset timings and the overhead legs),
-``fleet_bench.py`` (``fleet``) and ``mitigation_bench.py``
-(``mitigation``).  Each merges its own top-level keys into what is
-already there, so no script's run drops another script's results.
+Two scripts write sections of the one summary file:
+``parallel_bench.py`` (quick-preset timings and the overhead legs) and
+``fleet_bench.py`` (``fleet``).  Each merges its own top-level keys into
+what is already there, so no script's run drops another script's
+results.
 """
 
 from __future__ import annotations

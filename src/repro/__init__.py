@@ -21,19 +21,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
-from repro import calibration
-from repro.core import (
-    BandwidthMeasurement,
-    DeviceKind,
-    FloodToleranceValidator,
-    HttpMeasurement,
-    MeasurementSettings,
-    MinimumFloodResult,
-    Testbed,
-    ValidationReport,
-)
-
-__version__ = "1.0.0"
+from repro import _lazy
 
 __all__ = [
     "BandwidthMeasurement",
@@ -47,3 +35,19 @@ __all__ = [
     "__version__",
     "calibration",
 ]
+
+__version__ = "1.0.0"
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    "repro.calibration": None,
+    "repro.core": (
+        "BandwidthMeasurement",
+        "DeviceKind",
+        "FloodToleranceValidator",
+        "HttpMeasurement",
+        "MeasurementSettings",
+        "MinimumFloodResult",
+        "Testbed",
+        "ValidationReport",
+    ),
+})

@@ -5,22 +5,7 @@ iperf (bandwidth), http_load + Apache (application performance), and the
 raw packet-flood generator (the attacker).
 """
 
-from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
-from repro.apps.http_load import (
-    FetchRecord,
-    HttpLoadClient,
-    HttpLoadResult,
-    HttpLoadSession,
-)
-from repro.apps.httpd import DEFAULT_PAGE_SIZE, HttpServer
-from repro.apps.iperf import (
-    DEFAULT_PORT,
-    IperfClient,
-    IperfResult,
-    IperfServer,
-    TcpIperfSession,
-    UdpIperfSession,
-)
+from repro import _lazy
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",
@@ -39,3 +24,17 @@ __all__ = [
     "TcpIperfSession",
     "UdpIperfSession",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".flood": ("FloodGenerator", "FloodKind", "FloodSpec"),
+    ".http_load": ("FetchRecord", "HttpLoadClient", "HttpLoadResult", "HttpLoadSession"),
+    ".httpd": ("DEFAULT_PAGE_SIZE", "HttpServer"),
+    ".iperf": (
+        "DEFAULT_PORT",
+        "IperfClient",
+        "IperfResult",
+        "IperfServer",
+        "TcpIperfSession",
+        "UdpIperfSession",
+    ),
+})

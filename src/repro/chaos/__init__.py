@@ -22,25 +22,7 @@ every point of any experiment and keeps each point's
 :class:`ChaosSnapshot`.
 """
 
-from repro.chaos.faults import (
-    AgentCrash,
-    LinkFlap,
-    PacketCorruption,
-    PolicyServerOutage,
-    SwitchPortFail,
-)
-from repro.chaos.invariants import (
-    InvariantMonitor,
-    InvariantViolationError,
-    note_flood,
-)
-from repro.chaos.runtime import ChaosCollector, ChaosConfig, ChaosSnapshot, PointChaos
-from repro.chaos.schedule import (
-    SCENARIOS,
-    ChaosInjector,
-    ChaosSchedule,
-    build_scenario,
-)
+from repro import _lazy
 
 __all__ = [
     "AgentCrash",
@@ -60,3 +42,10 @@ __all__ = [
     "build_scenario",
     "note_flood",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".faults": ("AgentCrash", "LinkFlap", "PacketCorruption", "PolicyServerOutage", "SwitchPortFail"),
+    ".invariants": ("InvariantMonitor", "InvariantViolationError", "note_flood"),
+    ".runtime": ("ChaosCollector", "ChaosConfig", "ChaosSnapshot", "PointChaos"),
+    ".schedule": ("SCENARIOS", "ChaosInjector", "ChaosSchedule", "build_scenario"),
+})

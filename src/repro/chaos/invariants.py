@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos.schedule import armed_injectors
 from repro.obs.tracing.watchdog import Incident
 from repro.policy.push import ACKED
 from repro.sim.timer import PeriodicTimer
@@ -288,7 +287,10 @@ class InvariantMonitor:
             return
         if getattr(server, "_awaiting_ack", None):
             return  # pushes in flight — convergence not yet due
-        if any(injector.active for injector in armed_injectors(self.bed)):
+        # ``bed.chaos`` lists the armed injectors (see
+        # ``repro.chaos.schedule.armed_injectors``); it is read here
+        # directly, so a run without chaos never loads the schedule.
+        if any(injector.active for injector in getattr(self.bed, "chaos", ())):
             return  # an active fault legitimately suspends convergence
         for host_name, outcome in getattr(server, "_push_state", {}).items():
             if outcome.status != ACKED:

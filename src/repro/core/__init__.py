@@ -15,31 +15,7 @@ Public API:
 * ``repro.core.calibration`` — re-export of the cost-model constants.
 """
 
-from repro import calibration
-from repro.core import metrics, reports
-from repro.core.checkpoint import SweepCheckpoint
-from repro.core.fleet import FleetResult, FleetSpec, FleetTestbed
-from repro.core.methodology import (
-    BandwidthMeasurement,
-    FloodToleranceValidator,
-    HttpMeasurement,
-    MeasurementSettings,
-    MinimumFloodResult,
-    ValidationReport,
-    VPG_MSS,
-)
-from repro.core.parallel import (
-    CompletedPoint,
-    PointFailure,
-    SweepError,
-    SweepExecutor,
-    SweepPointSpec,
-    SweepStats,
-    derive_seed,
-    resolve_jobs,
-)
-from repro.core.throughput import ThroughputResult, ThroughputTester, TrialResult
-from repro.core.testbed import STATIONS, DeviceKind, Testbed
+from repro import _lazy
 
 __all__ = [
     "BandwidthMeasurement",
@@ -71,3 +47,32 @@ __all__ = [
     "reports",
     "resolve_jobs",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    "repro.calibration": None,
+    ".metrics": None,
+    ".reports": None,
+    ".checkpoint": ("SweepCheckpoint",),
+    ".fleet": ("FleetResult", "FleetSpec", "FleetTestbed"),
+    ".methodology": (
+        "BandwidthMeasurement",
+        "FloodToleranceValidator",
+        "HttpMeasurement",
+        "MeasurementSettings",
+        "MinimumFloodResult",
+        "ValidationReport",
+        "VPG_MSS",
+    ),
+    ".parallel": (
+        "CompletedPoint",
+        "PointFailure",
+        "SweepError",
+        "SweepExecutor",
+        "SweepPointSpec",
+        "SweepStats",
+        "derive_seed",
+        "resolve_jobs",
+    ),
+    ".throughput": ("ThroughputResult", "ThroughputTester", "TrialResult"),
+    ".testbed": ("STATIONS", "DeviceKind", "Testbed"),
+})

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 from repro.apps.flood import FloodGenerator, FloodKind, FloodSpec
-from repro.apps.http_load import HttpLoadClient, HttpLoadResult
-from repro.apps.httpd import HttpServer
 from repro.apps.iperf import IperfClient, IperfServer
 from repro.core import metrics
 from repro.core.testbed import DeviceKind, Testbed
@@ -352,6 +350,9 @@ class FloodToleranceValidator:
 
     def http_performance(self, depth: int = 1, vpg_count: int = 0) -> HttpMeasurement:
         """Measure web-server performance behind the device (Table 1)."""
+        from repro.apps.http_load import HttpLoadClient, HttpLoadResult
+        from repro.apps.httpd import HttpServer
+
         bed = self._build_testbed(vpg_count=vpg_count)
         if vpg_count > 0:
             self._install_vpg_policies(bed, vpg_count, port=80)

@@ -53,18 +53,19 @@ the ``REPRO_JOBS`` environment variable, and ``os.cpu_count()``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core import probe
-from repro.core.checkpoint import SweepCheckpoint
+
+if TYPE_CHECKING:
+    import multiprocessing
+
+    from repro.core.checkpoint import SweepCheckpoint
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -245,8 +246,14 @@ def _call_spec_collecting(
     return value, snapshots
 
 
+# ``multiprocessing`` and ``pickle`` are imported where the pooled path
+# needs them: a serial sweep never loads them.
+
+
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     """The ``fork`` multiprocessing context, or None when unavailable."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:
@@ -254,6 +261,8 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
 
 
 def _picklable(spec: SweepPointSpec) -> bool:
+    import pickle
+
     try:
         pickle.dumps(spec)
         return True
@@ -435,6 +444,8 @@ class SweepExecutor:
             raise ValueError(f"point_timeout must be positive, got {point_timeout}")
         self.point_timeout = point_timeout
         if isinstance(checkpoint, str):
+            from repro.core.checkpoint import SweepCheckpoint
+
             checkpoint = SweepCheckpoint(checkpoint)
         self.checkpoint = checkpoint
         if on_failure not in (ON_FAILURE_RAISE, ON_FAILURE_RECORD):
@@ -465,8 +476,8 @@ class SweepExecutor:
         state = _RunState(spec_list)
         self._restore_from_checkpoint(state)
         if state.pending:
-            context = _fork_context()
-            if self._must_run_serially(state, context):
+            context = None if self._must_run_serially(state) else _fork_context()
+            if context is None:
                 self._run_serial(state)
             else:
                 self._run_pool(context, state)
@@ -608,13 +619,14 @@ class SweepExecutor:
     # Serial path
     # ------------------------------------------------------------------
 
-    def _must_run_serially(self, state: _RunState, context) -> bool:
+    def _must_run_serially(self, state: _RunState) -> bool:
+        """Whether ``state`` runs inline rather than on a worker pool."""
         if self.jobs <= 1 and self.point_timeout is None:
             return True
         if len(state.pending) == 1 and self.point_timeout is None:
             return True
-        if context is None:
-            return True
+        import multiprocessing
+
         if multiprocessing.current_process().daemon:
             # Daemonic pool workers may not spawn children; a sweep
             # launched from inside another sweep runs inline.
@@ -757,6 +769,8 @@ class SweepExecutor:
             return
 
     def _run_pool(self, context, state: _RunState) -> None:
+        from multiprocessing import connection as mp_connection
+
         workers: List[_PoolWorker] = []
         try:
             for _ in range(min(self.jobs, len(state.pending))):

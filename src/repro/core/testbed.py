@@ -16,12 +16,10 @@ isolated network, eliminating extraneous packets").
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import calibration
 from repro.core import probe
-from repro.defense.controller import DefenseConfig, MitigationController
-from repro.defense.detector import FloodDetector
 from repro.sim import units
 from repro.firewall.iptables import IptablesFilter
 from repro.firewall.ruleset import RuleSet
@@ -35,6 +33,9 @@ from repro.nic.standard import StandardNic
 from repro.policy.server import NicAgent, PolicyServer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+
+if TYPE_CHECKING:
+    from repro.defense.controller import DefenseConfig, MitigationController
 
 
 class DeviceKind(enum.Enum):
@@ -267,6 +268,9 @@ class Testbed:
         the controller; call its :meth:`report` after the run for
         recovery accounting.
         """
+        from repro.defense.controller import DefenseConfig, MitigationController
+        from repro.defense.detector import FloodDetector
+
         if not self.device.is_embedded:
             raise RuntimeError("defense needs an embedded enforcement point on the targets")
         if self.defense is not None:

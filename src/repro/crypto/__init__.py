@@ -9,16 +9,7 @@
    deterministic nonces and must never be used outside this simulator.
 """
 
-from repro.crypto.cipher import BLOCK_SIZE, KeystreamCipher
-from repro.crypto.keys import KEY_SIZE, VpgKeyStore
-from repro.crypto.mac import TAG_SIZE, compute_tag, verify_tag
-from repro.crypto.vpg import (
-    VpgAuthError,
-    VpgContext,
-    VpgDecodeError,
-    VpgError,
-    VpgSealedPayload,
-)
+from repro import _lazy
 
 __all__ = [
     "BLOCK_SIZE",
@@ -34,3 +25,10 @@ __all__ = [
     "compute_tag",
     "verify_tag",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".cipher": ("BLOCK_SIZE", "KeystreamCipher"),
+    ".keys": ("KEY_SIZE", "VpgKeyStore"),
+    ".mac": ("TAG_SIZE", "compute_tag", "verify_tag"),
+    ".vpg": ("VpgAuthError", "VpgContext", "VpgDecodeError", "VpgError", "VpgSealedPayload"),
+})

@@ -22,18 +22,7 @@ the ``mitigation`` experiment sweeps the catalogue against the Figure 3a
 flood.
 """
 
-from repro.defense.actions import (
-    EnableRateLimiter,
-    QuarantinePort,
-    RestartAgent,
-    TargetedDenyRule,
-)
-from repro.defense.controller import (
-    DefenseConfig,
-    DefenseReport,
-    MitigationController,
-)
-from repro.defense.detector import DetectorConfig, FloodDetector
+from repro import _lazy
 
 __all__ = [
     "DefenseConfig",
@@ -46,3 +35,9 @@ __all__ = [
     "RestartAgent",
     "TargetedDenyRule",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".actions": ("EnableRateLimiter", "QuarantinePort", "RestartAgent", "TargetedDenyRule"),
+    ".controller": ("DefenseConfig", "DefenseReport", "MitigationController"),
+    ".detector": ("DetectorConfig", "FloodDetector"),
+})

@@ -16,15 +16,7 @@ chaos (``probes``) and fault tolerance (``checkpoint``, ``retries``,
 ``point_timeout``, ``on_failure``).
 """
 
-from repro.experiments.config import RunConfig
-from repro.experiments.presets import FULL, QUICK, Preset, preset_for, resolve_preset
-from repro.experiments.runner import (
-    REGISTRY,
-    ExperimentSpec,
-    experiment_ids,
-    run_experiment,
-    run_experiment_result,
-)
+from repro import _lazy
 
 __all__ = [
     "FULL",
@@ -39,3 +31,15 @@ __all__ = [
     "run_experiment",
     "run_experiment_result",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".config": ("RunConfig",),
+    ".presets": ("FULL", "QUICK", "Preset", "preset_for", "resolve_preset"),
+    ".runner": (
+        "REGISTRY",
+        "ExperimentSpec",
+        "experiment_ids",
+        "run_experiment",
+        "run_experiment_result",
+    ),
+})

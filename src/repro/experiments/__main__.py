@@ -7,25 +7,13 @@ import os
 import sys
 import time
 
-from repro.chaos.runtime import ChaosCollector
+# The probes, the checkpoint and the exporters are read through their
+# packages' lazy re-exports, so a run imports only those its flags ask for.
+from repro import chaos, core, obs
 from repro.chaos.schedule import SCENARIOS as CHAOS_SCENARIOS
-from repro.core.checkpoint import SweepCheckpoint
 from repro.core.parallel import JOBS_ENV_VAR, SweepError, resolve_jobs
 from repro.experiments.figures import plot_result
 from repro.experiments.results import write_json
-from repro.obs import MetricsCollector, write_metrics_csv
-from repro.obs.profiling import (
-    ProfileCollector,
-    ProfileConfig,
-    hotspot_table,
-    write_collapsed,
-)
-from repro.obs.tracing import (
-    TraceCollector,
-    TraceConfig,
-    write_chrome_trace,
-    write_trace_jsonl,
-)
 from repro.experiments.config import RunConfig
 from repro.experiments.runner import (
     experiment_ids,
@@ -245,7 +233,7 @@ def main(argv=None) -> int:
     if args.checkpoint is not None:
         os.makedirs(args.checkpoint, exist_ok=True)
     tracing = args.trace is not None or args.flight_recorder
-    trace_config = TraceConfig(
+    trace_config = obs.TraceConfig(
         spans=args.trace is not None,
         sample_every=args.trace_sample if args.trace_sample is not None else 1,
         flight=args.flight_recorder,
@@ -260,26 +248,26 @@ def main(argv=None) -> int:
     for experiment_id in selected:
         started = time.time()
         print(f"== {experiment_id} (jobs={jobs}) ==", file=sys.stderr)
-        collector = MetricsCollector() if args.metrics is not None else None
-        tracer = TraceCollector(trace_config) if trace_config is not None else None
+        collector = obs.MetricsCollector() if args.metrics is not None else None
+        tracer = obs.TraceCollector(trace_config) if trace_config is not None else None
         profiler = (
-            ProfileCollector(ProfileConfig(top=args.profile_top))
+            obs.ProfileCollector(obs.ProfileConfig(top=args.profile_top))
             if args.profile is not None
             else None
         )
-        chaos = (
-            ChaosCollector(args.chaos, args.invariants)
+        chaos_probe = (
+            chaos.ChaosCollector(args.chaos, args.invariants)
             if args.chaos is not None or args.invariants is not None
             else None
         )
         # The profiler opens first and closes last, so its wall clock
         # covers the other probes' work too.
         probes = tuple(
-            item for item in (profiler, collector, tracer, chaos) if item is not None
+            item for item in (profiler, collector, tracer, chaos_probe) if item is not None
         )
         checkpoint = None
         if args.checkpoint is not None:
-            checkpoint = SweepCheckpoint(
+            checkpoint = core.SweepCheckpoint(
                 os.path.join(args.checkpoint, f"{experiment_id}_checkpoint.jsonl"),
                 resume=args.resume,
             )
@@ -324,7 +312,7 @@ def main(argv=None) -> int:
             json_path = os.path.join(args.metrics, f"{experiment_id}_metrics.json")
             csv_path = os.path.join(args.metrics, f"{experiment_id}_metrics.csv")
             write_json(series, json_path)
-            write_metrics_csv(series, csv_path)
+            obs.write_metrics_csv(series, csv_path)
             print(f"(wrote {json_path} and {csv_path})", file=sys.stderr)
         if tracer is not None:
             for incident in tracer.incidents():
@@ -336,8 +324,8 @@ def main(argv=None) -> int:
                 summary_path = os.path.join(
                     args.trace, f"{experiment_id}_trace_summary.json"
                 )
-                write_chrome_trace(trace, chrome_path)
-                write_trace_jsonl(trace, jsonl_path)
+                obs.write_chrome_trace(trace, chrome_path)
+                obs.write_trace_jsonl(trace, jsonl_path)
                 summary = {
                     "experiment": experiment_id,
                     "config": trace.config,
@@ -359,10 +347,10 @@ def main(argv=None) -> int:
                     f"(wrote {chrome_path}, {jsonl_path} and {summary_path})",
                     file=sys.stderr,
                 )
-        if chaos is not None:
-            print(f"  {chaos.summary()}", file=sys.stderr)
+        if chaos_probe is not None:
+            print(f"  {chaos_probe.summary()}", file=sys.stderr)
             if tracer is None:  # an armed tracer already printed them above
-                for violation in chaos.violations():
+                for violation in chaos_probe.violations():
                     print(f"  !! {violation.describe()}", file=sys.stderr)
         if profiler is not None:
             profile = profiler.experiment(experiment_id)
@@ -371,8 +359,8 @@ def main(argv=None) -> int:
                 args.profile, f"{experiment_id}_profile.collapsed"
             )
             write_json(profile, json_path)
-            write_collapsed(profile, collapsed_path)
-            print(hotspot_table(profile, top=args.profile_top), file=sys.stderr)
+            obs.write_collapsed(profile, collapsed_path)
+            print(obs.hotspot_table(profile, top=args.profile_top), file=sys.stderr)
             print(f"(wrote {json_path} and {collapsed_path})", file=sys.stderr)
         print(f"({experiment_id} took {elapsed:.1f}s)\n", file=sys.stderr)
     return exit_code

@@ -30,17 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.experiments import (
-    ablations,
-    chaos_faults,
-    extension_hardened,
-    fig2_bandwidth,
-    fig3a_flood,
-    fig3b_minflood,
-    fleet_flood,
-    mitigation,
-    table1_http,
-)
+from repro._lazy import import_module
 from repro.experiments.config import RunConfig
 from repro.experiments.presets import Preset
 
@@ -55,9 +45,12 @@ PresetLike = Union[None, str, Preset]
 class ExperimentSpec:
     """One runnable experiment.
 
-    ``entry`` is the experiment module's ``run`` taking a
-    :class:`~repro.experiments.RunConfig`; :meth:`run` resolves the
-    preset for this experiment id and forwards.  ``config.jobs`` is the
+    ``target`` is the experiment's ``run`` taking a
+    :class:`~repro.experiments.RunConfig`, or the name of the module
+    that defines it; a named module is imported when :attr:`entry` is
+    first read, so a run imports only the experiments it runs.
+    :meth:`run` resolves the preset for this experiment id and forwards
+    to :attr:`entry`.  ``config.jobs`` is the
     sweep worker-process count (see :mod:`repro.core.parallel`) and
     ``config.probes`` the collectors; results are identical for any
     value of either.
@@ -65,7 +58,14 @@ class ExperimentSpec:
 
     experiment_id: str
     title: str
-    entry: Callable[..., Any]
+    target: Union[Callable[..., Any], str]
+
+    @property
+    def entry(self) -> Callable[..., Any]:
+        """The experiment's ``run``."""
+        if isinstance(self.target, str):
+            return import_module(self.target).run
+        return self.target
 
     def run(self, config: Optional[RunConfig] = None) -> Any:
         """Run the experiment and return its raw result object."""
@@ -89,47 +89,47 @@ REGISTRY: Dict[str, ExperimentSpec] = {
         ExperimentSpec(
             "fig2",
             "Figure 2: available bandwidth vs. rule-set depth",
-            fig2_bandwidth.run,
+            "repro.experiments.fig2_bandwidth",
         ),
         ExperimentSpec(
             "fig3a",
             "Figure 3a: available bandwidth during flood",
-            fig3a_flood.run,
+            "repro.experiments.fig3a_flood",
         ),
         ExperimentSpec(
             "fig3b",
             "Figure 3b: minimum DoS flood rate vs. depth",
-            fig3b_minflood.run,
+            "repro.experiments.fig3b_minflood",
         ),
         ExperimentSpec(
             "table1",
             "Table 1: HTTP performance behind an ADF",
-            table1_http.run,
+            "repro.experiments.table1_http",
         ),
         ExperimentSpec(
             "ablations",
             "Design-choice ablations",
-            ablations.run,
+            "repro.experiments.ablations",
         ),
         ExperimentSpec(
             "extension",
             "Extension: the future-work flood-tolerant NIC",
-            extension_hardened.run,
+            "repro.experiments.extension_hardened",
         ),
         ExperimentSpec(
             "fleet",
             "Fleet flood tolerance on a multi-switch fabric",
-            fleet_flood.run,
+            "repro.experiments.fleet_flood",
         ),
         ExperimentSpec(
             "mitigation",
             "Closed-loop flood defense: detection, mitigation, recovery",
-            mitigation.run,
+            "repro.experiments.mitigation",
         ),
         ExperimentSpec(
             "chaos",
             "Chaos: recovery under compound faults during a flood",
-            chaos_faults.run,
+            "repro.experiments.chaos_faults",
         ),
     )
 }

@@ -7,33 +7,7 @@ objects; what differs between them is *where* the evaluation happens and
 what it costs — the central subject of the paper.
 """
 
-from repro.firewall.compiled import ClassifierStats, CompiledClassifier
-from repro.firewall.builders import (
-    allow_all,
-    deny_all,
-    oracle_ruleset,
-    padded_ruleset,
-    padding_rule,
-    service_rule,
-    vpg_padding_rule,
-    vpg_ruleset,
-)
-from repro.firewall.conntrack import (
-    ConnState,
-    ConnectionTracker,
-    StatefulIptablesFilter,
-    flow_key,
-)
-from repro.firewall.iptables import IptablesFilter
-from repro.firewall.rules import (
-    Action,
-    AddressPattern,
-    Direction,
-    PortRange,
-    Rule,
-    VpgRule,
-)
-from repro.firewall.ruleset import MatchResult, RuleSet, RuleSetMutation
+from repro import _lazy
 
 __all__ = [
     "Action",
@@ -61,3 +35,21 @@ __all__ = [
     "vpg_padding_rule",
     "vpg_ruleset",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".compiled": ("ClassifierStats", "CompiledClassifier"),
+    ".builders": (
+        "allow_all",
+        "deny_all",
+        "oracle_ruleset",
+        "padded_ruleset",
+        "padding_rule",
+        "service_rule",
+        "vpg_padding_rule",
+        "vpg_ruleset",
+    ),
+    ".conntrack": ("ConnState", "ConnectionTracker", "StatefulIptablesFilter", "flow_key"),
+    ".iptables": ("IptablesFilter",),
+    ".rules": ("Action", "AddressPattern", "Direction", "PortRange", "Rule", "VpgRule"),
+    ".ruleset": ("MatchResult", "RuleSet", "RuleSetMutation"),
+})

@@ -6,19 +6,7 @@ http_load/Apache), UDP datagrams (iperf UDP, flood), and ICMP (echo and
 the port-unreachable errors that answer UDP floods).
 """
 
-from repro.host.host import Host
-from repro.host.icmp import IcmpLayer
-from repro.host.ip import IpLayer
-from repro.host.tcp import (
-    MSS,
-    ReceiveBuffer,
-    SendBuffer,
-    TcpConnection,
-    TcpListener,
-    TcpManager,
-    TcpState,
-)
-from repro.host.udp import UdpManager, UdpSocket
+from repro import _lazy
 
 __all__ = [
     "Host",
@@ -34,3 +22,19 @@ __all__ = [
     "UdpManager",
     "UdpSocket",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".host": ("Host",),
+    ".icmp": ("IcmpLayer",),
+    ".ip": ("IpLayer",),
+    ".tcp": (
+        "MSS",
+        "ReceiveBuffer",
+        "SendBuffer",
+        "TcpConnection",
+        "TcpListener",
+        "TcpManager",
+        "TcpState",
+    ),
+    ".udp": ("UdpManager", "UdpSocket"),
+})

@@ -15,21 +15,7 @@ multi-switch fleet fabric it is the smallest case of.  It provides
   ``leaf_count=0`` case is the single-switch segment.
 """
 
-from repro.net.addresses import BROADCAST_MAC, Ipv4Address, MacAddress
-from repro.net.link import Link, LinkPort
-from repro.net.packet import (
-    ETHERTYPE_IPV4,
-    EthernetFrame,
-    IcmpMessage,
-    IpProtocol,
-    Ipv4Packet,
-    RawPayload,
-    TcpFlags,
-    TcpSegment,
-    UdpDatagram,
-)
-from repro.net.switch import EthernetSwitch
-from repro.net.topology import FabricTopology
+from repro import _lazy
 
 __all__ = [
     "BROADCAST_MAC",
@@ -49,3 +35,21 @@ __all__ = [
     "TcpSegment",
     "UdpDatagram",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".addresses": ("BROADCAST_MAC", "Ipv4Address", "MacAddress"),
+    ".link": ("Link", "LinkPort"),
+    ".packet": (
+        "ETHERTYPE_IPV4",
+        "EthernetFrame",
+        "IcmpMessage",
+        "IpProtocol",
+        "Ipv4Packet",
+        "RawPayload",
+        "TcpFlags",
+        "TcpSegment",
+        "UdpDatagram",
+    ),
+    ".switch": ("EthernetSwitch",),
+    ".topology": ("FabricTopology",),
+})

@@ -7,14 +7,7 @@ the embedded firewalls add the bounded single-processor cost engine
 denial-of-service result.
 """
 
-from repro.nic.adf import AdfNic
-from repro.nic.base import BaseNic
-from repro.nic.embedded import EmbeddedFirewallNic
-from repro.nic.efw import EfwNic
-from repro.nic.faults import DenyFloodLockupFault
-from repro.nic.hardened import HARDENED_COST_MODEL, HardenedNic
-from repro.nic.queues import ServiceQueue
-from repro.nic.standard import StandardNic
+from repro import _lazy
 
 __all__ = [
     "AdfNic",
@@ -27,3 +20,14 @@ __all__ = [
     "ServiceQueue",
     "StandardNic",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".adf": ("AdfNic",),
+    ".base": ("BaseNic",),
+    ".embedded": ("EmbeddedFirewallNic",),
+    ".efw": ("EfwNic",),
+    ".faults": ("DenyFloodLockupFault",),
+    ".hardened": ("HARDENED_COST_MODEL", "HardenedNic"),
+    ".queues": ("ServiceQueue",),
+    ".standard": ("StandardNic",),
+})

@@ -61,10 +61,11 @@ class _WorkItem:
     """One packet crossing the card's processor.
 
     The verdict (``allowed``, and the ``vpg_id`` whose crypto applies or
-    None) is filled in when service starts.  The trailing slots
-    (``ctx``, ``t_offer``, ``parent``, ``rules``, ``engine``) are
-    assigned only while tracing is active and read back with ``getattr``
-    defaults, so the untraced hot path never touches them.
+    None) is filled in when service starts.  ``ctx`` is the trace
+    context, None unless tracing set it.  The other trailing slots
+    (``t_offer``, ``parent``, ``rules``, ``engine``) are assigned only
+    while tracing is active and read back with ``getattr`` defaults, so
+    the untraced hot path never touches them.
     """
 
     __slots__ = ("kind", "packet", "frame_bytes", "dst_mac", "allowed", "vpg_id",
@@ -77,6 +78,7 @@ class _WorkItem:
         self.dst_mac = dst_mac
         self.allowed = False
         self.vpg_id = None
+        self.ctx = None
 
 
 class EmbeddedFirewallNic(BaseNic):
@@ -332,7 +334,7 @@ class EmbeddedFirewallNic(BaseNic):
             result = policy.evaluate_encrypted(sealed.spi)
             rules = result.rules_traversed
             self.rules_evaluated += rules
-            if getattr(item, "ctx", None) is not None:
+            if item.ctx is not None:
                 item.rules = rules
                 item.engine = policy.last_engine
             vpg_matched = result.is_vpg and result.allowed
@@ -350,7 +352,7 @@ class EmbeddedFirewallNic(BaseNic):
         result = policy.evaluate(packet, _INBOUND if rx else _OUTBOUND)
         rules = result.rules_traversed
         self.rules_evaluated += rules
-        if getattr(item, "ctx", None) is not None:
+        if item.ctx is not None:
             item.rules = rules
             item.engine = policy.last_engine
         cost = model.c0 + model.c_rule * rules + model.c_byte * item.frame_bytes
@@ -405,7 +407,7 @@ class EmbeddedFirewallNic(BaseNic):
                     self.vpg_auth_failures += 1
                     return
                 self.vpg_opened += 1
-            ctx = getattr(item, "ctx", None)
+            ctx = item.ctx
             if ctx is not None:
                 if packet is not item.packet:
                     # VPG decapsulation produced a new packet object; the
@@ -428,7 +430,7 @@ class EmbeddedFirewallNic(BaseNic):
                 self.tx_denied += 1
                 return
             packet = context.seal(packet, outer_src=packet.src, outer_dst=packet.dst)
-        ctx = getattr(item, "ctx", None)
+        ctx = item.ctx
         if ctx is not None:
             if packet is not item.packet:
                 packet.trace_ctx = ctx

@@ -30,54 +30,7 @@ no-op instrument and nothing is stored, so instrumented hot paths cost
 nothing when observability is disabled.
 """
 
-from repro.obs.collect import (
-    DEFAULT_SAMPLE_INTERVAL,
-    ExperimentMetrics,
-    MetricsCollector,
-    MetricsConfig,
-    PointMetrics,
-)
-from repro.obs.ewma import RateEwma
-from repro.obs.export import flatten_rows, write_metrics_csv
-from repro.obs.instrument import instrument_simulator
-from repro.obs.registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
-from repro.obs.profiling import (
-    NULL_PROFILER,
-    ExperimentProfile,
-    PointProfile,
-    ProfileCollector,
-    ProfileConfig,
-    ProfileEntry,
-    ProfileSnapshot,
-    Profiler,
-    StackEntry,
-    collapsed_stacks,
-    hotspot_table,
-    write_collapsed,
-)
-from repro.obs.sampler import MetricSeries, MetricsSnapshot, Sampler
-from repro.obs.tracing import (
-    ExperimentTrace,
-    FlightRecorder,
-    Incident,
-    PacketTracer,
-    SpanRecord,
-    TraceCollector,
-    TraceConfig,
-    TraceRecord,
-    Watchdog,
-    arm_tracing,
-    chrome_trace,
-    write_chrome_trace,
-    write_trace_jsonl,
-)
+from repro import _lazy
 
 __all__ = [
     "Counter",
@@ -123,3 +76,47 @@ __all__ = [
     "write_metrics_csv",
     "write_trace_jsonl",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".collect": (
+        "DEFAULT_SAMPLE_INTERVAL",
+        "ExperimentMetrics",
+        "MetricsCollector",
+        "MetricsConfig",
+        "PointMetrics",
+    ),
+    ".ewma": ("RateEwma",),
+    ".export": ("flatten_rows", "write_metrics_csv"),
+    ".instrument": ("instrument_simulator",),
+    ".registry": ("NULL_REGISTRY", "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry"),
+    ".profiling": (
+        "NULL_PROFILER",
+        "ExperimentProfile",
+        "PointProfile",
+        "ProfileCollector",
+        "ProfileConfig",
+        "ProfileEntry",
+        "ProfileSnapshot",
+        "Profiler",
+        "StackEntry",
+        "collapsed_stacks",
+        "hotspot_table",
+        "write_collapsed",
+    ),
+    ".sampler": ("MetricSeries", "MetricsSnapshot", "Sampler"),
+    ".tracing": (
+        "ExperimentTrace",
+        "FlightRecorder",
+        "Incident",
+        "PacketTracer",
+        "SpanRecord",
+        "TraceCollector",
+        "TraceConfig",
+        "TraceRecord",
+        "Watchdog",
+        "arm_tracing",
+        "chrome_trace",
+        "write_chrome_trace",
+        "write_trace_jsonl",
+    ),
+})

@@ -8,29 +8,7 @@ and :mod:`~repro.obs.profiling.export` for the hotspot table and the
 collapsed-stack flamegraph output.
 """
 
-from repro.obs.profiling.collect import (
-    ExperimentProfile,
-    PointProfile,
-    ProfileCollector,
-    ProfileConfig,
-    ProfileEntry,
-    ProfileSnapshot,
-    StackEntry,
-    merge_snapshots,
-    snapshot_profiler,
-)
-from repro.obs.profiling.core import (
-    NULL_PROFILER,
-    NullProfiler,
-    Profiler,
-    active_profiler,
-    derive_category,
-)
-from repro.obs.profiling.export import (
-    collapsed_stacks,
-    hotspot_table,
-    write_collapsed,
-)
+from repro import _lazy
 
 __all__ = [
     "Profiler",
@@ -51,3 +29,19 @@ __all__ = [
     "collapsed_stacks",
     "write_collapsed",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".collect": (
+        "ExperimentProfile",
+        "PointProfile",
+        "ProfileCollector",
+        "ProfileConfig",
+        "ProfileEntry",
+        "ProfileSnapshot",
+        "StackEntry",
+        "merge_snapshots",
+        "snapshot_profiler",
+    ),
+    ".core": ("NULL_PROFILER", "NullProfiler", "Profiler", "active_profiler", "derive_category"),
+    ".export": ("collapsed_stacks", "hotspot_table", "write_collapsed"),
+})

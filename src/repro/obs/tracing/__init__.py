@@ -29,50 +29,7 @@ call::
         print(incident.describe())
 """
 
-from repro.obs.tracing.collect import (
-    ExperimentTrace,
-    PointTrace,
-    TraceCollector,
-    TraceConfig,
-    TraceSnapshot,
-    arm_tracer,
-    snapshot_tracer,
-)
-from repro.obs.tracing.export import (
-    chrome_trace,
-    trace_jsonl_lines,
-    write_chrome_trace,
-    write_trace_jsonl,
-)
-from repro.obs.tracing.flight import DEFAULT_FLIGHT_SIZE, FlightRecorder
-from repro.obs.tracing.tracer import (
-    PacketTracer,
-    SpanRecord,
-    TraceContext,
-    TraceRecord,
-)
-from repro.obs.tracing.watchdog import Incident, Watchdog
-
-
-def arm_tracing(
-    sim,
-    *,
-    spans: bool = True,
-    sample_every: int = 1,
-    flight: bool = False,
-    flight_size: int = DEFAULT_FLIGHT_SIZE,
-    watchdog: bool = True,
-):
-    """Arm ``sim``'s tracer for ad-hoc use; returns the tracer."""
-    config = TraceConfig(
-        spans=spans,
-        sample_every=sample_every,
-        flight=flight,
-        flight_size=flight_size,
-        watchdog=watchdog,
-    )
-    return arm_tracer(sim, config)
-
+from repro import _lazy
 
 __all__ = [
     "DEFAULT_FLIGHT_SIZE",
@@ -96,3 +53,20 @@ __all__ = [
     "write_chrome_trace",
     "write_trace_jsonl",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".collect": (
+        "ExperimentTrace",
+        "PointTrace",
+        "TraceCollector",
+        "TraceConfig",
+        "TraceSnapshot",
+        "arm_tracer",
+        "arm_tracing",
+        "snapshot_tracer",
+    ),
+    ".export": ("chrome_trace", "trace_jsonl_lines", "write_chrome_trace", "write_trace_jsonl"),
+    ".flight": ("DEFAULT_FLIGHT_SIZE", "FlightRecorder"),
+    ".tracer": ("PacketTracer", "SpanRecord", "TraceContext", "TraceRecord"),
+    ".watchdog": ("Incident", "Watchdog"),
+})

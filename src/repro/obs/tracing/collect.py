@@ -163,6 +163,26 @@ def arm_tracer(sim, config: TraceConfig):
     return tracer
 
 
+def arm_tracing(
+    sim,
+    *,
+    spans: bool = True,
+    sample_every: int = 1,
+    flight: bool = False,
+    flight_size: int = DEFAULT_FLIGHT_SIZE,
+    watchdog: bool = True,
+):
+    """Arm ``sim``'s tracer for ad-hoc use; returns the tracer."""
+    config = TraceConfig(
+        spans=spans,
+        sample_every=sample_every,
+        flight=flight,
+        flight_size=flight_size,
+        watchdog=watchdog,
+    )
+    return arm_tracer(sim, config)
+
+
 class _TraceSession:
     """Tracers armed while one sweep point runs in this process."""
 

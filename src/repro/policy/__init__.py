@@ -1,9 +1,6 @@
 """Central policy plane: server, NIC agents, VPG groups, audit trail."""
 
-from repro.policy.audit import AuditEvent, AuditEventKind, AuditLog
-from repro.policy.groups import VpgGroup, VpgGroupManager
-from repro.policy.push import HostPushOutcome, PushReport
-from repro.policy.server import AGENT_PORT, HEARTBEAT_PORT, NicAgent, PolicyServer
+from repro import _lazy
 
 __all__ = [
     "AGENT_PORT",
@@ -18,3 +15,10 @@ __all__ = [
     "VpgGroup",
     "VpgGroupManager",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".audit": ("AuditEvent", "AuditEventKind", "AuditLog"),
+    ".groups": ("VpgGroup", "VpgGroupManager"),
+    ".push": ("HostPushOutcome", "PushReport"),
+    ".server": ("AGENT_PORT", "HEARTBEAT_PORT", "NicAgent", "PolicyServer"),
+})

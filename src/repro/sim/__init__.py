@@ -23,10 +23,7 @@ the kernel's per-instant FIFO buckets: events scheduled for the same
 instant run in the order they were scheduled.
 """
 
-from repro.sim.engine import Simulator, SimulationError
-from repro.sim.rng import RngRegistry
-from repro.sim.timer import PeriodicTimer, Timer
-from repro.obs.tracing.tracer import PacketTracer as Tracer, TraceRecord
+from repro import _lazy
 
 __all__ = [
     "PeriodicTimer",
@@ -37,3 +34,10 @@ __all__ = [
     "TraceRecord",
     "Tracer",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".engine": ("Simulator", "SimulationError"),
+    ".rng": ("RngRegistry",),
+    ".timer": ("PeriodicTimer", "Timer"),
+    "repro.obs.tracing.tracer": ("PacketTracer as Tracer", "TraceRecord"),
+})

@@ -78,6 +78,19 @@ def _leg(reference_s=None, scopes=None, priced=None, **walls):
     return leg
 
 
+class _FakeClock:
+    """Stands in for the ``time`` module: only :meth:`sleep` moves it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
 def _run_checks(bench, count):
     """What a warn-mode run does to the (patched) monitor checks."""
     for _ in range(count):
@@ -197,11 +210,16 @@ class TestGates:
     def test_monitors_whose_checks_do_extra_work_fail(self, bench, monkeypatch, extra_s):
         # The stub runner plays a fig2 leg whose warn side runs five
         # checks per run, on a host where a reference call takes its
-        # nominal time; only checks that sleep fail the budget.
+        # nominal time; only checks that do extra work fail the budget.
+        # The clock is fake: real sleeps overshoot by varying amounts,
+        # and a reference sleep that overshot more than the check's
+        # priced the check below its 2 ms.
+        clock = _FakeClock()
+        monkeypatch.setattr(bench, "time", clock)
         monkeypatch.setattr(
-            bench.InvariantMonitor, "check", lambda monitor: extra_s and time.sleep(extra_s)
+            bench.InvariantMonitor, "check", lambda monitor: extra_s and clock.sleep(extra_s)
         )
-        monkeypatch.setattr(bench, "reference_work", lambda: time.sleep(bench.REFERENCE_NOMINAL_S))
+        monkeypatch.setattr(bench, "reference_work", lambda: clock.sleep(bench.REFERENCE_NOMINAL_S))
 
         def wall_of(config):
             if config.probes:
